@@ -5,18 +5,20 @@ Usage, from the root of a source checkout::
     python3 batterybench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 A round runs the workload's hrfl subcommand once, in its own process, on
-the source tree under ./src.  Rounds repeat until S seconds have passed
-(at least MIN_ROUNDS of them).  Every round uses the same seed, so every
-round must write byte-identical outputs.  After the timed rounds the
+the source tree under ./src.  Rounds repeat while the next one would end
+within S seconds (at least MIN_ROUNDS of them).  Every round uses the same
+seed, so every round must write byte-identical outputs.  After the timed rounds the
 outputs are checked against the oracles in oracles.py.  The last line
 printed is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.
 
 With --trace 0 the metrics are the end-to-end ones: median verdict_s,
-work_per_s, setup_s and peak_rss_mb over the rounds.  With --trace 1
-untraced and traced rounds alternate.  The metrics are then the per-layer
-medians of the traced rounds, plus trace.overhead_s, the traced median
-verdict_s minus the untraced one.  Outputs go to .batterybench/<workload>/
+work_per_s, setup_s and peak_rss_mb over the rounds.  The times are scaled
+to the machine's reference speed by the probe in speed.py, which runs
+between rounds.  With --trace 1 untraced and traced rounds alternate.  The
+metrics are then the per-layer medians of the traced rounds (not scaled),
+plus trace.overhead_s, the scaled traced median verdict_s minus the
+untraced one.  Outputs go to .batterybench/<workload>/
 in the checkout.  That directory is replaced at the next run of the same
 workload.
 """
@@ -34,10 +36,11 @@ from pathlib import Path
 
 import checks
 import oracles
+import speed
 from workloads import WORKLOADS
 
 MIN_ROUNDS = 3
-ROUND_TIMEOUT_S = 150
+ROUND_TIMEOUT_S = 60
 BATTERIES = ("verify-euler-clt", "verify-diffusive")
 HERE = Path(__file__).resolve().parent
 
@@ -95,6 +98,20 @@ def run_round(wl, root: Path, base: Path, k: int, seed: int, traced: bool) -> di
     return result
 
 
+def run_is_over(rounds: list[dict], elapsed: float, seconds: float, trace: int) -> bool:
+    """Whether to stop: enough rounds, and the next one (or traced pair) would end late.
+
+    A run stops before a round that its typical length says would end after
+    the deadline, so a run lasts at most about ``seconds``.  With tracing,
+    rounds come in untraced/traced pairs.
+    """
+    step = 2 if trace else 1
+    if len(rounds) < MIN_ROUNDS + trace or len(rounds) % step:
+        return False
+    typical = statistics.median(r["wall_s"] for r in rounds)
+    return elapsed + step * typical > seconds
+
+
 def outputs_of(wl, rundir: Path) -> dict:
     return {name: (rundir / name).read_bytes() for name in wl.outputs}
 
@@ -134,11 +151,15 @@ def main(argv=None) -> int:
 
     rounds = []
     start = time.perf_counter()
-    while (len(rounds) < MIN_ROUNDS + args.trace
-           or time.perf_counter() - start < args.seconds
-           or (args.trace and len(rounds) % 2)):
-        rounds.append(run_round(wl, root, base, len(rounds), seed,
-                                traced=bool(args.trace and len(rounds) % 2)))
+    probes = speed.probe()
+    while not run_is_over(rounds, time.perf_counter() - start, args.seconds, args.trace):
+        t0 = time.perf_counter()
+        r = run_round(wl, root, base, len(rounds), seed,
+                      traced=bool(args.trace and len(rounds) % 2))
+        probes += speed.probe()
+        r["wall_s"] = time.perf_counter() - t0
+        rounds.append(r)
+    scale = speed.REFERENCE_S / statistics.median(probes)
 
     ops = Operations()
     for k, r in enumerate(rounds):
@@ -167,7 +188,7 @@ def main(argv=None) -> int:
     if work is None:
         work = ctx["collisions"]
 
-    verdict_s = statistics.median(r["verdict_s"] for r in plain)
+    verdict_s = scale * statistics.median(r["verdict_s"] for r in plain)
     if args.trace:
         for r in traced:
             layers = r["layers"]
@@ -182,21 +203,22 @@ def main(argv=None) -> int:
         metrics = {name: statistics.median(r["layers"][name] for r in traced)
                    for name in LAYER_UNITS if name != "trace.overhead_s"}
         metrics["trace.overhead_s"] = (
-            statistics.median(r["verdict_s"] for r in traced) - verdict_s)
+            scale * statistics.median(r["verdict_s"] for r in traced) - verdict_s)
         units = LAYER_UNITS
     else:
         metrics = {
             "verdict_s": verdict_s,
             "work_per_s": work / verdict_s,
-            "setup_s": statistics.median(r["setup_s"] for r in plain),
+            "setup_s": scale * statistics.median(r["setup_s"] for r in plain),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in plain),
         }
         units = UNITS
 
     for failure in ops.failures:
         print(f"FAILED {failure}", file=sys.stderr)
-    print(f"{wl.name}: {len(rounds)} rounds, work {work}, "
-          f"verdict_s {[round(r['verdict_s'], 4) for r in good]}", file=sys.stderr)
+    print(f"{wl.name}: {len(rounds)} rounds, work {work}, scale {scale:.4f}, "
+          f"unscaled verdict_s {[round(r['verdict_s'], 4) for r in good]}, "
+          f"setup_s {[round(r['setup_s'], 4) for r in good]}", file=sys.stderr)
     print(json.dumps({
         "correct": not ops.failures,
         "attempted": ops.attempted,

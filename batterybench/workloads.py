@@ -1,9 +1,10 @@
-"""The four benchmark workloads: hrfl configs, subcommands and work units.
+"""The benchmark workloads: hrfl configs, subcommands and work units.
 
 Each workload is one ``hrfl`` subcommand on a fixed config.  The workload
 seed is passed to the program as ``--seed``; it selects the Poisson samples
 of the batteries and of ``rods-events`` and leaves the deterministic
-``ghd-grid`` computation unchanged.
+``ghd-grid`` computation unchanged.  BENCHMARK.json lists three of them;
+``diffusive-horizon`` runs by name only (see README.md, "Run length").
 """
 
 from __future__ import annotations
