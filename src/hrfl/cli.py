@@ -193,24 +193,18 @@ def _run_ghd_residual(model, exp, seed, threads, rundir):
     nq, nt = int(exp["nq"]), int(exp["nt"])
     refinements = int(exp.get("refinements", 2))
     band = tuple(exp.get("ratio_band", (3.2, 4.8)))
-    qs = np.linspace(q_range[0], q_range[1], nq)
-    ts = np.linspace(t_range[0], t_range[1], nt)
-    res = hydro.ghd_residual(model, qs, ts)
+    levels, ratios = hydro.residual_refinement(model, q_range, t_range, nq, nt,
+                                               refinements)
+    res = levels[0]
     res.to_csv(rundir / "residual.csv")
     statistics = [
         StatisticResult("residual_max", res.max_norm, math.nan, 0.0, math.nan),
         StatisticResult("residual_l2", res.l2_norm, math.nan, 0.0, math.nan),
     ]
-    verdict = True
-    ratios = []
-    if refinements > 0:
-        ratios = hydro.residual_refinement_ratios(
-            model, q_range, t_range, nq, nt, refinements=refinements)
-        for i, ratio in enumerate(ratios):
-            statistics.append(StatisticResult(
-                f"l2_ratio[{i}]", ratio, math.nan,
-                4.0, math.nan))
-        verdict = all(band[0] <= r <= band[1] for r in ratios)
+    for i, ratio in enumerate(ratios):
+        statistics.append(StatisticResult(f"l2_ratio[{i}]", ratio, math.nan,
+                                          4.0, math.nan))
+    verdict = all(band[0] <= r <= band[1] for r in ratios)
     extra = {"h_q": res.h_q, "h_t": res.h_t, "ratios": ratios,
              "ratio_band": list(band)}
     return ExperimentReport("ghd-residual", model.summary(), None, 1, seed,

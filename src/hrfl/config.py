@@ -244,6 +244,10 @@ _EXPERIMENT_KEYS = {
                      ("core_halfwidth", "expect_reject")),
 }
 
+# covariance batteries need M >= 3: with fewer the standard errors vanish
+_MIN_REPLICAS = {"verify-lln": 1, "verify-euler-clt": 3, "verify-diffusive": 3,
+                 "stationarity": 1}
+
 
 def validate_config(cfg: dict, expected_kind: str) -> dict:
     _check_keys(cfg, "config", ("schema_version", "model", "experiment"),
@@ -268,4 +272,8 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
             f"{expected_kind!r} subcommand")
     required, optional = _EXPERIMENT_KEYS[kind]
     _check_keys(exp, "config.experiment", required, optional)
+    if kind in _MIN_REPLICAS:
+        _int(exp, "replicas", "config.experiment", _MIN_REPLICAS[kind])
+    if "refinements" in exp:
+        _int(exp, "refinements", "config.experiment", 0)
     return cfg

@@ -9,10 +9,8 @@ which makes surface differences telescope: H(b) - H(a) depends only on the
 lines separating a from b.  The deterministic limit replaces the empirical
 sums by crossing moments of the intensity.
 
-Two evaluation paths are provided: a naive per-point scan and a pre-sorted
-pivot index for batches along constant-time slices.  Both gather the same
-crossing subsets and sum them in ascending storage order, so they agree
-bit for bit.
+Every empirical evaluation is one vectorized scan of the sampled lines per
+query point; a grid of points is a loop over :func:`walk_field`.
 """
 
 from __future__ import annotations
@@ -67,46 +65,12 @@ def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
     return config.epsilon * _signed_subset_sum(config.r, plus, minus, compensated)
 
 
-class SliceEvaluator:
-    """Pre-sorted pivot index for batched evaluations along a constant-t slice.
-
-    Lines are split by the side of the origin and sorted by their position
-    at the slice time; each evaluation gathers the crossing subset by binary
-    search and sums it in storage order, matching walk_field bit for bit.
-    """
-
-    def __init__(self, config: SampledConfiguration, t: float):
-        self.config = config
-        self.t = float(t)
-        pos = config.x + self.t * config.v
-        uo = config.x <= 0.0
-        self._idx_right = np.nonzero(uo)[0]
-        self._idx_left = np.nonzero(~uo)[0]
-        ord_r = np.argsort(pos[self._idx_right], kind="stable")
-        ord_l = np.argsort(pos[self._idx_left], kind="stable")
-        self._idx_right = self._idx_right[ord_r]
-        self._idx_left = self._idx_left[ord_l]
-        self._pos_right = pos[self._idx_right]
-        self._pos_left = pos[self._idx_left]
-
-    def value(self, bx: float, compensated: bool = False) -> float:
-        if not self.config.region.contains(bx, self.t):
-            raise ValueError(f"evaluation point ({bx}, {self.t}) outside observation region")
-        # plus: origin-left lines now at position <= bx; minus: origin-right lines beyond bx
-        np_ = np.searchsorted(self._pos_left, bx, side="right")
-        nm = np.searchsorted(self._pos_right, bx, side="right")
-        plus = np.sort(self._idx_left[:np_])
-        minus = np.sort(self._idx_right[nm:])
-        return self.config.epsilon * _signed_subset_sum(self.config.r, plus, minus, compensated)
-
-
 def walk_field_grid(config: SampledConfiguration, xs, ts) -> np.ndarray:
-    """H on the grid xs x ts via per-slice sorted evaluation; shape (len(ts), len(xs))."""
+    """H on the grid xs x ts by walk_field; shape (len(ts), len(xs))."""
     out = np.empty((len(ts), len(xs)))
     for i, t in enumerate(ts):
-        ev = SliceEvaluator(config, t)
         for j, x in enumerate(xs):
-            out[i, j] = ev.value(float(x))
+            out[i, j] = walk_field(config, SpaceTimePoint(float(x), float(t)))
     return out
 
 

@@ -126,7 +126,8 @@ def crossing_interval(v: float, seg: Segment) -> tuple[float, float]:
     The interval is closed while the Plus/Minus classification is half-open
     at the pivots; the mismatch is measure zero.
     """
-    _require_finite(v=v)
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v!r}")
     pa = seg.a.x - v * seg.a.t
     pb = seg.b.x - v * seg.b.t
     return (pa, pb) if pa <= pb else (pb, pa)

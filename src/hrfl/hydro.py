@@ -16,6 +16,11 @@ Notation used throughout, for a model with phase density rho(x) kappa(v,r|x):
 
 and the conservation law d_t g~ + d_q(V_eff g~) = 0, whose residual is
 measured by second-order central differences on a rectangular grid.
+
+Velocity integrals go through the rule of :mod:`hrfl.intensity`, so sigma,
+the phase moments and V_eff serve atoms and continuous laws alike.  The
+pointwise rod density, the residual grid and the limit rod measure are
+implemented for velocity atoms only and raise NotImplementedError otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy.optimize import brentq
 
 from .field import limit_field
 from .geometry import SpaceTimePoint
-from .intensity import IntensityModel, _quad
+from .intensity import IntensityModel, _quad, velocity_integral
 from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
@@ -40,28 +45,24 @@ def _require_rod_model(model) -> None:
         raise ValueError("hard-rod hydrodynamics requires marks r >= 0")
 
 
+def _require_atoms(model, what: str) -> None:
+    if model.kernel.atom_velocities() is None:
+        raise NotImplementedError(
+            f"{what} is implemented for velocity atoms; continuous kernels "
+            "are handled through integrated moments")
+
+
 def phase_moment(model: IntensityModel, x: float, t: float, v_power: int = 0) -> float:
     """Integral of r * v^j against the time-t phase density at x.
 
     The time-t density at (x, v) is the time-0 density at x - v t.
     """
-    kind, data = model._v_structure()
-    if kind == "discrete":
-        total = 0.0
-        for i, v in enumerate(data):
-            pos = x - v * t
-            _, r, w = model.kernel.atoms_at(pos)[i]
-            if w:
-                total += w * r * v ** v_power * float(np.asarray(model.rho.value(pos)))
-        return total
-    vlo, vhi, breaks = data
-
     def f(v):
         pos = x - v * t
         return (model.kernel.vk_density(v, 1, pos) * v ** v_power
                 * float(np.asarray(model.rho.value(pos))))
 
-    return _quad(f, vlo, vhi, breaks)
+    return velocity_integral(model.kernel, f, *model.v_support)
 
 
 def sigma(model: IntensityModel, x: float, t: float) -> float:
@@ -114,21 +115,12 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
     1 - sigma~ at q.  They agree to root-finding accuracy.
     """
     _require_rod_model(model)
+    _require_atoms(model, "the pointwise rod density")
+    if v not in model.kernel.atom_velocities():
+        raise ValueError(f"velocity {v} is not an atom of the kernel")
     x = inverse_characteristic(model, q, t)
     pos = x - v * t
-    kind, data = model._v_structure()
-    if kind != "discrete":
-        raise NotImplementedError(
-            "pointwise rod densities are implemented for velocity atoms; "
-            "continuous kernels are handled through integrated moments")
-    g = None
-    for i, vi in enumerate(data):
-        if vi == v:
-            _, ri, w = model.kernel.atoms_at(pos)[i]
-            g = w * float(np.asarray(model.rho.value(pos)))
-            break
-    if g is None:
-        raise ValueError(f"velocity {v} is not an atom of the kernel")
+    g = model.kernel.vk_density(v, 0, pos) * float(np.asarray(model.rho.value(pos)))
     if method == "contraction":
         return g / (1.0 + sigma(model, x, t))
     if method == "squeeze":
@@ -138,38 +130,32 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
 
 @dataclass
 class _SpeciesState:
-    """Per-atom rod-phase quantities at one grid node."""
+    """Rod-phase quantities of the atom velocities at one grid node."""
 
-    g: np.ndarray          # rod-frame x-density per species
+    g: np.ndarray          # rod-frame x-density per atom velocity
     sigma_tilde: float
     pi_tilde: float
 
 
 def _species_state(model: IntensityModel, q: float, t: float) -> _SpeciesState:
-    kind, data = model._v_structure()
-    if kind != "discrete":
-        raise NotImplementedError("the residual grid requires velocity atoms")
+    # one pass over the atom velocities yields every g and, with them, sigma and pi
     x = inverse_characteristic(model, q, t)
-    g = np.empty(len(data))
-    for i, v in enumerate(data):
+    vs = model.kernel.atom_velocities()
+    g = np.empty(len(vs))
+    s = p = 0.0
+    for i, v in enumerate(vs):
         pos = x - v * t
-        _, r, w = model.kernel.atoms_at(pos)[i]
-        g[i] = w * float(np.asarray(model.rho.value(pos)))
-    g /= 1.0 + sigma(model, x, t)
-    vs = np.array(data)
-    rs = np.array([model.kernel.atoms_at(x - v * t)[i][1] for i, v in enumerate(data)])
-    st = float(np.sum(rs * g))
-    pt = float(np.sum(rs * vs * g))
-    return _SpeciesState(g, st, pt)
+        rho = float(np.asarray(model.rho.value(pos)))
+        g[i] = model.kernel.vk_density(v, 0, pos) * rho
+        m = model.kernel.vk_density(v, 1, pos) * rho
+        s += m
+        p += m * v
+    return _SpeciesState(g / (1.0 + s), s / (1.0 + s), p / (1.0 + s))
 
 
 def effective_velocity(model: IntensityModel, q: float, v: float, t: float) -> float:
     """V_eff(q, v, t) = v + (v sigma~ - pi~) / (1 - sigma~)."""
     _require_rod_model(model)
-    kind, data = model._v_structure()
-    if kind == "discrete":
-        st = _species_state(model, q, t)
-        return v + (v * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
     x = inverse_characteristic(model, q, t)
     s = sigma(model, x, t)
     st = s / (1.0 + s)
@@ -224,11 +210,9 @@ def _excluded_q(model: IntensityModel, t: float, margin: float) -> list[tuple[fl
     edges = [e for e in model.rho.breakpoints if math.isfinite(e)]
     if not edges:
         return []
-    kind, data = model._v_structure()
-    vs = data if kind == "discrete" else np.linspace(*data[:2], 9)
     out = []
     for e in edges:
-        for v in vs:
+        for v in model.kernel.atom_velocities():
             q = characteristic_map(model, e + v * t, t)
             out.append((q - margin, q + margin))
     return out
@@ -255,10 +239,8 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
             or np.abs(np.diff(t_nodes) - h_t).max() > 1e-9 * abs(h_t)):
         raise ValueError("residual grids must be uniformly spaced")
 
-    kind, data = model._v_structure()
-    if kind != "discrete":
-        raise NotImplementedError("the residual grid requires velocity atoms")
-    vs = np.array(data)
+    _require_atoms(model, "the residual grid")
+    vs = np.array(model.kernel.atom_velocities())
     n_s = len(vs)
 
     G = np.empty((n_s, len(t_nodes), len(q_nodes)))
@@ -295,17 +277,22 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
     return GhdResidual(q_in, t_in, res, max_norm, l2_norm, h_q, h_t)
 
 
-def residual_refinement_ratios(model: IntensityModel, q_range, t_range,
-                               nq: int, nt: int, refinements: int = 2,
-                               **kwargs) -> list[float]:
-    """L2-norm ratios between successive grid halvings over a fixed region."""
-    norms = []
+def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: int,
+                        refinements: int = 2,
+                        **kwargs) -> tuple[list[GhdResidual], list[float]]:
+    """Residual grids over a fixed region, each halving the last one's spacing.
+
+    Returns the residual of every level, base grid first, and the L2-norm
+    ratios between successive levels.
+    """
+    levels = []
     for level in range(refinements + 1):
         f = 2 ** level
         qs = np.linspace(q_range[0], q_range[1], (nq - 1) * f + 1)
         ts = np.linspace(t_range[0], t_range[1], (nt - 1) * f + 1)
-        norms.append(ghd_residual(model, qs, ts, **kwargs).l2_norm)
-    return [norms[i] / norms[i + 1] for i in range(refinements)]
+        levels.append(ghd_residual(model, qs, ts, **kwargs))
+    ratios = [levels[i].l2_norm / levels[i + 1].l2_norm for i in range(refinements)]
+    return levels, ratios
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +315,7 @@ def empirical_rod_measure(config: SampledConfiguration, phi, t: float) -> float:
 def limit_rod_measure(model: IntensityModel, phi, t: float) -> float:
     """The limiting rod measure: integral of r phi(y_limit(x,v,t), v, r) d mu."""
     _require_rod_model(model)
-    kind, data = model._v_structure()
+    _require_atoms(model, "the limit rod measure")
     lo, hi = model.rho.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("limit rod measure needs a compactly supported density")
@@ -337,15 +324,13 @@ def limit_rod_measure(model: IntensityModel, phi, t: float) -> float:
         b = SpaceTimePoint(x + v * t, t)
         return x + v * t + limit_field(model, b)
 
-    if kind == "discrete":
-        total = 0.0
-        for i, v in enumerate(data):
-            def f(x):
-                _, r, w = model.kernel.atoms_at(x)[i]
-                if not w:
-                    return 0.0
-                return (w * r * float(np.asarray(model.rho.value(x)))
-                        * phi(y_limit(x, v), v, r))
-            total += _quad(f, lo, hi, model.rho.breakpoints)
-        return total
-    raise NotImplementedError("limit rod measure is implemented for velocity atoms")
+    def x_integral(v):
+        # phi reads the mark r, so the integrand takes the atoms present at x
+        def f(x):
+            rho = float(np.asarray(model.rho.value(x)))
+            return sum(w * r * rho * phi(y_limit(x, v), v, r)
+                       for u, r, w in model.kernel.atoms_at(x) if u == v and w)
+
+        return _quad(f, lo, hi, model.rho.breakpoints)
+
+    return velocity_integral(model.kernel, x_integral, *model.v_support)

@@ -10,13 +10,19 @@ package are moment masses of crossing sets: for a segment ``ab``,
     moment_intersection(k, ab, cd)      ~  mu_k(ab intersect cd)
 
 Both reduce to a one-dimensional velocity integral of ``rho``-masses over
-the pivot interval of :func:`hrfl.geometry.crossing_interval`; for a fixed
-velocity the crossing orientation is the sign of ``dx - v*dt``, so the
-velocity domain splits at ``v* = dx/dt``.  Continuous velocity laws are
-integrated by adaptive Gauss-Kronrod quadrature with the kink locations
-passed as breakpoints; discrete laws are finite sums with no quadrature
-error.  Plus and Minus masses are computed on disjoint velocity ranges and
-``both`` is their sum, so the sign split is exact by construction.
+the crossing interval of :func:`hrfl.geometry.crossing_interval`; for a
+fixed velocity the crossing orientation is the sign of ``dx - v*dt``, so
+the velocity domain splits at ``v* = dx/dt``.  Plus and Minus masses are
+integrated on the two sides of ``v*`` and ``both`` is their sum, so the sign
+split is exact by construction; an atom at ``v*`` itself goes by the sign.
+
+Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
+rule, :func:`velocity_integral`.  The integrand carries the law's weight
+through ``kernel.vk_density(v, k, x)``: a density in v for a continuous law,
+the mass ``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule
+sums the integrand over the atom velocities, with no quadrature error, or
+integrates it by adaptive Gauss-Kronrod quadrature with the kink locations
+passed as breakpoints.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from scipy import integrate
 from scipy import stats as spstats
 from scipy.interpolate import CubicSpline
 
-from .geometry import Segment
+from .geometry import Segment, crossing_interval
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -169,7 +175,8 @@ class SmoothDensity:
             return 0.0
         lo = min(max(lo, self.support[0]), self.support[1])
         hi = min(max(hi, self.support[0]), self.support[1])
-        return float(self._spline(hi) - self._spline(lo))
+        at_lo, at_hi = self._spline((lo, hi))
+        return float(at_hi - at_lo)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
         lo = max(lo, self.support[0])
@@ -217,12 +224,15 @@ class ConstantMark:
         return {"kind": "constant", "value": self.r}
 
 
-class UniformMark:
+class _UniformLaw:
+    """Uniform law on [lo, hi]; subclasses name what it is a law of."""
+
+    law = ""
+
     def __init__(self, lo: float, hi: float):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("uniform mark needs lo < hi")
+            raise ValueError(f"uniform {self.law} needs lo < hi")
         self.lo, self.hi = float(lo), float(hi)
-        self.min_mark = self.lo
 
     def moment(self, k: int) -> float:
         if k == 0:
@@ -236,6 +246,14 @@ class UniformMark:
         w = min(hi, self.hi) - max(lo, self.lo)
         return max(w, 0.0) / (self.hi - self.lo)
 
+
+class UniformMark(_UniformLaw):
+    law = "mark"
+
+    @property
+    def min_mark(self) -> float:
+        return self.lo
+
     def summary(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
@@ -244,12 +262,9 @@ class UniformMark:
 # velocity laws
 # ---------------------------------------------------------------------------
 
-class UniformVelocity:
-    def __init__(self, lo: float, hi: float):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("uniform velocity needs lo < hi")
-        self.lo, self.hi = float(lo), float(hi)
-        self.tail_mass_removed = 0.0
+class UniformVelocity(_UniformLaw):
+    law = "velocity"
+    tail_mass_removed = 0.0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -267,18 +282,6 @@ class UniformVelocity:
         v = np.asarray(v, dtype=float)
         out = np.where((v >= self.lo) & (v <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
         return out if out.ndim else float(out)
-
-    def moment(self, j: int) -> float:
-        if j == 0:
-            return 1.0
-        return (self.hi ** (j + 1) - self.lo ** (j + 1)) / ((j + 1) * (self.hi - self.lo))
-
-    def sample(self, rng: np.random.Generator, n: int):
-        return rng.uniform(self.lo, self.hi, size=n)
-
-    def prob(self, lo: float, hi: float) -> float:
-        w = min(hi, self.hi) - max(lo, self.lo)
-        return max(w, 0.0) / (self.hi - self.lo)
 
     def summary(self) -> dict:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi,
@@ -375,12 +378,6 @@ class ProductKernel:
     def vk_density(self, v: float, k: int, x: float) -> float:
         return self.velocity.pdf(v) * self.mark.moment(k)
 
-    def mark_moment(self, k: int, x: float) -> float:
-        return self.mark.moment(k)
-
-    def vr_moment(self, k: int, j: int, x: float) -> float:
-        return self.mark.moment(k) * self.velocity.moment(j)
-
     def atom_velocities(self):
         return None
 
@@ -416,6 +413,13 @@ class DiscreteKernel:
             raise ValueError("atom weights must sum to 1")
         self.atoms = atoms
         self._cum = np.cumsum([w for _, _, w in atoms])
+        # sum of w * r**k over the atoms at each distinct velocity, kernel order
+        self._by_v: dict[float, list[float]] = {}
+        for v, r, w in atoms:
+            m = self._by_v.setdefault(v, [0.0] * len(_MOMENT_ORDERS))
+            for k in _MOMENT_ORDERS:
+                m[k] += w * r ** k
+        self._velocities = tuple(self._by_v)
 
     def truncated(self, lo: float, hi: float) -> "DiscreteKernel":
         if any(not (lo <= v <= hi) for v, _, _ in self.atoms):
@@ -432,16 +436,14 @@ class DiscreteKernel:
         return min(r for _, r, _ in self.atoms)
 
     def atom_velocities(self):
-        return [v for v, _, _ in self.atoms]
+        return self._velocities
 
     def atoms_at(self, x: float):
         return self.atoms
 
-    def mark_moment(self, k: int, x: float) -> float:
-        return sum(w * r ** k for _, r, w in self.atoms)
-
-    def vr_moment(self, k: int, j: int, x: float) -> float:
-        return sum(w * r ** k * v ** j for v, r, w in self.atoms)
+    def vk_density(self, v: float, k: int, x: float) -> float:
+        m = self._by_v.get(v)
+        return m[k] if m is not None else 0.0
 
     def sample(self, rng: np.random.Generator, xs):
         n = len(xs)
@@ -466,8 +468,8 @@ class PiecewiseKernel:
     """Conditional law with piecewise-constant dependence on x.
 
     Cells are contiguous intervals [lo, hi) each carrying its own
-    x-independent kernel; all cells must be of the same discreteness so the
-    velocity integration structure is uniform.
+    x-independent kernel; all cells must be of the same discreteness so one
+    velocity rule serves every x.
     """
 
     def __init__(self, cells: Sequence[tuple[float, float, object]]):
@@ -485,6 +487,9 @@ class PiecewiseKernel:
             raise ValueError("kernel cells must be all discrete or all continuous")
         self.cells = cells
         self.is_discrete = cells[0][2].is_discrete
+        self._velocities = (tuple(sorted({v for _, _, k in cells
+                                          for v in k.atom_velocities()}))
+                            if self.is_discrete else None)
 
     def truncated(self, lo: float, hi: float) -> "PiecewiseKernel":
         return PiecewiseKernel([(a, b, k.truncated(lo, hi)) for a, b, k in self.cells])
@@ -512,27 +517,15 @@ class PiecewiseKernel:
         return None
 
     def atom_velocities(self):
-        if not self.is_discrete:
-            return None
-        vs = sorted({v for _, _, k in self.cells for v in k.atom_velocities()})
-        return vs
+        return self._velocities
 
     def atoms_at(self, x: float):
         kern = self._cell_at(x)
-        local = {v: (r, w) for v, r, w in kern.atoms} if kern is not None else {}
-        return [(v,) + local.get(v, (0.0, 0.0)) for v in self.atom_velocities()]
+        return kern.atoms_at(x) if kern is not None else []
 
     def vk_density(self, v: float, k: int, x: float) -> float:
         kern = self._cell_at(x)
         return kern.vk_density(v, k, x) if kern is not None else 0.0
-
-    def mark_moment(self, k: int, x: float) -> float:
-        kern = self._cell_at(x)
-        return kern.mark_moment(k, x) if kern is not None else 0.0
-
-    def vr_moment(self, k: int, j: int, x: float) -> float:
-        kern = self._cell_at(x)
-        return kern.vr_moment(k, j, x) if kern is not None else 0.0
 
     def v_breakpoints(self) -> tuple[float, ...]:
         pts = set()
@@ -569,14 +562,35 @@ class PiecewiseKernel:
 
 
 # ---------------------------------------------------------------------------
-# crossing-moment machinery
+# the velocity rule and the crossing-moment machinery
 # ---------------------------------------------------------------------------
 
+def velocity_integral(kernel, f: Callable[[float], float], lo: float, hi: float,
+                      kinks: Sequence[float] = ()) -> float:
+    """The velocity rule: f integrated over the velocities in [lo, hi].
+
+    The integrand carries the law's weight itself, through
+    ``kernel.vk_density``.  For a kernel of atoms the rule sums f over the
+    distinct atom velocities in [lo, hi], in kernel order.  For a
+    continuous law it is adaptive quadrature with the law's breakpoints and
+    the given kinks as break points.
+    """
+    vs = kernel.atom_velocities()
+    if vs is None:
+        return _quad(f, lo, hi, (*kernel.v_breakpoints(), *kinks))
+    total = 0.0
+    for v in vs:
+        if lo <= v <= hi:
+            total += f(v)
+    return total
+
+
 def _oriented_v_ranges(seg: Segment, vlo: float, vhi: float):
-    """Subranges of [vlo, vhi] carrying Plus / Minus crossings of seg.
+    """Closed subranges of [vlo, vhi] carrying Plus / Minus crossings of seg.
 
     The orientation at velocity v is the sign of dx - v*dt; the domain
-    splits at v* = dx/dt.
+    splits at v* = dx/dt.  A range may have zero width, which keeps the
+    atom of a single-atom kernel.
     """
     dx = seg.b.x - seg.a.x
     dt = seg.b.t - seg.a.t
@@ -592,17 +606,11 @@ def _oriented_v_ranges(seg: Segment, vlo: float, vhi: float):
     else:
         below, above = "minus", "plus"
     ranges = []
-    if vlo < min(vstar, vhi):
+    if vlo <= min(vstar, vhi):
         ranges.append((vlo, min(vstar, vhi), below))
-    if max(vstar, vlo) < vhi:
+    if max(vstar, vlo) <= vhi:
         ranges.append((max(vstar, vlo), vhi, above))
     return ranges
-
-
-def _pivots(seg: Segment, v: float) -> tuple[float, float]:
-    pa = seg.a.x - v * seg.a.t
-    pb = seg.b.x - v * seg.b.t
-    return (pa, pb) if pa <= pb else (pb, pa)
 
 
 def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
@@ -621,18 +629,11 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
 class _CrossingMoments:
     """Shared Plus/Minus/Both and intersection machinery.
 
-    Subclasses provide the velocity structure and the x-mass of an
+    Subclasses provide ``kernel``, ``v_support`` and the x-mass of an
     intercept interval at fixed velocity.
     """
 
-    def _v_structure(self):
-        raise NotImplementedError
-
     def _x_mass(self, v: float, k: int, lo: float, hi: float) -> float:
-        raise NotImplementedError
-
-    def _atom_x_mass(self, atom_index: int, v: float, k: int,
-                     lo: float, hi: float) -> float:
         raise NotImplementedError
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
@@ -643,27 +644,21 @@ class _CrossingMoments:
             raise ValueError("sign must be 'plus', 'minus' or 'both'")
         if seg.is_degenerate:
             return 0.0
-        kind, data = self._v_structure()
         dx = seg.b.x - seg.a.x
         dt = seg.b.t - seg.a.t
-        if kind == "discrete":
-            total = 0.0
-            for i, v in enumerate(data):
-                s = dx - v * dt
-                if s == 0.0:
-                    continue
-                orient = "plus" if s > 0.0 else "minus"
-                if sign != "both" and orient != sign:
-                    continue
-                total += self._atom_x_mass(i, v, k, *_pivots(seg, v))
-            return total
-        vlo, vhi, breaks = data
         total = 0.0
-        for lo, hi, orient in _oriented_v_ranges(seg, vlo, vhi):
+        for lo, hi, orient in _oriented_v_ranges(seg, *self.v_support):
             if sign != "both" and orient != sign:
                 continue
-            f = lambda v: self._x_mass(v, k, *_pivots(seg, v))
-            total += _quad(f, lo, hi, breaks)
+
+            def f(v, plus=orient == "plus"):
+                # the sign, not the range, orients an atom at v* = dx/dt
+                s = dx - v * dt
+                if s == 0.0 or (s > 0.0) != plus:
+                    return 0.0
+                return self._x_mass(v, k, *crossing_interval(v, seg))
+
+            total += velocity_integral(self.kernel, f, lo, hi)
         return total
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
@@ -672,28 +667,14 @@ class _CrossingMoments:
             raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
         if seg1.is_degenerate or seg2.is_degenerate:
             return 0.0
-        kind, data = self._v_structure()
-
-        def overlap(v):
-            lo1, hi1 = _pivots(seg1, v)
-            lo2, hi2 = _pivots(seg2, v)
-            return max(lo1, lo2), min(hi1, hi2)
-
-        if kind == "discrete":
-            total = 0.0
-            for i, v in enumerate(data):
-                lo, hi = overlap(v)
-                if hi > lo:
-                    total += self._atom_x_mass(i, v, k, lo, hi)
-            return total
-        vlo, vhi, breaks = data
-        kinks = list(breaks) + _pivot_crossing_velocities(seg1, seg2)
 
         def f(v):
-            lo, hi = overlap(v)
-            return self._x_mass(v, k, lo, hi) if hi > lo else 0.0
+            lo1, hi1 = crossing_interval(v, seg1)
+            lo2, hi2 = crossing_interval(v, seg2)
+            return self._x_mass(v, k, max(lo1, lo2), min(hi1, hi2))
 
-        return _quad(f, vlo, vhi, kinks)
+        return velocity_integral(self.kernel, f, *self.v_support,
+                                 _pivot_crossing_velocities(seg1, seg2))
 
 
 # ---------------------------------------------------------------------------
@@ -733,14 +714,6 @@ class IntensityModel(_CrossingMoments):
     def marks_nonnegative(self) -> bool:
         return self.kernel.min_mark >= 0.0
 
-    # crossing machinery hooks -------------------------------------------
-    def _v_structure(self):
-        vs = self.kernel.atom_velocities()
-        if vs is not None:
-            return "discrete", vs
-        lo, hi = self.v_support
-        return "continuous", (lo, hi, self.kernel.v_breakpoints())
-
     def _chunks(self, lo: float, hi: float):
         edges = [e for e in self.kernel.cell_edges if lo < e < hi]
         pts = [lo] + edges + [hi]
@@ -754,17 +727,6 @@ class IntensityModel(_CrossingMoments):
             total += self.kernel.vk_density(v, k, 0.5 * (a + b)) * self.rho.integral(a, b)
         return total
 
-    def _atom_x_mass(self, i, v, k, lo, hi):
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        for a, b in self._chunks(lo, hi):
-            _, r, w = self.kernel.atoms_at(0.5 * (a + b))[i]
-            if w:
-                total += w * r ** k * self.rho.integral(a, b)
-        return total
-
-    # misc ----------------------------------------------------------------
     def x_marginal_density(self, x: float) -> float:
         return float(np.asarray(self.rho.value(x)))
 
@@ -783,13 +745,14 @@ class IntensityModel(_CrossingMoments):
                 "marks_nonnegative": self.marks_nonnegative}
 
 
-class _TranslatedModel(_CrossingMoments):
-    """Space-time translation of a base model by (z, s).
+class _FrameModel(_CrossingMoments):
+    """A base model seen from the space-time frame point (z, s).
 
-    A point (x, v, r) of the base measure is seen at relative intercept
-    x + v*s - z, so crossing masses of a segment equal base masses of the
-    segment translated by (z, s).
+    Subclasses give ``_source(x, v)``: the base-model intercept of the line
+    seen at relative intercept x with velocity v.
     """
+
+    mode = ""
 
     def __init__(self, base: IntensityModel, z: float, s: float):
         self.base = base
@@ -804,6 +767,34 @@ class _TranslatedModel(_CrossingMoments):
     @property
     def marks_nonnegative(self):
         return self.base.marks_nonnegative
+
+    def _source(self, x: float, v: float) -> float:
+        raise NotImplementedError
+
+    def x_marginal_density(self, x: float) -> float:
+        def f(v):
+            pos = self._source(x, v)
+            return self.kernel.vk_density(v, 0, pos) * float(np.asarray(self.base.rho.value(pos)))
+
+        return velocity_integral(self.kernel, f, *self.v_support)
+
+    def summary(self) -> dict:
+        return {"mode": self.mode, "frame": [self.z, self.s],
+                "base": self.base.summary()}
+
+
+class _TranslatedModel(_FrameModel):
+    """Space-time translation of a base model by (z, s).
+
+    A point (x, v, r) of the base measure is seen at relative intercept
+    x + v*s - z, so crossing masses of a segment equal base masses of the
+    segment translated by (z, s).
+    """
+
+    mode = "translated"
+
+    def _source(self, x, v):
+        return self.z + x - v * self.s
 
     def moment_on_crossing(self, k, seg, sign="both"):
         return self.base.moment_on_crossing(k, seg.translated(self.z, self.s), sign)
@@ -812,76 +803,25 @@ class _TranslatedModel(_CrossingMoments):
         return self.base.moment_intersection(
             k, seg1.translated(self.z, self.s), seg2.translated(self.z, self.s))
 
-    def x_marginal_density(self, x: float) -> float:
-        kind, data = self.base._v_structure()
-        if kind == "discrete":
-            total = 0.0
-            for i, v in enumerate(data):
-                pos = self.z + x - v * self.s
-                _, _, w = self.base.kernel.atoms_at(pos)[i]
-                total += w * float(np.asarray(self.base.rho.value(pos)))
-            return total
-        vlo, vhi, breaks = data
 
-        def f(v):
-            pos = self.z + x - v * self.s
-            return self.base.kernel.vk_density(v, 0, pos) * float(np.asarray(self.base.rho.value(pos)))
-
-        return _quad(f, vlo, vhi, breaks)
-
-    def summary(self) -> dict:
-        return {"mode": "translated", "frame": [self.z, self.s],
-                "base": self.base.summary()}
-
-
-class _FrozenModel(_CrossingMoments):
+class _FrozenModel(_FrameModel):
     """Space-homogeneous freeze of a base model at the frame point (z, s).
 
     At velocity v the x-density is the base phase density evaluated at the
     backtracked position z - v*s, constant in x.
     """
 
-    def __init__(self, base: IntensityModel, z: float, s: float):
-        self.base = base
-        self.z, self.s = float(z), float(s)
-        self.v_support = base.v_support
-        self.kernel = base.kernel
+    mode = "frozen"
 
-    @property
-    def max_speed(self):
-        return self.base.max_speed
-
-    @property
-    def marks_nonnegative(self):
-        return self.base.marks_nonnegative
-
-    def _v_structure(self):
-        return self.base._v_structure()
+    def _source(self, x, v):
+        return self.z - v * self.s
 
     def _x_mass(self, v, k, lo, hi):
         if hi <= lo:
             return 0.0
-        pos = self.z - v * self.s
+        pos = self._source(0.0, v)
         rho = float(np.asarray(self.base.rho.value(pos)))
-        return (hi - lo) * rho * self.base.kernel.vk_density(v, k, pos)
-
-    def _atom_x_mass(self, i, v, k, lo, hi):
-        if hi <= lo:
-            return 0.0
-        pos = self.z - v * self.s
-        _, r, w = self.base.kernel.atoms_at(pos)[i]
-        return (hi - lo) * w * r ** k * float(np.asarray(self.base.rho.value(pos)))
-
-    def x_marginal_density(self, x: float) -> float:
-        kind, data = self._v_structure()
-        if kind == "discrete":
-            return sum(self._atom_x_mass(i, v, 0, 0.0, 1.0) for i, v in enumerate(data))
-        vlo, vhi, breaks = data
-        return _quad(lambda v: self._x_mass(v, 0, 0.0, 1.0), vlo, vhi, breaks)
-
-    def summary(self) -> dict:
-        return {"mode": "frozen", "frame": [self.z, self.s],
-                "base": self.base.summary()}
+        return (hi - lo) * rho * self.kernel.vk_density(v, k, pos)
 
 
 def timeshifted_model(model: IntensityModel, z: float, s: float,

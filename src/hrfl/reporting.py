@@ -51,6 +51,3 @@ def write_json(path, payload: dict) -> None:
         json.dump(_jsonify(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
-
-def json_bytes(payload: dict) -> bytes:
-    return (json.dumps(_jsonify(payload), indent=2, allow_nan=False) + "\n").encode()

@@ -158,10 +158,12 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
     fluctuation at (x, t) against its segment variance.  When several
     epsilon values are given the battery runs at each and additionally
     requires the worst |z| not to degrade as epsilon decreases, guarding
-    against finite-scale bias masquerading as noise.
+    against finite-scale bias masquerading as noise.  The epsilons run in
+    descending order whatever order they are given in, so the guard always
+    compares the smallest epsilon against the largest.
     """
     points = tuple(points)
-    eps_list = tuple(epsilons) if epsilons else (epsilon,)
+    eps_list = tuple(sorted(epsilons, reverse=True)) if epsilons else (epsilon,)
     targets = covariance_matrix(CovarianceSpec(model, points))
 
     eval_pts = list(points)
@@ -418,26 +420,24 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
         gap_inside = inside[1:] & inside[:-1]
         return gaps[gap_inside], r[inside]
 
+    def replica(t_idx, t, i):
+        # (gaps, lengths) of the evolved and of the freshly dilated gas
+        out = []
+        for which in (0, 1):
+            cfg = sample(model, 1.0, region, seed, stream_key=(t_idx, i, which))
+            gas = hardrod.dilate(hardrod.GasConfiguration(cfg.x, cfg.v, cfg.r), 0.0)
+            out.append(collect(hardrod.tagged_frame_evolve(gas, t) if which == 0 else gas))
+        return out
+
     stats: list[StatisticResult] = []
     pvals = {}
     for t_idx, t in enumerate(t_values):
-        gaps_ev, lens_ev, gaps_ref, lens_ref = [], [], [], []
-        for i in range(M):
-            cfg_ev = sample(model, 1.0, region, seed, stream_key=(t_idx, i, 0))
-            gas_ev = hardrod.GasConfiguration(cfg_ev.x, cfg_ev.v, cfg_ev.r)
-            evolved = hardrod.tagged_frame_evolve(hardrod.dilate(gas_ev, 0.0), t)
-            g, l = collect(evolved)
-            gaps_ev.append(g)
-            lens_ev.append(l)
-            cfg_ref = sample(model, 1.0, region, seed, stream_key=(t_idx, i, 1))
-            gas_ref = hardrod.GasConfiguration(cfg_ref.x, cfg_ref.v, cfg_ref.r)
-            g, l = collect(hardrod.dilate(gas_ref, 0.0))
-            gaps_ref.append(g)
-            lens_ref.append(l)
-        p_gap = float(ks_2samp(np.concatenate(gaps_ev),
-                               np.concatenate(gaps_ref)).pvalue)
-        p_len = float(ks_2samp(np.concatenate(lens_ev),
-                               np.concatenate(lens_ref)).pvalue)
+        rows = _map_ordered(lambda i: replica(t_idx, t, i), M, threads)
+        gaps_ev, lens_ev, gaps_ref, lens_ref = (
+            np.concatenate([row[which][col] for row in rows])
+            for which in (0, 1) for col in (0, 1))
+        p_gap = float(ks_2samp(gaps_ev, gaps_ref).pvalue)
+        p_len = float(ks_2samp(lens_ev, lens_ref).pvalue)
         pvals[f"t={t:g}"] = {"gaps": p_gap, "lengths": p_len}
         stats.append(StatisticResult(f"ks_gap_p[t={t:g}]", p_gap, math.nan,
                                      KS_LEVEL, math.nan))

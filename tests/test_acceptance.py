@@ -160,8 +160,8 @@ def test_criterion_5_ghd_residual():
         (-2.0, 2.0))
     two_v = IntensityModel(bump, DiscreteKernel([(-1.0, 0.4, 0.5),
                                                  (1.0, 0.6, 0.5)]))
-    ratios = hydro.residual_refinement_ratios(two_v, (-0.8, 0.8), (0.05, 0.45),
-                                              17, 9, refinements=2)
+    _, ratios = hydro.residual_refinement(two_v, (-0.8, 0.8), (0.05, 0.45),
+                                          17, 9, refinements=2)
     in_band = all(3.2 <= r <= 4.8 for r in ratios)
 
     homog = IntensityModel(ConstantDensity(0.8),
@@ -247,3 +247,23 @@ def test_criterion_9_reproducibility(tmp_path):
     ok = all(b == blobs[0] for b in blobs)
     report_line(9, "byte-identical reports across runs and thread counts", ok,
                 f"{len(blobs)} runs, {len(blobs[0])} bytes each")
+
+
+def test_stationarity_reproducible_across_threads(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "model": {"rho": {"kind": "constant", "value": 1.0},
+                  "velocity": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+                  "mark": {"kind": "constant", "value": 0.5}},
+        "experiment": {"kind": "stationarity", "t_values": [0.5, 1.0],
+                       "replicas": 20, "core_halfwidth": 4.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    blobs = []
+    for i, threads in enumerate((1, 2)):
+        out = tmp_path / f"runs{i}"
+        cli_main(["stationarity", "--config", str(path), "--seed", "13",
+                  "--threads", str(threads), "--out", str(out)])
+        blobs.append(next(out.glob("*/report.json")).read_bytes())
+    assert blobs[0] == blobs[1]

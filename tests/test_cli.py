@@ -229,3 +229,51 @@ def test_flat_model_form_equals_kernel_form(tmp_path):
     out = tmp_path / "runs"
     assert main(["verify-lln", "--config", str(cfg), "--seed", "4",
                  "--out", str(out)]) == 0
+
+
+REPLICA_EXPERIMENTS = {
+    "verify-euler-clt": {"kind": "verify-euler-clt", "epsilon": 0.05,
+                         "points": [[0, 1], [1, 0]]},
+    "verify-diffusive": {"kind": "verify-diffusive", "epsilon": 0.05,
+                         "t": 1.0, "frame": [0.2, 0.1]},
+    "verify-lln": {"kind": "verify-lln", "epsilons": [0.1, 0.02]},
+    "stationarity": {"kind": "stationarity", "t_values": [1.0],
+                     "core_halfwidth": 6.0},
+}
+
+
+@pytest.mark.parametrize("command,replicas", [
+    ("verify-euler-clt", 0), ("verify-euler-clt", 1), ("verify-euler-clt", 2),
+    ("verify-diffusive", 0), ("verify-diffusive", 1), ("verify-diffusive", 2),
+    ("verify-lln", 0), ("stationarity", 0),
+])
+def test_too_few_replicas_is_config_error(tmp_path, capsys, command, replicas):
+    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS[command],
+                                      replicas=replicas))
+    out = tmp_path / "runs"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.experiment.replicas" in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def test_three_replicas_write_a_report(tmp_path):
+    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["verify-euler-clt"],
+                                      replicas=3))
+    out = tmp_path / "runs"
+    assert main(["verify-euler-clt", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) in (0, 1)
+    assert report_of(out)["M"] == 3
+
+
+def test_euler_report_independent_of_epsilon_order(tmp_path):
+    blobs = []
+    for i, epsilons in enumerate(([0.1, 0.02], [0.02, 0.1])):
+        cfg = write_config(tmp_path, {"kind": "verify-euler-clt",
+                                      "epsilon": 0.1, "epsilons": epsilons,
+                                      "replicas": 60, "points": [[0, 1], [1, 0]]},
+                           name=f"cfg{i}.json")
+        out = tmp_path / f"runs{i}"
+        main(["verify-euler-clt", "--config", str(cfg), "--seed", "6",
+              "--out", str(out)])
+        blobs.append(next(out.glob("*/report.json")).read_bytes())
+    assert blobs[0] == blobs[1]

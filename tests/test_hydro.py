@@ -14,7 +14,7 @@ from hrfl.hydro import (
     limit_mass,
     limit_rod_measure,
     phase_moment,
-    residual_refinement_ratios,
+    residual_refinement,
     rod_density,
     sigma,
     squeezed_length_fraction,
@@ -25,11 +25,13 @@ from hrfl.intensity import (
     DiscreteKernel,
     IntensityModel,
     PiecewiseConstantDensity,
+    PiecewiseKernel,
     ProductKernel,
     SmoothDensity,
     UniformMark,
     UniformVelocity,
 )
+from hrfl.geometry import segment
 from hrfl.sampler import ObservationRegion, sample
 
 
@@ -179,8 +181,8 @@ def test_ghd_residual_single_velocity_transport(single_velocity_bump):
 
 def test_ghd_refinement_ratio(rng):
     model = bump_two_velocity()
-    ratios = residual_refinement_ratios(model, (-0.8, 0.8), (0.05, 0.45),
-                                        17, 9, refinements=2)
+    _, ratios = residual_refinement(model, (-0.8, 0.8), (0.05, 0.45),
+                                    17, 9, refinements=2)
     for r in ratios:
         assert 3.2 <= r <= 4.8
 
@@ -236,6 +238,25 @@ def test_limit_mass_matches_phase_integral(single_velocity_bump):
     # at t = 0.5 the bump occupies [0.5, 1.5]
     assert limit_mass(single_velocity_bump, 1.0, 0.5) == pytest.approx(0.5, abs=1e-9)
     assert limit_mass(single_velocity_bump, -1.0, 0.5) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_piecewise_cell_with_repeated_velocity_counts_every_atom():
+    # two atoms share v = 0.5 with different marks; wrapping the kernel in a
+    # single piecewise cell must not change any moment
+    atoms = DiscreteKernel([(0.5, 0.2, 0.3), (0.5, 0.8, 0.3), (-0.5, 0.4, 0.4)])
+    rho = PiecewiseConstantDensity([-2.0, 2.0], [0.5])
+    plain = IntensityModel(rho, atoms)
+    celled = IntensityModel(rho, PiecewiseKernel([(-3.0, 3.0, atoms)]))
+    seg = segment(-1.0, 0.0, 1.0, 0.0)
+    # rho mass 0.5 * 2 on seg times sum w r = 0.46
+    assert celled.moment_on_crossing(1, seg) == pytest.approx(0.46, abs=1e-12)
+    assert plain.moment_on_crossing(1, seg) == pytest.approx(0.46, abs=1e-12)
+
+    def phi(y, v, r):
+        return r * (1.0 + np.asarray(y) ** 2)
+
+    assert limit_rod_measure(celled, phi, 0.3) == pytest.approx(
+        limit_rod_measure(plain, phi, 0.3), abs=1e-10)
 
 
 def test_empirical_mass_converges(single_velocity_bump):
