@@ -131,15 +131,19 @@ def _build_rho(rec, path):
         w = _number(rec, "width", path)
         h = _number(rec, "height", path)
         p = rec.get("power", 4)
-        if w <= 0 or h < 0:
-            raise ConfigError(f"{path}: bump needs width > 0 and height >= 0")
+        if w <= 0 or h < 0 or ("power" in rec and _number(rec, "power", path) < 0):
+            raise ConfigError(f"{path}: bump needs width > 0, height >= 0 and power >= 0")
+        bound = _number(rec, "bound", path) if "bound" in rec else None
 
         def fn(x):
             import numpy as np
             u = (np.asarray(x) - c) / w
             return h * np.clip(1.0 - u * u, 0.0, None) ** p
 
-        return SmoothDensity(fn, (c - w, c + w), bound=rec.get("bound"))
+        try:
+            return SmoothDensity(fn, (c - w, c + w), bound=bound)
+        except ValueError as exc:
+            raise ConfigError(f"{path}{'' if bound is None else '.bound'}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
 
 

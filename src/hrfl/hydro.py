@@ -112,15 +112,19 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
 
     Two equivalent formulas are exposed: "contraction" divides the gas
     density by 1 + sigma at the pre-image, "squeeze" multiplies by
-    1 - sigma~ at q.  They agree to root-finding accuracy.
+    1 - sigma~ at q.  They agree to root-finding accuracy.  The species is
+    the atom (v, r): only atoms with exactly that velocity and mark count,
+    and a pair that is no atom of the kernel is a ValueError.
     """
     _require_rod_model(model)
     _require_atoms(model, "the pointwise rod density")
-    if v not in model.kernel.atom_velocities():
-        raise ValueError(f"velocity {v} is not an atom of the kernel")
+    if not model.kernel.has_atom(v, r):
+        raise ValueError(f"(v, r) = ({v}, {r}) is not an atom of the kernel")
     x = inverse_characteristic(model, q, t)
     pos = x - v * t
-    g = model.kernel.vk_density(v, 0, pos) * float(np.asarray(model.rho.value(pos)))
+    # the weight of the atoms at exactly (v, r) in the kernel at the pre-image
+    w = model.kernel.cell_prob((v, v), (r, r), pos)
+    g = w * float(np.asarray(model.rho.value(pos)))
     if method == "contraction":
         return g / (1.0 + sigma(model, x, t))
     if method == "squeeze":

@@ -23,6 +23,11 @@ the mass ``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule
 sums the integrand over the atom velocities, with no quadrature error, or
 integrates it by adaptive Gauss-Kronrod quadrature with the kink locations
 passed as breakpoints.
+
+The continuous velocity laws are uniform and a Gaussian truncated to the
+velocity support.  The truncated Gaussian's density, interval probabilities
+and inverse CDF are closed forms on :mod:`scipy.special` whose truncation
+constants are computed once, in :meth:`GaussianVelocity.truncated`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy import stats as spstats
+from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from .geometry import Segment, crossing_interval
@@ -42,6 +46,7 @@ QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 200
 
 _MOMENT_ORDERS = (0, 1, 2)
+_LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))
 
 
 class QuadratureError(RuntimeError):
@@ -138,10 +143,13 @@ class SmoothDensity:
     The antiderivative is precomputed once on a fine grid (per-panel
     Gauss-Legendre, then a cubic spline through the panel edges) so interval
     masses cost two spline evaluations.  Sampling is by rejection against a
-    constant bound, which may be user-supplied.
+    constant bound, which may be user-supplied but must be finite and at
+    least the density's maximum on the quadrature nodes; a sample that is
+    not complete after MAX_REJECTION_ROUNDS rounds is a ValueError.
     """
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+    MAX_REJECTION_ROUNDS = 10_000
 
     def __init__(self, fn: Callable, support: tuple[float, float],
                  bound: float | None = None, panels: int = 4096):
@@ -162,7 +170,13 @@ class SmoothDensity:
         cum = np.concatenate([[0.0], np.cumsum(panel_masses)])
         self._spline = CubicSpline(edges, cum, bc_type="natural")
         self._total = float(cum[-1])
-        self.bound = float(bound) if bound is not None else float(vals.max()) * 1.000001
+        top = float(vals.max())
+        if bound is None:
+            bound = top * 1.000001
+        elif not (math.isfinite(bound) and bound >= top):
+            raise ValueError(f"bound {bound} must be finite and at least the density's "
+                             f"maximum {top} on its node grid")
+        self.bound = float(bound)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,7 +199,7 @@ class SmoothDensity:
             return np.empty(0, dtype=float)
         out = np.empty(n, dtype=float)
         filled = 0
-        while filled < n:
+        for _ in range(self.MAX_REJECTION_ROUNDS):
             m = max(n - filled, 64)
             xs = rng.uniform(lo, hi, size=2 * m)
             us = rng.uniform(0.0, self.bound, size=2 * m)
@@ -193,7 +207,12 @@ class SmoothDensity:
             take = min(len(acc), n - filled)
             out[filled:filled + take] = acc[:take]
             filled += take
-        return out
+            if filled == n:
+                return out
+        raise ValueError(
+            f"rejection sampling of the smooth density on [{lo}, {hi}] accepted "
+            f"{filled} of {n} points in {self.MAX_REJECTION_ROUNDS} rounds; "
+            f"the density there is too small against the bound {self.bound}")
 
     def summary(self) -> dict:
         return {"kind": "smooth", "support": list(self.support),
@@ -288,24 +307,58 @@ class UniformVelocity(_UniformLaw):
                 "tail_mass_removed": self.tail_mass_removed}
 
 
+def _log_gauss_mass(a: float, b: float) -> float:
+    """log(Phi(b) - Phi(a)) for a < b, accurate in both tails.
+
+    A right-tail interval is mirrored into the left tail, where log_ndtr
+    keeps its precision; a central interval subtracts both tails from 1.
+    """
+    if b <= 0.0:
+        hi, lo = special.log_ndtr(b), special.log_ndtr(a)
+    elif a > 0.0:
+        hi, lo = special.log_ndtr(-a), special.log_ndtr(-b)
+    else:
+        return float(special.log1p(-special.ndtr(a) - special.ndtr(-b)))
+    return float(hi + math.log(-math.expm1(lo - hi)))
+
+
+def _log_add(p: float, q: np.ndarray) -> np.ndarray:
+    """log(exp(p) + exp(q)), summed as scipy's ``logsumexp`` sums two terms.
+
+    The quantile is ill-conditioned in log Phi far in the upper tail, so
+    the operation order is kept to sample the same values as scipy's
+    truncated normal to rounding.
+    """
+    hi = np.maximum(p, q)
+    return np.log1p(np.exp(np.minimum(p, q) - hi)) + hi
+
+
 class GaussianVelocity:
     """Gaussian velocity law, hard-truncated to the model's velocity support.
 
     The truncated law is renormalized to a probability; the removed tail
     mass is reported in the model summary so the user can bound the bias.
+    With standardized bounds a, b and Gaussian mass m of [a, b], computed
+    once per truncation, the law has the closed forms
+
+        pdf(v)  = exp(-z**2 / 2) / (sd sqrt(2 pi) m),   z = (v - mean) / sd
+        F^-1(u) = Phi^-1(Phi(a) + u m)                  if a < 0
+                = -Phi^-1(Phi(-b) + (1 - u) m)          otherwise
+
+    with the quantile evaluated in log space (``ndtri_exp``), mirrored so
+    that it always works in the left tail where Phi keeps its precision.
     """
 
     def __init__(self, mean: float, sd: float):
         if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
             raise ValueError("gaussian velocity needs finite mean and sd > 0")
         self.mean, self.sd = float(mean), float(sd)
-        self._dist = None
         self.lo = self.hi = None
         self.tail_mass_removed = None
 
     @property
     def support(self):
-        if self._dist is None:
+        if self.lo is None:
             return (-math.inf, math.inf)
         return (self.lo, self.hi)
 
@@ -314,32 +367,52 @@ class GaussianVelocity:
             raise ValueError("gaussian velocities require finite truncation bounds")
         out = GaussianVelocity(self.mean, self.sd)
         a, b = (lo - self.mean) / self.sd, (hi - self.mean) / self.sd
-        out._dist = spstats.truncnorm(a, b, loc=self.mean, scale=self.sd)
         out.lo, out.hi = float(lo), float(hi)
-        out.tail_mass_removed = float(
-            1.0 - (spstats.norm.cdf(b) - spstats.norm.cdf(a)))
+        out._a, out._b = a, b
+        out._log_mass = _log_gauss_mass(a, b)
+        out._mirrored = a >= 0.0
+        # log Phi of the bound the quantile starts from: a, or -b when mirrored
+        out._log_phi_start = float(special.log_ndtr(-b if out._mirrored else a))
+        out.tail_mass_removed = float(1.0 - (special.ndtr(b) - special.ndtr(a)))
         return out
 
     def _require_truncated(self):
-        if self._dist is None:
+        if self.lo is None:
             raise ValueError("gaussian velocity law used without v_support truncation")
+
+    def _z(self, v):
+        return (np.asarray(v, dtype=float) - self.mean) / self.sd
 
     def pdf(self, v):
         self._require_truncated()
-        out = self._dist.pdf(v)
-        return out if np.ndim(out) else float(out)
-
-    def moment(self, j: int) -> float:
-        self._require_truncated()
-        return float(self._dist.moment(j))
+        z = self._z(v)
+        # scipy's order of operations, which keeps its truncated-normal pdf bits
+        dens = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self._log_mass) / self.sd
+        out = np.where((z >= self._a) & (z <= self._b), dens, 0.0)
+        return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int):
         self._require_truncated()
-        return self._dist.ppf(rng.random(n))
+        u = rng.random(n)
+        # the log share of the mass between the start bound and the quantile
+        if self._mirrored:
+            log_share, sign = np.log1p(-u), -1.0
+        else:
+            with np.errstate(divide="ignore"):  # u = 0 maps to the bound a
+                log_share, sign = np.log(u), 1.0
+        z = sign * special.ndtri_exp(_log_add(self._log_phi_start, log_share + self._log_mass))
+        return z * self.sd + self.mean
 
     def prob(self, lo: float, hi: float) -> float:
         self._require_truncated()
-        return float(self._dist.cdf(hi) - self._dist.cdf(lo))
+        za, zb = np.clip(self._z((lo, hi)), self._a, self._b)
+        if zb <= za:
+            return 0.0
+        if self._mirrored:
+            mass = special.ndtr(-za) - special.ndtr(-zb)
+        else:
+            mass = special.ndtr(zb) - special.ndtr(za)
+        return float(mass / math.exp(self._log_mass))
 
     def summary(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean, "sd": self.sd,
@@ -441,6 +514,9 @@ class DiscreteKernel:
     def atoms_at(self, x: float):
         return self.atoms
 
+    def has_atom(self, v: float, r: float) -> bool:
+        return any(u == v and s == r for u, s, _ in self.atoms)
+
     def vk_density(self, v: float, k: int, x: float) -> float:
         m = self._by_v.get(v)
         return m[k] if m is not None else 0.0
@@ -522,6 +598,9 @@ class PiecewiseKernel:
     def atoms_at(self, x: float):
         kern = self._cell_at(x)
         return kern.atoms_at(x) if kern is not None else []
+
+    def has_atom(self, v: float, r: float) -> bool:
+        return any(k.has_atom(v, r) for _, _, k in self.cells)
 
     def vk_density(self, v: float, k: int, x: float) -> float:
         kern = self._cell_at(x)

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import hardrod, hydro
 from .field import frame_surface, limit_field, limit_frame_surface, walk_field
@@ -405,6 +404,8 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
     Kolmogorov-Smirnov.  Homogeneous inputs should pass; an inhomogeneous
     model is the intended negative control and should be rejected.
     """
+    from scipy.stats import ks_2samp
+
     V = model.max_speed
     t_values = [float(t) for t in t_values]
     tmax = max(abs(t) for t in t_values) if t_values else 0.0

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hrfl
 from hrfl.cli import main
 
 HOMOGENEOUS_MODEL = {
@@ -277,3 +280,48 @@ def test_euler_report_independent_of_epsilon_order(tmp_path):
               "--out", str(out)])
         blobs.append(next(out.glob("*/report.json")).read_bytes())
     assert blobs[0] == blobs[1]
+
+
+BUMP_ATOMS_MODEL = {
+    "rho": {"kind": "bump", "center": 0.0, "width": 2.0, "height": 0.5},
+    "kernel": {"kind": "atoms", "atoms": [{"v": -1.0, "r": 0.4, "weight": 0.5},
+                                          {"v": 1.0, "r": 0.6, "weight": 0.5}]},
+}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("bound", 0.1, "model.rho.bound: "),
+    ("bound", "0.9", "model.rho.bound: expected a number"),
+    ("power", "4", "model.rho.power: expected a number"),
+    ("power", -1, "model.rho: bump needs"),
+])
+def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
+    model = json.loads(json.dumps(BUMP_ATOMS_MODEL))
+    model["rho"][field] = value
+    cfg = write_config(tmp_path, {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
+                                  "t_range": [0.05, 0.45], "nq": 3, "nt": 3},
+                       model=model)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs every run about half a second of start-up; only the
+    # stationarity battery needs it, and imports it when it runs
+    src = str(Path(hrfl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, hrfl.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["stationarity"],
+                                      replicas=5, core_halfwidth=3.0))
+    runs = tmp_path / "runs"
+    assert main(["stationarity", "--config", str(cfg), "--seed", "2",
+                 "--out", str(runs)]) in (0, 1)
+    assert set(report_of(runs)["extra"]["p_values"]["t=1"]) == {"gaps", "lengths"}

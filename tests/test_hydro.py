@@ -130,6 +130,38 @@ def test_rod_density_homogeneous(homogeneous_atoms):
     assert got == pytest.approx(0.5 * 0.8 / 1.3, abs=1e-10)
 
 
+def test_rod_density_reads_the_mark():
+    # the species (v, r) counts only the atoms that carry the mark r
+    rho = PiecewiseConstantDensity([-2.0, 0.0, 2.0], [0.6, 0.3])
+    model = IntensityModel(rho, DiscreteKernel([(0.5, 0.2, 0.5), (-0.5, 0.4, 0.5)]))
+    assert rod_density(model, 0.1, 0.5, 0.2, 0.3) > 0.0
+    with pytest.raises(ValueError, match="not an atom"):
+        rod_density(model, 0.1, 0.5, 99.0, 0.3)
+    with pytest.raises(ValueError, match="not an atom"):
+        rod_density(model, 0.1, 0.5, 0.4, 0.3)
+
+    shared = IntensityModel(rho, DiscreteKernel(
+        [(0.5, 0.2, 0.2), (0.5, 0.3, 0.3), (-0.5, 0.4, 0.5)]))
+    q, t = 0.1, 0.3
+    x = inverse_characteristic(shared, q, t)
+    for r, w in [(0.2, 0.2), (0.3, 0.3)]:
+        want = w * rho.value(x - 0.5 * t) / (1.0 + sigma(shared, x, t))
+        for method in ("contraction", "squeeze"):
+            assert rod_density(shared, q, 0.5, r, t, method) == pytest.approx(
+                want, abs=1e-12)
+
+
+def test_rod_density_of_an_atom_absent_at_the_pre_image():
+    # (1, 0.7) is an atom of the right cell only; left of 0 its density is 0
+    kern = PiecewiseKernel([(-3.0, 0.0, DiscreteKernel([(1.0, 0.2, 1.0)])),
+                            (0.0, 3.0, DiscreteKernel([(1.0, 0.7, 1.0)]))])
+    model = IntensityModel(PiecewiseConstantDensity([-2.0, 2.0], [0.5]), kern)
+    assert rod_density(model, -1.0, 1.0, 0.7, 0.0) == 0.0
+    assert rod_density(model, 1.0, 1.0, 0.7, 0.0) > 0.0
+    with pytest.raises(ValueError, match="not an atom"):
+        rod_density(model, -1.0, 1.0, 0.5, 0.0)
+
+
 def test_rod_density_integrates_to_squeezed_fraction(rng):
     model = bump_two_velocity()
     for _ in range(20):

@@ -232,3 +232,83 @@ def test_smooth_density_mass_and_bound(rng):
     assert np.all((xs > -1) & (xs < 1))
     # E[x^2] under the normalized density: (16/105) / (16/15) = 1/7
     assert np.mean(xs**2) == pytest.approx(1 / 7, abs=5 * np.std(xs**2) / np.sqrt(5000))
+
+
+def _bump(height=0.5, width=2.0):
+    return lambda x: height * np.clip(1 - (np.asarray(x) / width) ** 2, 0, None) ** 4
+
+
+def test_smooth_density_rejects_a_bound_below_its_maximum():
+    # with bound 0.1 under a height-0.5 bump, rejection sampling would clip
+    # the density at 0.1 and bias every sample away from the centre
+    with pytest.raises(ValueError, match="bound"):
+        SmoothDensity(_bump(), (-2.0, 2.0), bound=0.1)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="bound"):
+            SmoothDensity(_bump(), (-2.0, 2.0), bound=bad)
+    assert SmoothDensity(_bump(), (-2.0, 2.0), bound=0.5).bound == 0.5
+
+
+def test_smooth_density_rejection_loop_is_bounded(rng):
+    # the density vanishes on [0.5, 1], so no candidate there is accepted
+    rho = SmoothDensity(lambda x: np.clip(0.25 - np.asarray(x) ** 2, 0, None), (-1, 1))
+    with pytest.raises(ValueError, match="rejection sampling"):
+        rho.sample(rng, 3, 0.6, 0.9)
+    assert len(rho.sample(rng, 3, -0.4, 0.9)) == 3
+
+
+GAUSS_TRUNCATIONS = [(-3.0, 3.0), (2.0, 4.0), (-0.5, 40.0), (-9.0, -8.0), (8.0, 9.0)]
+
+
+@pytest.mark.parametrize("a,b", GAUSS_TRUNCATIONS)
+def test_gaussian_velocity_matches_scipy_truncnorm(a, b):
+    from scipy import integrate
+    from scipy.stats import norm, truncnorm
+
+    mean, sd = 0.3, 1.7
+    law = GaussianVelocity(mean, sd).truncated(mean + a * sd, mean + b * sd)
+    # the standardized bounds of the law itself, which are a and b to rounding
+    a, b = (law.lo - mean) / sd, (law.hi - mean) / sd
+    ref = truncnorm(a, b, loc=mean, scale=sd)
+    # the same uniforms give the same quantiles
+    got = law.sample(np.random.default_rng(11), 20_000)
+    want = ref.ppf(np.random.default_rng(11).random(20_000))
+    assert np.max(np.abs(got - want)) <= 1e-12 * sd
+    # the density, on and off the support
+    v = np.linspace(law.lo, law.hi, 2001)
+    assert law.pdf(v) == pytest.approx(ref.pdf(v), rel=1e-14, abs=1e-300)
+    assert law.pdf(law.lo - 1e-9) == 0.0 and law.pdf(law.hi + 1e-9) == 0.0
+    assert law.pdf(np.array([law.lo - 1.0, law.hi + 1.0])).tolist() == [0.0, 0.0]
+    assert isinstance(law.pdf(0.5 * (law.lo + law.hi)), float)
+    mass = integrate.quad(law.pdf, law.lo, law.hi, epsabs=1e-13, epsrel=1e-12)[0]
+    assert mass == pytest.approx(1.0, abs=1e-11)
+    # interval probabilities, clipped to the support
+    for lo, hi in [(law.lo - 1, law.hi + 1), (law.lo, law.lo + 0.3 * sd),
+                   (law.lo + 0.2 * sd, law.hi), (law.hi, law.hi + 1)]:
+        assert law.prob(lo, hi) == pytest.approx(ref.cdf(hi) - ref.cdf(lo), abs=1e-13)
+    # the summary's tail mass keeps its bits
+    assert law.tail_mass_removed == float(1.0 - (norm.cdf(b) - norm.cdf(a)))
+
+
+def test_gaussian_velocity_samples_truncnorm_law():
+    from scipy.stats import ks_2samp, truncnorm
+
+    law = GaussianVelocity(-0.4, 1.3).truncated(-3.0, 2.0)
+    a, b = (-3.0 + 0.4) / 1.3, (2.0 + 0.4) / 1.3
+    ref = truncnorm.rvs(a, b, loc=-0.4, scale=1.3, size=20_000,
+                        random_state=np.random.default_rng(3))
+    got = law.sample(np.random.default_rng(4), 20_000)
+    assert np.all((got >= -3.0) & (got <= 2.0))
+    assert ks_2samp(got, ref).pvalue > 1e-3
+
+
+def test_gaussian_velocity_quantile_ends():
+    # u = 0 maps to the lower bound in both the direct and the mirrored branch
+    class Ends:
+        def random(self, n):
+            return np.array([0.0, 0.5])
+
+    for lo, hi in [(-1.0, 2.0), (0.5, 2.0)]:
+        got = GaussianVelocity(0.0, 1.0).truncated(lo, hi).sample(Ends(), 2)
+        assert got[0] == pytest.approx(lo, abs=1e-12)
+        assert lo < got[1] < hi
