@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .intensity import (
@@ -278,6 +279,22 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
     _check_keys(exp, "config.experiment", required, optional)
     if kind in _MIN_REPLICAS:
         _int(exp, "replicas", "config.experiment", _MIN_REPLICAS[kind])
-    if "refinements" in exp:
-        _int(exp, "refinements", "config.experiment", 0)
+    if kind == "ghd-residual":
+        _validate_ghd_grid(exp)
     return cfg
+
+
+def _validate_ghd_grid(exp: dict) -> None:
+    path = "config.experiment"
+    for key in ("nq", "nt"):
+        _int(exp, key, path, 3)
+    for key in ("q_range", "t_range"):
+        lo, hi = _pair(exp, key, path)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"{path}.{key}: expected finite lo < hi")
+    if "ratio_band" in exp:
+        lo, hi = _pair(exp, "ratio_band", path)
+        if not lo < hi:
+            raise ConfigError(f"{path}.ratio_band: expected lo < hi")
+    if "refinements" in exp:
+        _int(exp, "refinements", path, 0)

@@ -21,6 +21,14 @@ Velocity integrals go through the rule of :mod:`hrfl.intensity`, so sigma,
 the phase moments and V_eff serve atoms and continuous laws alike.  The
 pointwise rod density, the residual grid and the limit rod measure are
 implemented for velocity atoms only and raise NotImplementedError otherwise.
+
+sigma, Z and Z^-1 accept a scalar or an array of positions.  For atoms, Z
+is x plus the signed m_1 mass between 0 and x - v t summed over the atom
+velocities, one array operation per velocity and kernel cell; a continuous
+law goes through ``limit_field`` one point at a time.  Z^-1 brackets every
+q by doubling steps and then runs a safeguarded Newton iteration on
+Z' = 1 + sigma, bisecting whenever a step would leave the bracket.  The
+residual grid inverts a whole time slice of q nodes in one call.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .field import limit_field
 from .geometry import SpaceTimePoint
@@ -38,6 +45,9 @@ from .intensity import IntensityModel, _quad, velocity_integral
 from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
+INVERSE_RTOL = 4.0 * float(np.finfo(float).eps)
+BRACKET_LIMIT = 1e12
+MAX_INVERSE_STEPS = 100
 
 
 def _require_rod_model(model) -> None:
@@ -52,52 +62,127 @@ def _require_atoms(model, what: str) -> None:
             "are handled through integrated moments")
 
 
-def phase_moment(model: IntensityModel, x: float, t: float, v_power: int = 0) -> float:
-    """Integral of r * v^j against the time-t phase density at x.
+def _pointwise(model: IntensityModel, fn, x):
+    """fn over x, which may be an array.
+
+    The atom sum of the velocity rule takes a whole array at once; the
+    quadrature of a continuous law is scalar, so it takes one point at a time.
+    """
+    if np.ndim(x) == 0 or model.kernel.atom_velocities() is not None:
+        return fn(x)
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
+
+
+def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
+    """Integral of r * v^j against the time-t phase density at x (x may be an array).
 
     The time-t density at (x, v) is the time-0 density at x - v t.
     """
-    def f(v):
-        pos = x - v * t
-        return (model.kernel.vk_density(v, 1, pos) * v ** v_power
-                * float(np.asarray(model.rho.value(pos))))
+    def moment(y):
+        def f(v):
+            pos = y - v * t
+            return (model.kernel.vk_density(v, 1, pos) * v ** v_power
+                    * model.rho.value(pos))
 
-    return velocity_integral(model.kernel, f, *model.v_support)
+        return velocity_integral(model.kernel, f, *model.v_support)
+
+    return _pointwise(model, moment, x)
 
 
-def sigma(model: IntensityModel, x: float, t: float) -> float:
-    """Rod-length density of the gas at (x, t)."""
+def sigma(model: IntensityModel, x, t: float):
+    """Rod-length density of the gas at (x, t); x may be an array."""
     _require_rod_model(model)
     return phase_moment(model, x, t, 0)
 
 
-def characteristic_map(model: IntensityModel, x: float, t: float) -> float:
-    """Z(x, t) = x + H_limit(x, t), gas position to rod position."""
+def _signed_m1_mass(model: IntensityModel, v: float, y):
+    """Signed m_1 x-mass at velocity v between 0 and y, negative where y < 0."""
+    mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
+    return np.where(y < 0.0, -mass, mass)
+
+
+def characteristic_map(model: IntensityModel, x, t: float):
+    """Z(x, t) = x + H_limit(x, t), gas position to rod position; x may be an array.
+
+    For atoms H is the signed m_1 mass between 0 and x - v t summed over the
+    atom velocities; a continuous law evaluates limit_field point by point.
+    """
     _require_rod_model(model)
-    return x + limit_field(model, SpaceTimePoint(x, t))
+
+    def height(y):
+        if model.kernel.atom_velocities() is None:
+            return limit_field(model, SpaceTimePoint(y, t))
+        return velocity_integral(model.kernel,
+                                 lambda v: _signed_m1_mass(model, v, y - v * t),
+                                 *model.v_support)
+
+    z = x + _pointwise(model, height, x)
+    return z if np.ndim(z) else float(z)
 
 
-def inverse_characteristic(model: IntensityModel, q: float, t: float) -> float:
-    """Solve Z(x, t) = q by bracketed root finding (Z is strictly increasing)."""
+class CharacteristicInverseError(RuntimeError):
+    """Z(x, t) = q could not be bracketed or solved within the step cap."""
+
+
+def inverse_characteristic(model: IntensityModel, q, t: float):
+    """Solve Z(x, t) = q for x; q may be a scalar or an array.
+
+    Z is strictly increasing with Z' = 1 + sigma >= 1.  Each q is bracketed
+    by steps of doubling width outward from [q - 1, q + 1], up to
+    BRACKET_LIMIT.  A safeguarded Newton iteration on Z' then starts from
+    the bracket's midpoint: every evaluation of Z shrinks the bracket, a
+    Newton step that leaves the bracket is replaced by bisection, and a
+    point stops once its step is at most INVERSE_XTOL + INVERSE_RTOL |x|.
+    A point still moving after MAX_INVERSE_STEPS steps, or a q that cannot
+    be bracketed, raises CharacteristicInverseError.  Every operation is
+    elementwise, so an array call returns the same bits as one call per
+    element.
+    """
     _require_rod_model(model)
+    q_in = np.asarray(q, dtype=float)
+    if not (np.all(np.isfinite(q_in)) and math.isfinite(t)):
+        raise ValueError("the characteristic inverse needs finite q and t")
+    q = q_in.ravel()
 
-    def f(x):
-        return characteristic_map(model, x, t) - q
+    def f(x, idx):
+        return characteristic_map(model, x, t) - q[idx]
 
     lo, hi = q - 1.0, q + 1.0
-    flo, fhi = f(lo), f(hi)
+    everywhere = np.arange(len(q))
+    flo, fhi = f(lo, everywhere), f(hi, everywhere)
     width = 2.0
-    while flo > 0.0 or fhi < 0.0:
+    while True:
+        left, right = np.nonzero(flo > 0.0)[0], np.nonzero(fhi < 0.0)[0]
+        if not (len(left) or len(right)):
+            break
         width *= 2.0
-        if flo > 0.0:
-            lo -= width
-            flo = f(lo)
-        if fhi < 0.0:
-            hi += width
-            fhi = f(hi)
-        if width > 1e12:
-            raise RuntimeError("failed to bracket the characteristic inverse")
-    return float(brentq(f, lo, hi, xtol=INVERSE_XTOL, rtol=8.9e-16))
+        lo[left] -= width
+        flo[left] = f(lo[left], left)
+        hi[right] += width
+        fhi[right] = f(hi[right], right)
+        if width > BRACKET_LIMIT:
+            raise CharacteristicInverseError(
+                f"failed to bracket the characteristic inverse at t={t}")
+
+    x = 0.5 * (lo + hi)
+    active = everywhere
+    for _ in range(MAX_INVERSE_STEPS):
+        xa, a, b = x[active], lo[active], hi[active]
+        fx = f(xa, active)
+        a = np.where(fx < 0.0, xa, a)
+        b = np.where(fx > 0.0, xa, b)
+        newton = xa - fx / (1.0 + sigma(model, xa, t))
+        step_in = (a < newton) & (newton < b)
+        x_new = np.where(step_in | (fx == 0.0), newton, 0.5 * (a + b))
+        x[active], lo[active], hi[active] = x_new, a, b
+        moving = np.abs(x_new - xa) > INVERSE_XTOL + INVERSE_RTOL * np.abs(x_new)
+        active = active[moving]
+        if not len(active):
+            return x.reshape(q_in.shape) if q_in.ndim else float(x[0])
+    raise CharacteristicInverseError(
+        f"the characteristic inverse at t={t} did not converge in "
+        f"{MAX_INVERSE_STEPS} steps ({len(active)} of {len(q)} points still moving)")
 
 
 def squeezed_length_fraction(model: IntensityModel, q: float, t: float) -> float:
@@ -134,26 +219,26 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
 
 @dataclass
 class _SpeciesState:
-    """Rod-phase quantities of the atom velocities at one grid node."""
+    """Rod-phase quantities of the atom velocities along one time slice."""
 
-    g: np.ndarray          # rod-frame x-density per atom velocity
-    sigma_tilde: float
-    pi_tilde: float
+    g: np.ndarray            # (atom velocity, q) rod-frame x-densities
+    sigma_tilde: np.ndarray  # (q,)
+    pi_tilde: np.ndarray     # (q,)
 
 
-def _species_state(model: IntensityModel, q: float, t: float) -> _SpeciesState:
+def _species_state(model: IntensityModel, q: np.ndarray, t: float) -> _SpeciesState:
     # one pass over the atom velocities yields every g and, with them, sigma and pi
     x = inverse_characteristic(model, q, t)
     vs = model.kernel.atom_velocities()
-    g = np.empty(len(vs))
+    g = np.empty((len(vs), len(x)))
     s = p = 0.0
     for i, v in enumerate(vs):
         pos = x - v * t
-        rho = float(np.asarray(model.rho.value(pos)))
+        rho = model.rho.value(pos)
         g[i] = model.kernel.vk_density(v, 0, pos) * rho
         m = model.kernel.vk_density(v, 1, pos) * rho
-        s += m
-        p += m * v
+        s = s + m
+        p = p + m * v
     return _SpeciesState(g / (1.0 + s), s / (1.0 + s), p / (1.0 + s))
 
 
@@ -209,17 +294,17 @@ class GhdResidual:
         write_csv(path, ("species", "t", "q", "residual"), rows)
 
 
-def _excluded_q(model: IntensityModel, t: float, margin: float) -> list[tuple[float, float]]:
-    """Rod-coordinate intervals to skip: images of density discontinuities."""
-    edges = [e for e in model.rho.breakpoints if math.isfinite(e)]
-    if not edges:
-        return []
-    out = []
-    for e in edges:
-        for v in model.kernel.atom_velocities():
-            q = characteristic_map(model, e + v * t, t)
-            out.append((q - margin, q + margin))
-    return out
+def _excluded_q(model: IntensityModel, t: float, margin: float):
+    """Rod-coordinate intervals (lo, hi) to skip: images of density jumps.
+
+    A species' density may jump where rho has a breakpoint or the kernel
+    changes cells; at time t such a jump at e sits at x = e + v t.
+    """
+    edges = np.array(sorted({e for e in (*model.rho.breakpoints, *model.kernel.cell_edges)
+                             if math.isfinite(e)}))
+    vs = np.array(model.kernel.atom_velocities())
+    q = characteristic_map(model, (edges[:, None] + vs[None, :] * t).ravel(), t)
+    return q - margin, q + margin
 
 
 def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
@@ -229,8 +314,8 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
     The rod density and flux are evaluated analytically at every node and
     differentiated with second-order central stencils, so the residual of a
     smooth exact solution shrinks like h^2.  Boundary rows and columns are
-    excluded; for densities with jumps a margin around the image of each
-    jump is excluded too (with a warning).
+    excluded; where rho or the kernel's cells jump, a margin around the
+    image of each jump is excluded too (with a warning).
     """
     _require_rod_model(model)
     q_nodes = np.asarray(q_nodes, dtype=float)
@@ -249,32 +334,30 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
 
     G = np.empty((n_s, len(t_nodes), len(q_nodes)))
     F = np.empty_like(G)
+    v_col = vs[:, None]
     for i, tv in enumerate(t_nodes):
-        for j, qv in enumerate(q_nodes):
-            st = _species_state(model, float(qv), float(tv))
-            veff = vs + (vs * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
-            G[:, i, j] = st.g
-            F[:, i, j] = veff * st.g
+        st = _species_state(model, q_nodes, float(tv))
+        veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
+        G[:, i] = st.g
+        F[:, i] = veff * st.g
 
     dG_dt = (G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
     dF_dq = (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q)
     res = dG_dt + dF_dq
     q_in, t_in = q_nodes[1:-1], t_nodes[1:-1]
 
-    keep = np.ones(len(q_in), dtype=bool)
+    excluded = np.zeros(len(q_in), dtype=bool)
     if exclude_discontinuities:
         margin = 2.0 * h_q
-        excluded: set[int] = set()
         for tv in t_in:
-            for lo, hi in _excluded_q(model, float(tv), margin):
-                excluded.update(np.nonzero((q_in >= lo) & (q_in <= hi))[0])
-        if excluded:
+            lo, hi = _excluded_q(model, float(tv), margin)
+            excluded |= ((q_in[:, None] >= lo) & (q_in[:, None] <= hi)).any(axis=1)
+        if excluded.any():
             warnings.warn(
-                f"excluding {len(excluded)} q-columns around density jumps",
+                f"excluding {int(excluded.sum())} q-columns around density jumps",
                 stacklevel=2)
-            keep[sorted(excluded)] = False
-    res = res[:, :, keep]
-    q_in = q_in[keep]
+    res = res[:, :, ~excluded]
+    q_in = q_in[~excluded]
 
     max_norm = float(np.abs(res).max(initial=0.0))
     l2_norm = float(np.sqrt(h_q * h_t * np.sum(res ** 2)))
@@ -287,7 +370,8 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
     """Residual grids over a fixed region, each halving the last one's spacing.
 
     Returns the residual of every level, base grid first, and the L2-norm
-    ratios between successive levels.
+    ratios between successive levels.  A ratio whose finer level has a zero
+    L2 norm is undefined and returned as NaN.
     """
     levels = []
     for level in range(refinements + 1):
@@ -295,7 +379,8 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
         qs = np.linspace(q_range[0], q_range[1], (nq - 1) * f + 1)
         ts = np.linspace(t_range[0], t_range[1], (nt - 1) * f + 1)
         levels.append(ghd_residual(model, qs, ts, **kwargs))
-    ratios = [levels[i].l2_norm / levels[i + 1].l2_norm for i in range(refinements)]
+    ratios = [coarse.l2_norm / fine.l2_norm if fine.l2_norm else math.nan
+              for coarse, fine in zip(levels, levels[1:])]
     return levels, ratios
 
 

@@ -85,7 +85,10 @@ class ConstantDensity:
     def value(self, x):
         return np.broadcast_to(self.c, np.shape(x)).copy() if np.ndim(x) else self.c
 
-    def integral(self, lo: float, hi: float) -> float:
+    def integral(self, lo, hi):
+        # the scalar form serves quadrature integrands, which call it per node
+        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+            return np.where(hi > lo, self.c * (hi - lo), 0.0)
         return self.c * (hi - lo) if hi > lo else 0.0
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
@@ -118,12 +121,12 @@ class PiecewiseConstantDensity:
         out = np.where(inside, self.values[np.clip(idx, 0, len(self.values) - 1)], 0.0)
         return out if out.ndim else float(out)
 
-    def _cdf(self, x: float) -> float:
-        x = min(max(x, self.edges[0]), self.edges[-1])
-        return float(np.interp(x, self.edges, self._cum))
+    def _cdf(self, x):
+        return np.interp(np.clip(x, self.edges[0], self.edges[-1]), self.edges, self._cum)
 
-    def integral(self, lo: float, hi: float) -> float:
-        return self._cdf(hi) - self._cdf(lo) if hi > lo else 0.0
+    def integral(self, lo, hi):
+        out = np.where(np.greater(hi, lo), self._cdf(hi) - self._cdf(lo), 0.0)
+        return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
         flo, fhi = self._cdf(lo), self._cdf(hi)
@@ -184,13 +187,11 @@ class SmoothDensity:
         out = np.where(inside, self.fn(np.clip(x, *self.support)), 0.0)
         return out if out.ndim else float(out)
 
-    def integral(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        lo = min(max(lo, self.support[0]), self.support[1])
-        hi = min(max(hi, self.support[0]), self.support[1])
-        at_lo, at_hi = self._spline((lo, hi))
-        return float(at_hi - at_lo)
+    def integral(self, lo, hi):
+        ends = np.clip(np.broadcast_arrays(lo, hi), *self.support)
+        at_lo, at_hi = self._spline(ends)        # both ends in one call
+        out = np.where(np.greater(hi, lo), at_hi - at_lo, 0.0)
+        return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
         lo = max(lo, self.support[0])
@@ -602,9 +603,11 @@ class PiecewiseKernel:
     def has_atom(self, v: float, r: float) -> bool:
         return any(k.has_atom(v, r) for _, _, k in self.cells)
 
-    def vk_density(self, v: float, k: int, x: float) -> float:
-        kern = self._cell_at(x)
-        return kern.vk_density(v, k, x) if kern is not None else 0.0
+    def vk_density(self, v: float, k: int, x):
+        # cells do not overlap, so at most one term is nonzero at each x
+        out = sum(np.where((lo <= x) & (x < hi), kern.vk_density(v, k, x), 0.0)
+                  for lo, hi, kern in self.cells)
+        return out if np.ndim(out) else float(out)
 
     def v_breakpoints(self) -> tuple[float, ...]:
         pts = set()
@@ -650,9 +653,10 @@ def velocity_integral(kernel, f: Callable[[float], float], lo: float, hi: float,
 
     The integrand carries the law's weight itself, through
     ``kernel.vk_density``.  For a kernel of atoms the rule sums f over the
-    distinct atom velocities in [lo, hi], in kernel order.  For a
-    continuous law it is adaptive quadrature with the law's breakpoints and
-    the given kinks as break points.
+    distinct atom velocities in [lo, hi], in kernel order; f may return
+    arrays, which are summed elementwise.  For a continuous law it is
+    adaptive quadrature with the law's breakpoints and the given kinks as
+    break points, and f must return a scalar.
     """
     vs = kernel.atom_velocities()
     if vs is None:
@@ -708,11 +712,12 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
 class _CrossingMoments:
     """Shared Plus/Minus/Both and intersection machinery.
 
-    Subclasses provide ``kernel``, ``v_support`` and the x-mass of an
-    intercept interval at fixed velocity.
+    Subclasses provide ``kernel``, ``v_support`` and ``x_mass``, the mass of
+    an intercept interval at fixed velocity.
     """
 
-    def _x_mass(self, v: float, k: int, lo: float, hi: float) -> float:
+    def x_mass(self, v: float, k: int, lo: float, hi: float) -> float:
+        """m_k mass at velocity v of the intercepts in [lo, hi]."""
         raise NotImplementedError
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
@@ -735,7 +740,7 @@ class _CrossingMoments:
                 s = dx - v * dt
                 if s == 0.0 or (s > 0.0) != plus:
                     return 0.0
-                return self._x_mass(v, k, *crossing_interval(v, seg))
+                return self.x_mass(v, k, *crossing_interval(v, seg))
 
             total += velocity_integral(self.kernel, f, lo, hi)
         return total
@@ -750,7 +755,7 @@ class _CrossingMoments:
         def f(v):
             lo1, hi1 = crossing_interval(v, seg1)
             lo2, hi2 = crossing_interval(v, seg2)
-            return self._x_mass(v, k, max(lo1, lo2), min(hi1, hi2))
+            return self.x_mass(v, k, max(lo1, lo2), min(hi1, hi2))
 
         return velocity_integral(self.kernel, f, *self.v_support,
                                  _pivot_crossing_velocities(seg1, seg2))
@@ -793,17 +798,16 @@ class IntensityModel(_CrossingMoments):
     def marks_nonnegative(self) -> bool:
         return self.kernel.min_mark >= 0.0
 
-    def _chunks(self, lo: float, hi: float):
-        edges = [e for e in self.kernel.cell_edges if lo < e < hi]
-        pts = [lo] + edges + [hi]
-        return zip(pts[:-1], pts[1:])
-
-    def _x_mass(self, v, k, lo, hi):
-        if hi <= lo:
-            return 0.0
+    def x_mass(self, v, k, lo, hi):
+        # lo and hi may be arrays; each cell of a piecewise kernel weighs the
+        # rho-mass of its part of [lo, hi]
         total = 0.0
-        for a, b in self._chunks(lo, hi):
-            total += self.kernel.vk_density(v, k, 0.5 * (a + b)) * self.rho.integral(a, b)
+        if not self.kernel.cell_edges:
+            total += self.kernel.vk_density(v, k, lo) * self.rho.integral(lo, hi)
+            return total
+        for a, b, cell in self.kernel.cells:
+            total += cell.vk_density(v, k, a) * self.rho.integral(np.maximum(lo, a),
+                                                                  np.minimum(hi, b))
         return total
 
     def x_marginal_density(self, x: float) -> float:
@@ -895,7 +899,7 @@ class _FrozenModel(_FrameModel):
     def _source(self, x, v):
         return self.z - v * self.s
 
-    def _x_mass(self, v, k, lo, hi):
+    def x_mass(self, v, k, lo, hi):
         if hi <= lo:
             return 0.0
         pos = self._source(0.0, v)

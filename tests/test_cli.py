@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,3 +326,71 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert main(["stationarity", "--config", str(cfg), "--seed", "2",
                  "--out", str(runs)]) in (0, 1)
     assert set(report_of(runs)["extra"]["p_values"]["t=1"]) == {"gaps", "lengths"}
+
+
+GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
+                  "t_range": [0.05, 0.45], "nq": 5, "nt": 3, "refinements": 1}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("nq", 17.9, "config.experiment.nq: expected an integer >= 3"),
+    ("nq", "17", "config.experiment.nq: expected an integer >= 3"),
+    ("nq", 2, "config.experiment.nq: expected an integer >= 3"),
+    ("nt", True, "config.experiment.nt: expected an integer >= 3"),
+    ("q_range", [0.8, -0.8], "config.experiment.q_range: expected finite lo < hi"),
+    ("q_range", [0.8, 0.8], "config.experiment.q_range: expected finite lo < hi"),
+    ("q_range", [0.8], "config.experiment.q_range: expected [number, number]"),
+    ("q_range", [-math.inf, 0.8], "config.experiment.q_range: expected finite lo < hi"),
+    ("t_range", [0.45, 0.05], "config.experiment.t_range: expected finite lo < hi"),
+    ("t_range", [0.05, math.nan], "config.experiment.t_range: expected finite lo < hi"),
+    ("ratio_band", [4.8, 3.2], "config.experiment.ratio_band: expected lo < hi"),
+    ("ratio_band", "wide", "config.experiment.ratio_band: expected [number, number]"),
+])
+def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
+    cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
+                       model=BUMP_ATOMS_MODEL)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_ghd_zero_residual_reports_undefined_ratios(tmp_path):
+    # the homogeneous state is stationary: every level's residual is exactly 0
+    model = {"rho": {"kind": "constant", "value": 0.8},
+             "kernel": {"kind": "atoms", "atoms": [{"v": -1.0, "r": 0.5, "weight": 0.5},
+                                                   {"v": 1.0, "r": 0.25, "weight": 0.5}]}}
+    cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, refinements=2), model=model)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = _strict_json(next(out.glob("*/report.json")))
+    assert rep["verdict"] == "pass"
+    assert rep["extra"]["ratios"] == [None, None]
+    stats = {s["name"]: s["mean"] for s in rep["statistics"]}
+    assert stats["residual_l2"] == 0.0
+    assert stats["l2_ratio[0]"] is None and stats["l2_ratio[1]"] is None
+
+
+def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path):
+    # nodes 1e299 apart miss the bump entirely: the residual vanishes
+    cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, q_range=[-1e300, 1e300]),
+                       model=BUMP_ATOMS_MODEL)
+    out = tmp_path / "runs"
+    code = main(["ghd-residual", "--config", str(cfg), "--out", str(out)])
+    rep = _strict_json(next(out.glob("*/report.json")))
+    assert code == (0 if rep["verdict"] == "pass" else 1)
+
+
+def test_ghd_residual_of_a_continuous_kernel_is_config_error(tmp_path, capsys):
+    model = dict(BUMP_ATOMS_MODEL, kernel=HOMOGENEOUS_MODEL["kernel"])
+    cfg = write_config(tmp_path, GHD_EXPERIMENT, model=model)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "model.kernel: " in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))

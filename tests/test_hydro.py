@@ -325,3 +325,154 @@ def test_negative_marks_rejected():
         sigma(model, 0.0, 0.0)
     with pytest.raises(ValueError, match="r >= 0"):
         characteristic_map(model, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the characteristic inverse over arrays
+# ---------------------------------------------------------------------------
+
+def _two_cell_atoms():
+    # the species weights jump at x = 0; the cells cover the whole line, so
+    # the kernel goes with any density
+    def cell(w_minus, w_plus):
+        return DiscreteKernel([(-1.0, 0.4, w_minus), (1.0, 0.6, w_plus)])
+    return PiecewiseKernel([(-math.inf, 0.0, cell(0.5, 0.5)), (0.0, math.inf, cell(0.2, 0.8))])
+
+
+INVERSE_RHOS = {
+    "constant": ConstantDensity(0.8),
+    "piecewise": PiecewiseConstantDensity([-2.0, -0.5, 0.7, 2.0], [0.3, 0.9, 0.5]),
+    "smooth": SmoothDensity(lambda x: 0.5 * np.clip(1 - (np.asarray(x) / 2.0) ** 2,
+                                                    0, None) ** 4, (-2.0, 2.0)),
+}
+INVERSE_KERNELS = {
+    "atoms": DiscreteKernel([(-1.0, 0.4, 0.3), (0.5, 0.2, 0.3), (1.0, 0.6, 0.4)]),
+    "cells": _two_cell_atoms(),
+}
+
+
+def _inverse_models():
+    return [pytest.param(IntensityModel(rho, kern), id=f"{kname}-{rname}")
+            for kname, kern in INVERSE_KERNELS.items()
+            for rname, rho in INVERSE_RHOS.items()]
+
+
+def _bisect_inverse(model, q, t):
+    # Z from the crossing moments of limit_field, halved until the bracket collapses
+    from hrfl.field import limit_field
+    from hrfl.geometry import SpaceTimePoint
+
+    def z(x):
+        return x + limit_field(model, SpaceTimePoint(x, t))
+
+    lo, hi = q - 10.0, q + 10.0
+    assert z(lo) < q < z(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if z(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("model", _inverse_models())
+def test_inverse_array_and_scalar_calls_agree_bitwise(model):
+    qs = np.linspace(-2.5, 2.5, 41)
+    for t in (0.0, 0.3, -0.7):
+        xs = inverse_characteristic(model, qs, t)
+        assert xs.shape == qs.shape
+        one_by_one = np.array([inverse_characteristic(model, float(q), t) for q in qs])
+        assert xs.tobytes() == one_by_one.tobytes()
+        assert isinstance(inverse_characteristic(model, 0.25, t), float)
+    grid = inverse_characteristic(model, qs.reshape(41, 1), 0.3)
+    assert grid.shape == (41, 1)
+    assert grid.ravel().tobytes() == inverse_characteristic(model, qs, 0.3).tobytes()
+
+
+@pytest.mark.parametrize("model", _inverse_models())
+def test_inverse_agrees_with_scalar_bisection(model, rng):
+    qs = rng.uniform(-2.5, 2.5, 12)
+    for t in (0.05, 0.4, -0.6):
+        xs = inverse_characteristic(model, qs, t)
+        for q, x in zip(qs, xs):
+            assert abs(x - _bisect_inverse(model, float(q), t)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", _inverse_models())
+def test_characteristic_map_array_matches_limit_field(model):
+    from hrfl.field import limit_field
+    from hrfl.geometry import SpaceTimePoint
+
+    xs = np.linspace(-3.0, 3.0, 25)
+    zs = characteristic_map(model, xs, 0.35)
+    for x, z in zip(xs, zs):
+        want = x + limit_field(model, SpaceTimePoint(float(x), 0.35))
+        assert z == pytest.approx(want, abs=1e-14)
+    # numpy's array and scalar power may round a smooth rho an ulp apart
+    np.testing.assert_allclose(sigma(model, xs, 0.35),
+                               [sigma(model, float(x), 0.35) for x in xs],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_continuous_law_inverse_round_trips_over_arrays(reference_model):
+    qs = np.linspace(-3.0, 3.0, 7)
+    for t in (0.0, 0.8):
+        xs = inverse_characteristic(reference_model, qs, t)
+        assert np.abs(characteristic_map(reference_model, xs, t) - qs).max() <= 1e-10
+        assert xs.tobytes() == np.array(
+            [inverse_characteristic(reference_model, float(q), t) for q in qs]).tobytes()
+
+
+@pytest.mark.parametrize("q,t", [(math.nan, 0.2), (math.inf, 0.2),
+                                 ([0.0, -math.inf], 0.2), (0.3, math.nan)])
+def test_inverse_of_non_finite_input_is_value_error(q, t):
+    with pytest.raises(ValueError, match="finite"):
+        inverse_characteristic(bump_two_velocity(), q, t)
+
+
+def test_inverse_step_cap_raises_numerical_error(monkeypatch, tmp_path, capsys):
+    import json
+
+    from hrfl import hydro
+    from hrfl.cli import main
+
+    model = bump_two_velocity()
+    monkeypatch.setattr(hydro, "MAX_INVERSE_STEPS", 1)
+    with pytest.raises(hydro.CharacteristicInverseError, match="steps"):
+        inverse_characteristic(model, 0.4, 0.3)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "model": {"rho": {"kind": "bump", "center": 0.0, "width": 2.0, "height": 0.5},
+                  "kernel": {"kind": "atoms",
+                             "atoms": [{"v": -1.0, "r": 0.4, "weight": 0.5},
+                                       {"v": 1.0, "r": 0.6, "weight": 0.5}]}},
+        "experiment": {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
+                       "t_range": [0.05, 0.45], "nq": 5, "nt": 3}}))
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def test_ghd_residual_excludes_kernel_cell_edges():
+    # the species weights jump at the cell edge x = 0; its images must be
+    # excluded like those of a density jump, or the residual is O(1) there
+    model = IntensityModel(INVERSE_RHOS["smooth"], _two_cell_atoms())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        levels, ratios = residual_refinement(model, (-0.8, 0.8), (0.05, 0.15),
+                                             17, 9, refinements=2)
+    assert len(levels[0].q) < 15
+    for r in ratios:
+        assert 3.2 <= r <= 4.8
+
+
+def test_ghd_refinement_of_a_zero_residual_has_undefined_ratios(homogeneous_atoms):
+    levels, ratios = residual_refinement(homogeneous_atoms, (-1.0, 1.0), (0.0, 0.4),
+                                         5, 3, refinements=2)
+    assert [lv.max_norm for lv in levels] == [0.0, 0.0, 0.0]
+    assert len(ratios) == 2 and all(math.isnan(r) for r in ratios)

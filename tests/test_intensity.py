@@ -312,3 +312,29 @@ def test_gaussian_velocity_quantile_ends():
         got = GaussianVelocity(0.0, 1.0).truncated(lo, hi).sample(Ends(), 2)
         assert got[0] == pytest.approx(lo, abs=1e-12)
         assert lo < got[1] < hi
+
+
+@pytest.mark.parametrize("rho", [
+    ConstantDensity(0.7),
+    PiecewiseConstantDensity([-2.0, -0.5, 0.7, 2.0], [0.3, 0.9, 0.5]),
+    SmoothDensity(_bump(), (-2.0, 2.0)),
+], ids=["constant", "piecewise", "smooth"])
+def test_density_integral_over_arrays_matches_scalar_calls(rho, rng):
+    lo = rng.uniform(-3.0, 3.0, 200)
+    hi = lo + rng.uniform(-1.0, 3.0, 200)       # a quarter of them empty
+    got = rho.integral(lo, hi)
+    assert got.shape == (200,)
+    want = [rho.integral(float(a), float(b)) for a, b in zip(lo, hi)]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert isinstance(rho.integral(-0.3, 0.4), float)
+    assert rho.integral(0.4, -0.3) == 0.0
+
+
+def test_piecewise_kernel_density_over_arrays():
+    left = DiscreteKernel([(-1.0, 0.4, 0.5), (1.0, 0.6, 0.5)])
+    right = DiscreteKernel([(-1.0, 0.4, 0.2), (1.0, 0.6, 0.8)])
+    kern = PiecewiseKernel([(-3.0, 0.0, left), (0.0, 3.0, right)])
+    xs = np.array([-4.0, -3.0, -0.5, 0.0, 2.9, 3.0])
+    for v, k in [(-1.0, 0), (1.0, 1), (0.5, 1)]:
+        got = kern.vk_density(v, k, xs)
+        assert got.tolist() == [kern.vk_density(v, k, float(x)) for x in xs]
