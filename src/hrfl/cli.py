@@ -74,6 +74,8 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args, cfg) -> int:
+    if args.threads is not None and args.threads < 0:
+        raise ConfigError(f"--threads: expected an integer >= 0, got {args.threads}")
     threads = args.threads if args.threads is not None else cfg.get("threads", 1)
     if threads == 0:
         threads = os.cpu_count() or 1
@@ -100,7 +102,10 @@ def _grid_axis(rec, key, path):
     v = rec.get(key)
     if not (isinstance(v, list) and len(v) == 3):
         raise ConfigError(f"{path}.{key}: expected [lo, hi, n]")
-    return np.linspace(float(v[0]), float(v[1]), int(v[2]))
+    n = v[2]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ConfigError(f"{path}.{key}[2]: expected an integer >= 2, got {n!r}")
+    return np.linspace(float(v[0]), float(v[1]), n)
 
 
 def _run_sample_field(model, exp, seed, threads, rundir):
@@ -120,6 +125,18 @@ def _run_sample_field(model, exp, seed, threads, rundir):
     return report
 
 
+def _times(values, t_range, path):
+    """Evolution times, each a number inside the region's closed t range."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{path}: expected a list of numbers")
+    lo, hi = t_range
+    for i, t in enumerate(values):
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not lo <= t <= hi:
+            raise ConfigError(f"{path}[{i}]: expected a number in region.t "
+                              f"[{lo}, {hi}], got {t!r}")
+    return [float(t) for t in values]
+
+
 def _run_hardrod_evolve(model, exp, seed, threads, rundir):
     _require_rod_marks(model)
     engine = exp["engine"]
@@ -127,7 +144,7 @@ def _run_hardrod_evolve(model, exp, seed, threads, rundir):
         raise ConfigError("config.experiment.engine: must be surface|events|tagged")
     eps = float(exp["epsilon"])
     region = _region(exp["region"], "config.experiment.region")
-    times = [float(t) for t in exp["times"]]
+    times = _times(exp["times"], region.t_range, "config.experiment.times")
     cfg = sample(model, eps, region, seed)
     gas = hardrod.GasConfiguration(cfg.x, cfg.v, cfg.r * eps)
     rows = []

@@ -197,7 +197,8 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
 
     Two equivalent formulas are exposed: "contraction" divides the gas
     density by 1 + sigma at the pre-image, "squeeze" multiplies by
-    1 - sigma~ at q.  They agree to root-finding accuracy.  The species is
+    1 - sigma~ at q.  Both take sigma at the one pre-image, so they agree to
+    rounding.  The species is
     the atom (v, r): only atoms with exactly that velocity and mark count,
     and a pair that is no atom of the kernel is a ValueError.
     """
@@ -205,16 +206,17 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
     _require_atoms(model, "the pointwise rod density")
     if not model.kernel.has_atom(v, r):
         raise ValueError(f"(v, r) = ({v}, {r}) is not an atom of the kernel")
+    if method not in ("contraction", "squeeze"):
+        raise ValueError("method must be 'contraction' or 'squeeze'")
     x = inverse_characteristic(model, q, t)
     pos = x - v * t
     # the weight of the atoms at exactly (v, r) in the kernel at the pre-image
     w = model.kernel.cell_prob((v, v), (r, r), pos)
     g = w * float(np.asarray(model.rho.value(pos)))
+    s = sigma(model, x, t)
     if method == "contraction":
-        return g / (1.0 + sigma(model, x, t))
-    if method == "squeeze":
-        return g * (1.0 - squeezed_length_fraction(model, q, t))
-    raise ValueError("method must be 'contraction' or 'squeeze'")
+        return g / (1.0 + s)
+    return g * (1.0 - s / (1.0 + s))
 
 
 @dataclass

@@ -2,12 +2,15 @@
 
 CSV dialect: comma separated, '.' decimal, header row always, LF endings,
 floats with 17 significant digits.  JSON reports keep insertion order and
-stock float repr, so identical runs are byte-identical.
+stock float repr, so identical runs are byte-identical.  JSON has no
+non-finite numbers: NaN, inf and -inf are written as ``null``, so every
+report is strict JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -36,10 +39,10 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, float) and obj != obj:  # NaN -> null for valid JSON
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN, +-inf -> null
         return None
     return obj
 

@@ -149,6 +149,80 @@ def test_csv_17_digit_roundtrip(tmp_path):
     assert float(txt) == val
 
 
+def test_strict_json_maps_every_non_finite_number_to_null(tmp_path):
+    import numpy as np
+    from hrfl.reporting import write_json
+    path = tmp_path / "report.json"
+    write_json(path, {"z": math.inf, "lo": -math.inf, "nan": math.nan,
+                      "np": [np.float64(np.inf), np.float64(-np.inf), np.float64(1.5)],
+                      "arr": np.array([np.inf, 2.0])})
+
+    def reject(token):
+        raise AssertionError(f"non-finite token {token} in strict JSON")
+
+    got = json.loads(path.read_text(), parse_constant=reject)
+    assert got == {"z": None, "lo": None, "nan": None, "np": [None, None, 1.5],
+                   "arr": [None, 2.0]}
+
+
+EVOLVE = {"kind": "hardrod-evolve", "engine": "events", "epsilon": 0.2,
+          "region": {"x": [-5, 5], "t": [0, 1]}, "times": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("times,message", [
+    ([5], "config.experiment.times[0]: expected a number in region.t [0.0, 1.0], got 5"),
+    ([0.5, -3], "config.experiment.times[1]: expected a number in region.t"),
+    ([1.0000001], "config.experiment.times[0]: expected a number in region.t"),
+    ([math.nan], "config.experiment.times[0]: expected a number in region.t"),
+    (["1"], "config.experiment.times[0]: expected a number in region.t"),
+    (1.0, "config.experiment.times: expected a list of numbers"),
+])
+def test_evolution_time_outside_the_region_is_config_error(tmp_path, capsys, times, message):
+    cfg = write_config(tmp_path, dict(EVOLVE, times=times))
+    out = tmp_path / "runs"
+    assert main(["hardrod-evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def test_evolution_times_at_both_ends_of_the_region_run(tmp_path):
+    cfg = write_config(tmp_path, EVOLVE)
+    out = tmp_path / "runs"
+    assert main(["hardrod-evolve", "--config", str(cfg), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert report_of(out)["extra"]["times"] == [0.0, 1.0]
+
+
+def test_negative_thread_count_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["verify-lln"], replicas=5))
+    out = tmp_path / "runs"
+    assert main(["verify-lln", "--config", str(cfg), "--threads", "-3",
+                 "--out", str(out)]) == 2
+    assert "--threads: expected an integer >= 0, got -3" in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+    # 0 still means one worker per CPU
+    assert main(["verify-lln", "--config", str(cfg), "--threads", "0",
+                 "--out", str(out)]) in (0, 1)
+    assert report_of(out)["M"] == 5
+
+
+@pytest.mark.parametrize("axis,value,message", [
+    ("x", [0, 2, 2.7], "config.experiment.grid.x[2]: expected an integer >= 2, got 2.7"),
+    ("t", [0, 1, 1], "config.experiment.grid.t[2]: expected an integer >= 2, got 1"),
+    ("x", [0, 1, True], "config.experiment.grid.x[2]: expected an integer >= 2"),
+    ("t", [0, 1, "3"], "config.experiment.grid.t[2]: expected an integer >= 2"),
+])
+def test_bad_grid_count_is_config_error(tmp_path, capsys, axis, value, message):
+    grid = {"x": [0, 1, 3], "t": [0, 1, 2]}
+    grid[axis] = value
+    cfg = write_config(tmp_path, {"kind": "sample-field", "epsilon": 0.1,
+                                  "region": {"x": [0, 1], "t": [0, 1]}, "grid": grid})
+    out = tmp_path / "runs"
+    assert main(["sample-field", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
 def test_hardrod_evolve_engines_agree(tmp_path):
     out = {}
     for engine in ("surface", "events", "tagged"):
@@ -308,17 +382,44 @@ def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message)
     assert not list(out.glob("*/report.json"))
 
 
+PROBE_MODELS = {
+    "uniform": HOMOGENEOUS_MODEL,
+    "atoms": {"rho": {"kind": "constant", "value": 1.0},
+              "kernel": {"kind": "atoms", "atoms": [{"v": -1.0, "r": 1.0, "weight": 1.0}]}},
+    "piecewise": {"rho": {"kind": "piecewise", "edges": [-1.0, 0.0, 1.0], "values": [0.5, 1.0]},
+                  "kernel": {"kind": "piecewise", "cells": [
+                      {"x_range": [-1.0, 1.0], "kernel": HOMOGENEOUS_MODEL["kernel"]}]}},
+    "bump": {"rho": {"kind": "bump", "center": 0.0, "width": 2.0, "height": 0.5},
+             "kernel": HOMOGENEOUS_MODEL["kernel"]},
+    "gaussian": {"rho": {"kind": "constant", "value": 1.0},
+                 "velocity": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+                 "mark": {"kind": "constant", "value": 1.0}, "v_support": [-3.0, 3.0]},
+}
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats costs every run about half a second of start-up; only the
-    # stationarity battery needs it, and imports it when it runs
+    # scipy costs every run most of its start-up: only the Gaussian velocity
+    # law needs scipy.special, and only the stationarity battery scipy.stats,
+    # each imported when it is used
     src = str(Path(hrfl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, hrfl.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    probe = ("import json, sys, hrfl.cli\n"
+             "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "seen = {'import': scipy()}\n"
+             "for name, rec in json.loads(sys.argv[1]).items():\n"
+             "    hrfl.cli.build_model(rec)\n"
+             "    seen[name] = scipy()\n"
+             "print(json.dumps(seen))\n")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(PROBE_MODELS)], env=env,
+                         check=True, capture_output=True, text=True)
+    seen = json.loads(out.stdout)
+    assert list(seen) == ["import", *PROBE_MODELS]
+    for name in ("import", "uniform", "atoms", "piecewise", "bump"):
+        assert seen[name] == [], name
+    assert "scipy.special" in seen["gaussian"]
+    for heavy in ("integrate", "interpolate", "optimize", "stats"):
+        assert not [m for m in seen["gaussian"] if m.split(".")[:2] == ["scipy", heavy]]
 
     cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["stationarity"],
                                       replicas=5, core_halfwidth=3.0))

@@ -121,6 +121,22 @@ def test_rod_density_formulas_agree(rng):
             assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("method", ["contraction", "squeeze"])
+def test_rod_density_inverts_the_characteristic_once(method, monkeypatch):
+    from hrfl import hydro
+    model = bump_two_velocity()
+    inverses = []
+    inverse = hydro.inverse_characteristic
+
+    def counted(*args):
+        inverses.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(hydro, "inverse_characteristic", counted)
+    rod_density(model, 0.3, 1.0, 0.6, 0.4, method=method)
+    assert len(inverses) == 1
+
+
 def test_rod_density_homogeneous(homogeneous_atoms):
     # constant sigma = 0.8 * (0.5*0.5 + 0.5*0.25) = 0.3; each species
     # density is w * c / (1 + sigma)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hrfl import intensity
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint, segment
 from hrfl.intensity import (
     ConstantDensity,
@@ -11,8 +12,12 @@ from hrfl.intensity import (
     GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
+    QUAD_ABS_TOL,
+    QUAD_LIMIT,
+    QUAD_REL_TOL,
     PiecewiseKernel,
     ProductKernel,
+    QuadratureError,
     SmoothDensity,
     UniformMark,
     UniformVelocity,
@@ -338,3 +343,112 @@ def test_piecewise_kernel_density_over_arrays():
     for v, k in [(-1.0, 0), (1.0, 1), (0.5, 1)]:
         got = kern.vk_density(v, k, xs)
         assert got.tolist() == [kern.vk_density(v, k, float(x)) for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# the numpy Gauss-Kronrod velocity rule
+# ---------------------------------------------------------------------------
+
+def test_gk21_rule_is_exact_to_degree_31_and_nests_gauss_10():
+    x, wk, wg = intensity._GK21_NODES, intensity._GK21_KRONROD, intensity._GK21_GAUSS
+    for d in range(32):
+        exact = 0.0 if d % 2 else 2.0 / (d + 1)
+        assert wk @ x ** d == pytest.approx(exact, rel=0, abs=1e-15)
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    on_gauss = wg != 0.0
+    np.testing.assert_allclose(x[on_gauss], gx, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wg[on_gauss], gw, rtol=0, atol=1e-15)
+
+
+def _scipy_quad(f, lo, hi, inner_points=()):
+    """The velocity rule's quadrature as QUADPACK's QAGP does it, in scipy."""
+    from scipy import integrate
+
+    if hi <= lo:
+        return 0.0
+    pts = sorted({p for p in inner_points if lo < p < hi})
+    return integrate.quad(f, lo, hi, points=pts or None, epsabs=QUAD_ABS_TOL,
+                          epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT, full_output=1)[0]
+
+
+QUAD_MODELS = {
+    "gaussian": lambda: IntensityModel(
+        ConstantDensity(1.0), ProductKernel(GaussianVelocity(0.2, 1.0), UniformMark(0.5, 1.5)),
+        v_support=(-3.0, 3.0)),
+    "uniform": lambda: IntensityModel(
+        ConstantDensity(0.7), ProductKernel(UniformVelocity(-1.0, 1.0), UniformMark(0.0, 2.0))),
+    "piecewise-rho": lambda: IntensityModel(
+        PiecewiseConstantDensity([-2.0, -0.5, 0.3, 1.5], [0.4, 1.2, 0.8]),
+        ProductKernel(GaussianVelocity(0.0, 0.8), ConstantMark(1.0)), v_support=(-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_MODELS))
+def test_crossing_moments_agree_with_scipy_quad(name, rng, monkeypatch):
+    model = QUAD_MODELS[name]()
+    segs = [Segment(SpaceTimePoint(*rng.uniform(-2, 2, 2)),
+                    SpaceTimePoint(*rng.uniform(-2, 2, 2))) for _ in range(4)]
+
+    def moments():
+        out = []
+        for s1, s2 in zip(segs, segs[1:]):
+            out += [model.moment_on_crossing(k, s1, sign)
+                    for k, sign in ((0, "plus"), (1, "minus"), (2, "both"))]
+            out.append(model.moment_intersection(1, s1, s2))
+        return np.array(out)
+
+    got = moments()
+    monkeypatch.setattr(intensity, "_quad", _scipy_quad)
+    want = moments()
+    assert np.count_nonzero(want) > len(want) // 2
+    # each rule is within max(QUAD_ABS_TOL, QUAD_REL_TOL |I|) of the integral;
+    # on smooth integrands they agree to rounding
+    np.testing.assert_allclose(got, want, rtol=QUAD_REL_TOL, atol=QUAD_ABS_TOL)
+    if name != "piecewise-rho":
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_quadrature_converges_on_a_kink_and_raises_at_the_subinterval_cap(monkeypatch):
+    def kinked(v):
+        return abs(v - 0.3)
+
+    assert intensity._quad(kinked, 0.0, 1.0) == pytest.approx(0.29, rel=0, abs=QUAD_ABS_TOL)
+    # a breakpoint at the kink makes both panels polynomial
+    assert intensity._quad(kinked, 0.0, 1.0, (0.3,)) == pytest.approx(0.29, rel=0, abs=1e-15)
+    monkeypatch.setattr(intensity, "QUAD_LIMIT", 1)
+    with pytest.raises(QuadratureError, match=r"1 subintervals \(achieved abserr="):
+        intensity._quad(kinked, 0.0, 1.0)
+
+
+def test_quadrature_calls_the_integrand_with_scalars():
+    seen = set()
+
+    def f(v):
+        seen.add(type(v))
+        return v * v
+
+    assert intensity._quad(f, -1.0, 2.0, (0.5,)) == pytest.approx(3.0, rel=1e-15)
+    assert seen == {float}
+
+
+def test_smooth_density_matches_the_bump_antiderivative(rng):
+    height, width, center = 0.5, 2.0, 0.3
+    rho = SmoothDensity(lambda x: height * np.clip(1 - ((np.asarray(x) - center) / width) ** 2,
+                                                   0, None) ** 4,
+                        (center - width, center + width))
+    P = (np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** 4).integ()
+
+    def exact(x):
+        u = (np.clip(x, center - width, center + width) - center) / width
+        return height * width * (P(u) - P(-1.0))
+
+    lo = rng.uniform(-2.5, 3.0, 5000)
+    hi = rng.uniform(-2.5, 3.0, 5000)
+    got = rho.integral(lo, hi)
+    np.testing.assert_allclose(got, np.where(hi > lo, exact(hi) - exact(lo), 0.0),
+                               rtol=0, atol=1e-13)
+    scalar = [rho.integral(float(a), float(b)) for a, b in zip(lo[:500], hi[:500])]
+    assert np.array(scalar).tobytes() == got[:500].tobytes()
+    edges = np.linspace(center - width, center + width, 9)
+    assert rho.integral(edges[:-1], edges[1:]).sum() == pytest.approx(
+        float(exact(edges[-1])), rel=0, abs=1e-13)
