@@ -8,7 +8,7 @@ residuals) by Monte Carlo statistics and finite differences.
 """
 
 from . import field, gaussian, hardrod, hydro, stats
-from .geometry import Crossing, LineParam, Segment, Side, SpaceTimePoint
+from .geometry import Segment, SpaceTimePoint
 from .intensity import (
     ConstantDensity,
     ConstantMark,
@@ -32,10 +32,7 @@ __all__ = [
     "hardrod",
     "hydro",
     "stats",
-    "Crossing",
-    "LineParam",
     "Segment",
-    "Side",
     "SpaceTimePoint",
     "ConstantDensity",
     "ConstantMark",

@@ -89,25 +89,45 @@ def _check_keys(record: dict, path: str, required: tuple, optional: tuple = ()):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
+def _where(path, key):
+    """The config path of record[key]; an integer key indexes a list."""
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
 def _number(record, key, path):
     v = record[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a number")
+        raise ConfigError(f"{_where(path, key)}: expected a number")
     return float(v)
 
 
-def _pair(record, key, path):
+def _positive(record, key, path):
+    v = _number(record, key, path)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ConfigError(f"{_where(path, key)}: expected a finite number > 0, got {v!r}")
+    return v
+
+
+def _pair(record, key, path, n=2):
+    """record[key] as a tuple of n numbers, a pair by default."""
     v = record[key]
-    if not (isinstance(v, list) and len(v) == 2
+    if not (isinstance(v, list) and len(v) == n
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        raise ConfigError(f"{path}.{key}: expected [number, number]")
-    return (float(v[0]), float(v[1]))
+        raise ConfigError(f"{_where(path, key)}: expected [{', '.join(['number'] * n)}]")
+    return tuple(float(x) for x in v)
 
 
 def _int(record, key, path, minimum=1):
     v = record[key]
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ConfigError(f"{path}.{key}: expected an integer >= {minimum}")
+        raise ConfigError(f"{_where(path, key)}: expected an integer >= {minimum}")
+    return v
+
+
+def _list(record, key, path) -> list:
+    v = record[key]
+    if not isinstance(v, list):
+        raise ConfigError(f"{_where(path, key)}: expected a list")
     return v
 
 
@@ -281,7 +301,29 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         _int(exp, "replicas", "config.experiment", _MIN_REPLICAS[kind])
     if kind == "ghd-residual":
         _validate_ghd_grid(exp)
+    _validate_battery_fields(exp)
     return cfg
+
+
+def _validate_battery_fields(exp: dict) -> None:
+    path = "config.experiment"
+    if "epsilon" in exp:
+        _positive(exp, "epsilon", path)
+    if "epsilons" in exp:
+        epsilons = _list(exp, "epsilons", path)
+        for i in range(len(epsilons)):
+            _positive(epsilons, i, f"{path}.epsilons")
+    if "points" in exp:
+        points = _list(exp, "points", path)
+        for i in range(len(points)):
+            # the surface is 0 at the origin, so its statistic could never fail
+            if _pair(points, i, f"{path}.points") == (0.0, 0.0):
+                raise ConfigError(f"{path}.points[{i}]: the origin is not a valid point")
+    if "quasiparticle" in exp:
+        _pair(exp, "quasiparticle", path, 3)
+    for key in ("point", "mass_point"):
+        if key in exp:
+            _pair(exp, key, path)
 
 
 def _validate_ghd_grid(exp: dict) -> None:

@@ -1,13 +1,16 @@
-"""The multitime walk field, its deterministic limit, and fluctuation fields.
+"""The multitime walk field and its deterministic limit.
 
-Each sampled line steps the surface by +r or -r across itself; the height of
-the half-plane containing the origin is zero.  Summing over a configuration,
+Each sampled line ``(x, v)`` steps the surface by +r or -r across itself;
+the height of the half-plane containing the origin is zero.  Summing over a
+configuration,
 
     H(b) = epsilon * sum_i r_i * (1{b right of line i} - 1{o right of line i}),
 
 which makes surface differences telescope: H(b) - H(a) depends only on the
 lines separating a from b.  The deterministic limit replaces the empirical
-sums by crossing moments of the intensity.
+sums by crossing moments of the intensity.  The Euler and diffusive
+fluctuation fields are the centered differences of the two, rescaled; the
+batteries of :mod:`hrfl.stats` form them from these functions.
 
 Every empirical evaluation is one vectorized scan of the sampled lines per
 query point; a grid of points is a loop over :func:`walk_field`.
@@ -15,33 +18,22 @@ query point; a grid of points is a loop over :func:`walk_field`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import ORIGIN, Segment, SpaceTimePoint
 from .sampler import SampledConfiguration
 
 
-def _signed_subset_sum(r: np.ndarray, plus_idx: np.ndarray, minus_idx: np.ndarray,
-                       compensated: bool) -> float:
-    if compensated:
-        return math.fsum(r[plus_idx]) - math.fsum(r[minus_idx])
-    return float(np.sum(r[plus_idx]) - np.sum(r[minus_idx]))
-
-
-def surface_sum(x: np.ndarray, v: np.ndarray, r: np.ndarray, b: SpaceTimePoint,
-                compensated: bool = False) -> float:
+def surface_sum(x: np.ndarray, v: np.ndarray, r: np.ndarray, b: SpaceTimePoint) -> float:
     """Unweighted surface sum_i r_i (1{b right of i} - 1{o right of i})."""
     ub = x + b.t * v <= b.x
     uo = x <= 0.0
     plus = np.nonzero(ub & ~uo)[0]
     minus = np.nonzero(uo & ~ub)[0]
-    return _signed_subset_sum(r, plus, minus, compensated)
+    return float(np.sum(r[plus]) - np.sum(r[minus]))
 
 
-def walk_field(config: SampledConfiguration, b: SpaceTimePoint,
-               compensated: bool = False) -> float:
+def walk_field(config: SampledConfiguration, b: SpaceTimePoint) -> float:
     """H(b) for a sampled configuration, including the epsilon weight.
 
     b must lie in the observation region: outside it the sampling window
@@ -49,11 +41,11 @@ def walk_field(config: SampledConfiguration, b: SpaceTimePoint,
     """
     if not config.region.contains(b.x, b.t):
         raise ValueError(f"evaluation point ({b.x}, {b.t}) outside observation region")
-    return config.epsilon * surface_sum(config.x, config.v, config.r, b, compensated)
+    return config.epsilon * surface_sum(config.x, config.v, config.r, b)
 
 
 def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
-                          b: SpaceTimePoint, compensated: bool = False) -> float:
+                          b: SpaceTimePoint) -> float:
     """H(b) - H(a) evaluated directly from the crossings of segment ab."""
     for p in (a, b):
         if not config.region.contains(p.x, p.t):
@@ -62,7 +54,7 @@ def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
     ub = config.x + b.t * config.v <= b.x
     plus = np.nonzero(ub & ~ua)[0]
     minus = np.nonzero(ua & ~ub)[0]
-    return config.epsilon * _signed_subset_sum(config.r, plus, minus, compensated)
+    return config.epsilon * float(np.sum(config.r[plus]) - np.sum(config.r[minus]))
 
 
 def walk_field_grid(config: SampledConfiguration, xs, ts) -> np.ndarray:
@@ -76,11 +68,7 @@ def walk_field_grid(config: SampledConfiguration, xs, ts) -> np.ndarray:
 
 def limit_field(model, b: SpaceTimePoint) -> float:
     """Deterministic limit surface: mu_1(ob+) - mu_1(ob-)."""
-    seg = Segment(ORIGIN, b)
-    if seg.is_degenerate:
-        return 0.0
-    return (model.moment_on_crossing(1, seg, "plus")
-            - model.moment_on_crossing(1, seg, "minus"))
+    return limit_field_difference(model, ORIGIN, b)
 
 
 def limit_field_difference(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float:
@@ -91,11 +79,6 @@ def limit_field_difference(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float
             - model.moment_on_crossing(1, seg, "minus"))
 
 
-def euler_fluctuation(config: SampledConfiguration, model, b: SpaceTimePoint) -> float:
-    """(H_sample(b) - H_limit(b)) / sqrt(epsilon)."""
-    return (walk_field(config, b) - limit_field(model, b)) / math.sqrt(config.epsilon)
-
-
 def frame_surface(config: SampledConfiguration, frame: SpaceTimePoint,
                   offset: SpaceTimePoint) -> float:
     """Empirical surface seen from the frame point: H(frame+offset) - H(frame)."""
@@ -104,26 +87,3 @@ def frame_surface(config: SampledConfiguration, frame: SpaceTimePoint,
 
 def limit_frame_surface(model, frame: SpaceTimePoint, offset: SpaceTimePoint) -> float:
     return limit_field_difference(model, frame, frame.translated(offset.x, offset.t))
-
-
-def diffusive_fluctuations(config: SampledConfiguration, model,
-                           frame: SpaceTimePoint,
-                           offset: SpaceTimePoint) -> tuple[float, float]:
-    """The pair (eta_hat, eta_tilde) at one offset from the frame point.
-
-    The configuration must be sampled at scale epsilon^2; with
-    epsilon = sqrt(config.epsilon),
-
-        eta_hat   = eps^(-3/2) * (frame surface at eps-scaled offset, centered)
-        eta_tilde = eps^(-1)   * (frame surface at the offset itself, centered)
-
-    Both are functions of the same sample; their limits are independent
-    Gaussian fields.
-    """
-    eps = math.sqrt(config.epsilon)
-    small = SpaceTimePoint(eps * offset.x, eps * offset.t)
-    eta_hat = (frame_surface(config, frame, small)
-               - limit_frame_surface(model, frame, small)) / eps ** 1.5
-    eta_tilde = (frame_surface(config, frame, offset)
-                 - limit_frame_surface(model, frame, offset)) / eps
-    return eta_hat, eta_tilde

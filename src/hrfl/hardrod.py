@@ -23,7 +23,6 @@ keep per-rod identity, so they can be compared rod by rod.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,45 +399,3 @@ def empty_space_shift(rods: RodConfiguration, z: float,
         gas = contract(rods, 0.0)
         return dilate(GasConfiguration(gas.x - z, gas.v, gas.r), 0.0)
     raise ValueError("via must be 'gaps' or 'contraction'")
-
-
-# ---------------------------------------------------------------------------
-# windowed comparisons
-# ---------------------------------------------------------------------------
-
-def safe_core_mask(gas: GasConfiguration, t: float,
-                   window_x: tuple[float, float], max_speed: float) -> np.ndarray:
-    """Particles whose evolution to time t is unaffected by the window edges.
-
-    The mass term needs every line between 0 and x; the flux term needs
-    every line able to cross the particle's moving segment, whose intercepts
-    stay within (|v| + V)|t| of x.
-    """
-    lo, hi = window_x
-    reach = (np.abs(gas.v) + max_speed) * abs(t)
-    return ((np.minimum(gas.x, 0.0) >= lo) & (np.maximum(gas.x, 0.0) <= hi)
-            & (gas.x - reach >= lo) & (gas.x + reach <= hi))
-
-
-def compare_evolutions(gas: GasConfiguration, t: float,
-                       window_x: tuple[float, float] | None = None,
-                       max_speed: float | None = None) -> float:
-    """Max per-rod distance between the surface route and the event oracle.
-
-    With a window, the comparison restricts automatically to the safe core;
-    for a self-contained finite configuration pass window_x=None to compare
-    every rod.
-    """
-    surf = evolve_surface(gas, t)
-    ev = evolve_events(dilate(gas, 0.0), t)
-    if window_x is None:
-        mask = np.ones(gas.n, dtype=bool)
-    else:
-        if max_speed is None:
-            max_speed = float(np.abs(gas.v).max(initial=0.0))
-        mask = safe_core_mask(gas, t, window_x, max_speed)
-    if not mask.any():
-        return 0.0
-    return float(np.abs(surf.y[mask] - ev.y[mask]).max())
-
-

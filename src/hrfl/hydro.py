@@ -41,7 +41,7 @@ import numpy as np
 
 from .field import limit_field
 from .geometry import SpaceTimePoint
-from .intensity import IntensityModel, _quad, velocity_integral
+from .intensity import IntensityModel, _quad, edge_velocities, velocity_integral
 from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
@@ -85,7 +85,9 @@ def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
             return (model.kernel.vk_density(v, 1, pos) * v ** v_power
                     * model.rho.value(pos))
 
-        return velocity_integral(model.kernel, f, *model.v_support)
+        # rho and the kernel's cells jump where y - v t crosses an edge
+        return velocity_integral(model.kernel, f, *model.v_support,
+                                 edge_velocities(model.edges, [(y, t)]))
 
     return _pointwise(model, moment, x)
 
@@ -302,15 +304,13 @@ def _excluded_q(model: IntensityModel, t: float, margin: float):
     A species' density may jump where rho has a breakpoint or the kernel
     changes cells; at time t such a jump at e sits at x = e + v t.
     """
-    edges = np.array(sorted({e for e in (*model.rho.breakpoints, *model.kernel.cell_edges)
-                             if math.isfinite(e)}))
+    edges = np.array(model.edges)
     vs = np.array(model.kernel.atom_velocities())
     q = characteristic_map(model, (edges[:, None] + vs[None, :] * t).ravel(), t)
     return q - margin, q + margin
 
 
-def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
-                 exclude_discontinuities: bool = True) -> GhdResidual:
+def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     """Central-difference residual of the hard-rod conservation law.
 
     The rod density and flux are evaluated analytically at every node and
@@ -349,15 +349,14 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
     q_in, t_in = q_nodes[1:-1], t_nodes[1:-1]
 
     excluded = np.zeros(len(q_in), dtype=bool)
-    if exclude_discontinuities:
-        margin = 2.0 * h_q
-        for tv in t_in:
-            lo, hi = _excluded_q(model, float(tv), margin)
-            excluded |= ((q_in[:, None] >= lo) & (q_in[:, None] <= hi)).any(axis=1)
-        if excluded.any():
-            warnings.warn(
-                f"excluding {int(excluded.sum())} q-columns around density jumps",
-                stacklevel=2)
+    margin = 2.0 * h_q
+    for tv in t_in:
+        lo, hi = _excluded_q(model, float(tv), margin)
+        excluded |= ((q_in[:, None] >= lo) & (q_in[:, None] <= hi)).any(axis=1)
+    if excluded.any():
+        warnings.warn(
+            f"excluding {int(excluded.sum())} q-columns around density jumps",
+            stacklevel=2)
     res = res[:, :, ~excluded]
     q_in = q_in[~excluded]
 
@@ -367,8 +366,7 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes,
 
 
 def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: int,
-                        refinements: int = 2,
-                        **kwargs) -> tuple[list[GhdResidual], list[float]]:
+                        refinements: int = 2) -> tuple[list[GhdResidual], list[float]]:
     """Residual grids over a fixed region, each halving the last one's spacing.
 
     Returns the residual of every level, base grid first, and the L2-norm
@@ -380,7 +378,7 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
         f = 2 ** level
         qs = np.linspace(q_range[0], q_range[1], (nq - 1) * f + 1)
         ts = np.linspace(t_range[0], t_range[1], (nt - 1) * f + 1)
-        levels.append(ghd_residual(model, qs, ts, **kwargs))
+        levels.append(ghd_residual(model, qs, ts))
     ratios = [coarse.l2_norm / fine.l2_norm if fine.l2_norm else math.nan
               for coarse, fine in zip(levels, levels[1:])]
     return levels, ratios

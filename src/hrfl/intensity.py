@@ -795,6 +795,16 @@ def _oriented_v_ranges(seg: Segment, vlo: float, vhi: float):
     return ranges
 
 
+def edge_velocities(edges: Sequence[float], points) -> list[float]:
+    """Velocities v = (x - e) / t at which x - v*t, for a point (x, t), hits an edge e.
+
+    An integrand that reads rho or the kernel's cells at a pivot or a
+    backtracked position x - v*t kinks or jumps there; a point at t = 0
+    gives none.
+    """
+    return [(x - e) / t for x, t in points if t != 0.0 for e in edges]
+
+
 def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
     """Velocities where any two pivot lines of the two segments meet."""
     pts = []
@@ -811,12 +821,16 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
 class _CrossingMoments:
     """Shared Plus/Minus/Both and intersection machinery.
 
-    Subclasses provide ``kernel``, ``v_support`` and ``x_mass``, the mass of
-    an intercept interval at fixed velocity.
+    Subclasses provide ``kernel``, ``v_support``, ``x_mass``, the mass of
+    an intercept interval at fixed velocity, and ``_kinks``.
     """
 
     def x_mass(self, v: float, k: int, lo: float, hi: float) -> float:
         """m_k mass at velocity v of the intercepts in [lo, hi]."""
+        raise NotImplementedError
+
+    def _kinks(self, *segs: Segment) -> list[float]:
+        """Velocities where the x-mass of a crossing interval of segs kinks or jumps."""
         raise NotImplementedError
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
@@ -841,7 +855,7 @@ class _CrossingMoments:
                     return 0.0
                 return self.x_mass(v, k, *crossing_interval(v, seg))
 
-            total += velocity_integral(self.kernel, f, lo, hi)
+            total += velocity_integral(self.kernel, f, lo, hi, self._kinks(seg))
         return total
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
@@ -857,7 +871,8 @@ class _CrossingMoments:
             return self.x_mass(v, k, max(lo1, lo2), min(hi1, hi2))
 
         return velocity_integral(self.kernel, f, *self.v_support,
-                                 _pivot_crossing_velocities(seg1, seg2))
+                                 _pivot_crossing_velocities(seg1, seg2)
+                                 + self._kinks(seg1, seg2))
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +895,9 @@ class IntensityModel(_CrossingMoments):
             raise ValueError("velocity support is unbounded; pass v_support")
         self.v_support = (float(lo), float(hi))
         self._check_cells_cover_support()
+        # the finite points where rho or the kernel's cells may jump
+        self.edges = tuple(sorted({e for e in (*rho.breakpoints, *kernel.cell_edges)
+                                   if math.isfinite(e)}))
 
     def _check_cells_cover_support(self) -> None:
         edges = self.kernel.cell_edges
@@ -909,8 +927,10 @@ class IntensityModel(_CrossingMoments):
                                                                   np.minimum(hi, b))
         return total
 
-    def x_marginal_density(self, x: float) -> float:
-        return float(np.asarray(self.rho.value(x)))
+    def _kinks(self, *segs):
+        # a pivot x - v*t of a segment end crosses an edge
+        return edge_velocities(self.edges, [(p.x, p.t) for seg in segs
+                                            for p in (seg.a, seg.b)])
 
     def window_mass(self, lo: float, hi: float) -> float:
         return self.rho.integral(lo, hi)
@@ -928,41 +948,13 @@ class IntensityModel(_CrossingMoments):
 
 
 class _FrameModel(_CrossingMoments):
-    """A base model seen from the space-time frame point (z, s).
-
-    Subclasses give ``_source(x, v)``: the base-model intercept of the line
-    seen at relative intercept x with velocity v.
-    """
-
-    mode = ""
+    """A base model seen from the space-time frame point (z, s)."""
 
     def __init__(self, base: IntensityModel, z: float, s: float):
         self.base = base
         self.z, self.s = float(z), float(s)
         self.v_support = base.v_support
         self.kernel = base.kernel
-
-    @property
-    def max_speed(self):
-        return self.base.max_speed
-
-    @property
-    def marks_nonnegative(self):
-        return self.base.marks_nonnegative
-
-    def _source(self, x: float, v: float) -> float:
-        raise NotImplementedError
-
-    def x_marginal_density(self, x: float) -> float:
-        def f(v):
-            pos = self._source(x, v)
-            return self.kernel.vk_density(v, 0, pos) * float(np.asarray(self.base.rho.value(pos)))
-
-        return velocity_integral(self.kernel, f, *self.v_support)
-
-    def summary(self) -> dict:
-        return {"mode": self.mode, "frame": [self.z, self.s],
-                "base": self.base.summary()}
 
 
 class _TranslatedModel(_FrameModel):
@@ -972,11 +964,6 @@ class _TranslatedModel(_FrameModel):
     x + v*s - z, so crossing masses of a segment equal base masses of the
     segment translated by (z, s).
     """
-
-    mode = "translated"
-
-    def _source(self, x, v):
-        return self.z + x - v * self.s
 
     def moment_on_crossing(self, k, seg, sign="both"):
         return self.base.moment_on_crossing(k, seg.translated(self.z, self.s), sign)
@@ -993,17 +980,16 @@ class _FrozenModel(_FrameModel):
     backtracked position z - v*s, constant in x.
     """
 
-    mode = "frozen"
-
-    def _source(self, x, v):
-        return self.z - v * self.s
-
     def x_mass(self, v, k, lo, hi):
         if hi <= lo:
             return 0.0
-        pos = self._source(0.0, v)
+        pos = self.z - v * self.s
         rho = float(np.asarray(self.base.rho.value(pos)))
         return (hi - lo) * rho * self.kernel.vk_density(v, k, pos)
+
+    def _kinks(self, *segs):
+        # the backtracked position z - v*s crosses an edge of the base model
+        return edge_velocities(self.base.edges, [(self.z, self.s)])
 
 
 def timeshifted_model(model: IntensityModel, z: float, s: float,

@@ -83,8 +83,7 @@ class SampledConfiguration:
 
 
 def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
-           seed: int, stream_key: tuple[int, ...] = (),
-           count_cap: float = COUNT_CAP) -> SampledConfiguration:
+           seed: int, stream_key: tuple[int, ...] = ()) -> SampledConfiguration:
     """Draw a Poisson configuration with intensity mu/epsilon on the window.
 
     The total count is Poisson with mean ``window mass / epsilon`` and the
@@ -95,9 +94,9 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
         raise ValueError("epsilon must be positive and finite")
     lo, hi = region.window_x(model.max_speed)
     mean_count = model.window_mass(lo, hi) / epsilon
-    if mean_count > count_cap:
+    if mean_count > COUNT_CAP:
         raise ValueError(
-            f"expected count {mean_count:.3e} exceeds cap {count_cap:.0e}; "
+            f"expected count {mean_count:.3e} exceeds cap {COUNT_CAP:.0e}; "
             "increase epsilon or shrink the observation region")
     rng = stream(seed, *stream_key)
     n = int(rng.poisson(mean_count))
@@ -107,22 +106,6 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
                                 np.asarray(rs, dtype=float),
                                 float(epsilon), (lo, hi), region,
                                 seed, tuple(stream_key))
-
-
-def merge(*configs: SampledConfiguration) -> SampledConfiguration:
-    """Superpose independent samples; k samples at scale eps give scale eps/k."""
-    if not configs:
-        raise ValueError("need at least one configuration")
-    first = configs[0]
-    for c in configs[1:]:
-        if c.window_x != first.window_x or c.region != first.region:
-            raise ValueError("can only merge samples on identical windows")
-    eps = 1.0 / sum(1.0 / c.epsilon for c in configs)
-    return SampledConfiguration(
-        np.concatenate([c.x for c in configs]),
-        np.concatenate([c.v for c in configs]),
-        np.concatenate([c.r for c in configs]),
-        eps, first.window_x, first.region, first.seed, first.stream_key)
 
 
 def crossing_indices(config: SampledConfiguration, seg: Segment):
@@ -153,8 +136,3 @@ def empirical_moment(config: SampledConfiguration, k: int, seg: Segment,
     if sign in ("minus", "both"):
         total += float(np.sum(config.r[minus] ** k))
     return config.epsilon * total
-
-
-def to_csv(config: SampledConfiguration, path) -> None:
-    from .reporting import write_csv
-    write_csv(path, ("x", "v", "r"), zip(config.x, config.v, config.r))

@@ -25,7 +25,7 @@ from .field import frame_surface, limit_field, limit_frame_surface, walk_field
 from .gaussian import CovarianceSpec, covariance_matrix, distance
 from .geometry import ORIGIN, Segment, SpaceTimePoint
 from .intensity import timeshifted_model
-from .sampler import ObservationRegion, sample, stream
+from .sampler import ObservationRegion, sample
 
 Z_THRESHOLD = 4.0
 KS_LEVEL = 1e-3
@@ -84,15 +84,6 @@ def _map_ordered(fn, M: int, threads: int):
     return [fn(i) for i in range(M)]
 
 
-def replicate(fn, M: int, seed: int, threads: int = 1,
-              key_prefix: tuple[int, ...] = ()) -> np.ndarray:
-    """Run fn(replica_rng) M times on split streams; rows in replica order."""
-    def one(i: int):
-        return np.atleast_1d(np.asarray(fn(stream(seed, *key_prefix, i)), dtype=float))
-
-    return np.vstack(_map_ordered(one, M, threads))
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -132,11 +123,10 @@ def covariance_battery(prefix: str, matrix: np.ndarray,
     return out
 
 
-def _region_for_points(points, pad: float = 0.0) -> ObservationRegion:
+def _region_for_points(points) -> ObservationRegion:
     xs = [p.x for p in points] + [0.0]
     ts = [p.t for p in points] + [0.0]
-    return ObservationRegion((min(xs) - pad, max(xs) + pad),
-                             (min(ts) - pad, max(ts) + pad))
+    return ObservationRegion((min(xs), max(xs)), (min(ts), max(ts)))
 
 
 # ---------------------------------------------------------------------------

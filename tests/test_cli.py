@@ -91,6 +91,12 @@ def test_subcommand_kind_mismatch(tmp_path, capsys):
     assert main(["stationarity", "--config", str(cfg)]) == 2
 
 
+def test_every_public_name_resolves():
+    assert hrfl.__all__ and len(set(hrfl.__all__)) == len(hrfl.__all__)
+    for name in hrfl.__all__:
+        assert getattr(hrfl, name) is not None, name
+
+
 def test_negative_marks_rejected_for_hardrod(tmp_path, capsys):
     model = {"rho": {"kind": "constant", "value": 1.0},
              "kernel": {"kind": "product",
@@ -100,8 +106,10 @@ def test_negative_marks_rejected_for_hardrod(tmp_path, capsys):
                                   "epsilon": 1.0,
                                   "region": {"x": [0, 5], "t": [0, 1]},
                                   "times": [0.5]}, model=model)
-    assert main(["hardrod-evolve", "--config", str(cfg)]) == 2
+    out = tmp_path / "runs"
+    assert main(["hardrod-evolve", "--config", str(cfg), "--out", str(out)]) == 2
     assert "nonnegative" in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
 
 
 def test_override_changes_hash_and_values(tmp_path):
@@ -452,6 +460,34 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
                        model=BUMP_ATOMS_MODEL)
     out = tmp_path / "runs"
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+@pytest.mark.parametrize("command,field,value,message", [
+    ("verify-euler-clt", "epsilon", -1, "config.experiment.epsilon: expected a finite number > 0"),
+    ("verify-euler-clt", "epsilon", None, "config.experiment.epsilon: expected a number"),
+    ("verify-euler-clt", "epsilon", "x", "config.experiment.epsilon: expected a number"),
+    ("verify-diffusive", "epsilon", 0, "config.experiment.epsilon: expected a finite number > 0"),
+    ("verify-euler-clt", "epsilons", [0.1, math.inf],
+     "config.experiment.epsilons[1]: expected a finite number > 0"),
+    ("verify-lln", "epsilons", [0.1, -0.02],
+     "config.experiment.epsilons[1]: expected a finite number > 0"),
+    ("verify-euler-clt", "points", [[0]], "config.experiment.points[0]: expected [number, number]"),
+    ("verify-euler-clt", "points", 5, "config.experiment.points: expected a list"),
+    ("verify-euler-clt", "points", [[0, 0]],
+     "config.experiment.points[0]: the origin is not a valid point"),
+    ("verify-euler-clt", "quasiparticle", [1, 2],
+     "config.experiment.quasiparticle: expected [number, number, number]"),
+    ("verify-euler-clt", "mass_point", [1], "config.experiment.mass_point: expected [number, number]"),
+    ("verify-lln", "point", [0, 1, 2], "config.experiment.point: expected [number, number]"),
+    ("verify-lln", "mass_point", [1], "config.experiment.mass_point: expected [number, number]"),
+])
+def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
+    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS[command], replicas=3,
+                                      **{field: value}))
+    out = tmp_path / "runs"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hrfl.field import (
-    euler_fluctuation,
-    diffusive_fluctuations,
+    frame_surface,
     limit_field,
+    limit_frame_surface,
     walk_field,
     walk_field_difference,
     walk_field_grid,
@@ -77,9 +77,8 @@ def test_crossing_decomposition(rng):
         cfg = random_config(rng, signed_marks=True)
         a = SpaceTimePoint(*rng.uniform(-10, 10, 2))
         b = SpaceTimePoint(*rng.uniform(-10, 10, 2))
-        lhs = (walk_field(cfg, b, compensated=True)
-               - walk_field(cfg, a, compensated=True))
-        rhs = walk_field_difference(cfg, a, b, compensated=True)
+        lhs = walk_field(cfg, b) - walk_field(cfg, a)
+        rhs = walk_field_difference(cfg, a, b)
         scale = max(1.0, cfg.epsilon * float(np.abs(cfg.r).sum()))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -165,9 +164,11 @@ def test_euler_fluctuation_centered_with_limit_variance(reference_model):
     b = SpaceTimePoint(0.0, 1.0)
     region = ObservationRegion((0.0, 1.0), (0.0, 1.0))
     eps, M = 1e-2, 3000
+    limit = limit_field(reference_model, b)
+    # the Euler fluctuation (H_sample - H_limit) / sqrt(eps), as the battery forms it
     vals = np.array([
-        euler_fluctuation(sample(reference_model, eps, region, 11, (i,)),
-                          reference_model, b)
+        (walk_field(sample(reference_model, eps, region, 11, (i,)), b) - limit)
+        / math.sqrt(eps)
         for i in range(M)])
     se_mean = vals.std(ddof=1) / math.sqrt(M)
     assert vals.mean() == pytest.approx(0.0, abs=4 * se_mean)
@@ -181,8 +182,8 @@ def test_diffusive_fluctuations_vanish_at_frame(reference_model):
     region = ObservationRegion((-1.0, 1.0), (-1.0, 1.0))
     cfg = sample(reference_model, 1e-2, region, 2)
     frame = SpaceTimePoint(0.3, 0.2)
-    eh, et = diffusive_fluctuations(cfg, reference_model, frame, ORIGIN)
-    assert eh == 0.0 and et == 0.0
+    assert frame_surface(cfg, frame, ORIGIN) == 0.0
+    assert limit_frame_surface(reference_model, frame, ORIGIN) == 0.0
 
 
 def test_diffusive_hat_variance(reference_model):
@@ -190,10 +191,12 @@ def test_diffusive_hat_variance(reference_model):
     region = ObservationRegion((-1.5, 1.5), (0.0, 0.5))
     eps, M, x = 0.05, 2000, 1.0
     frame = SpaceTimePoint(0.0, 0.25)
-    offset = SpaceTimePoint(x, 0.0)
+    # eta_hat: the centered frame surface at the eps-scaled offset, over eps^(3/2)
+    small = SpaceTimePoint(eps * x, 0.0)
+    limit = limit_frame_surface(reference_model, frame, small)
     vals = np.array([
-        diffusive_fluctuations(sample(reference_model, eps**2, region, 21, (i,)),
-                               reference_model, frame, offset)[0]
+        (frame_surface(sample(reference_model, eps**2, region, 21, (i,)), frame, small)
+         - limit) / eps ** 1.5
         for i in range(M)])
     var = vals.var(ddof=1)
     se = np.std((vals - vals.mean()) ** 2, ddof=1) / math.sqrt(M)

@@ -20,9 +20,12 @@ from hrfl.hydro import (
     squeezed_length_fraction,
 )
 from hrfl.intensity import (
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
     ConstantDensity,
     ConstantMark,
     DiscreteKernel,
+    GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
     PiecewiseKernel,
@@ -492,3 +495,25 @@ def test_ghd_refinement_of_a_zero_residual_has_undefined_ratios(homogeneous_atom
                                          5, 3, refinements=2)
     assert [lv.max_norm for lv in levels] == [0.0, 0.0, 0.0]
     assert len(ratios) == 2 and all(math.isnan(r) for r in ratios)
+
+
+def test_phase_moment_is_exact_across_rho_edges():
+    # rho(x - v t) jumps where x - v t crosses an edge e, at v = (x - e) / t;
+    # against the Gaussian velocity law the moment is then a sum of interval
+    # probabilities, one per cell of rho
+    edges, values = (-2.0, -0.5, 0.3, 1.5), (0.7, 1.3, 0.4)
+    model = IntensityModel(PiecewiseConstantDensity(edges, values),
+                           ProductKernel(GaussianVelocity(0.0, 1.0), ConstantMark(0.5)),
+                           v_support=(-2.0, 2.0))
+
+    def cdf(v):
+        v = min(max(v, -2.0), 2.0)
+        return (math.erf(v / math.sqrt(2.0)) + math.erf(math.sqrt(2.0))) / (
+            2.0 * math.erf(math.sqrt(2.0)))
+
+    for x, t in np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2)):
+        # the cell [a, b) of rho holds x - v t for v between (x - b) / t and (x - a) / t
+        want = 0.5 * sum(c * abs(cdf((x - a) / t) - cdf((x - b) / t))
+                         for a, b, c in zip(edges, edges[1:], values))
+        got = phase_moment(model, x, t)
+        assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)

@@ -164,16 +164,12 @@ def test_frozen_of_homogeneous_is_identity(reference_model, rng):
 
 def test_translated_density_follows_pushforward():
     # bump on [0,1] moving at v=1: after s=1 the mass sits on [1,2], so the
-    # translated x-marginal is 1 inside [1,2] and 0 on the near side
+    # translated x-marginal is 1 inside [1,2] and 0 on the near side; the
+    # translated crossing mass of a thin horizontal segment at x recovers it
     base = IntensityModel(PiecewiseConstantDensity([0, 1], [1.0]),
                           DiscreteKernel([(1.0, 0.5, 1.0)]))
     shifted = timeshifted_model(base, 0.0, 1.0, "translated")
-    assert shifted.x_marginal_density(1.5) == pytest.approx(1.0)
-    assert shifted.x_marginal_density(-0.5) == 0.0
-    assert shifted.x_marginal_density(0.5) == 0.0
-    # oracle: the translated crossing mass of a thin vertical segment at x
-    # recovers the same marginal
-    for x, want in ((1.5, 1.0), (-0.5, 0.0)):
+    for x, want in ((1.5, 1.0), (-0.5, 0.0), (0.5, 0.0)):
         h = 1e-4
         seg = segment(x, 0.0, x + h, 0.0)
         est = shifted.moment_on_crossing(0, seg) / h
@@ -452,3 +448,80 @@ def test_smooth_density_matches_the_bump_antiderivative(rng):
     edges = np.linspace(center - width, center + width, 9)
     assert rho.integral(edges[:-1], edges[1:]).sum() == pytest.approx(
         float(exact(edges[-1])), rel=0, abs=1e-13)
+
+
+KINKED_EDGES, KINKED_VALUES = (-2.0, -0.5, 0.3, 1.5), (0.7, 1.3, 0.4)
+
+
+def _kinked_model():
+    return IntensityModel(PiecewiseConstantDensity(KINKED_EDGES, KINKED_VALUES),
+                          ProductKernel(GaussianVelocity(0.0, 1.0), ConstantMark(1.0)),
+                          v_support=(-2.0, 2.0))
+
+
+def _kinked_pdf(v):
+    mass = math.erf(2.0 / math.sqrt(2.0))
+    return math.exp(-v * v / 2.0) / math.sqrt(2.0 * math.pi) / mass
+
+
+def _kinked_rho_mass(lo, hi):
+    edges = KINKED_EDGES
+    return sum(c * max(0.0, min(hi, b) - max(lo, a))
+               for a, b, c in zip(edges, edges[1:], KINKED_VALUES))
+
+
+def _piecewise_gauss_legendre(f, breaks, n=40):
+    """Integral of f over [-2, 2], n-point Gauss-Legendre between every break."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    pts = sorted({-2.0, 2.0, *(b for b in breaks if -2.0 < b < 2.0)})
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        total += half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+    return total
+
+
+def test_crossing_moments_are_exact_across_rho_edges():
+    # the crossing interval's ends x - v t meet a rho edge e at v = (x - e) / t,
+    # and the frozen density rho(z - v s) jumps at v = (z - e) / s; the
+    # reference integrates between all of these kinks
+    model = _kinked_model()
+    rng = np.random.default_rng(7)
+    pairs = [(segment(*rng.uniform(-2, 2, 4)), segment(*rng.uniform(-2, 2, 4)))
+             for _ in range(12)]
+    frozen = timeshifted_model(model, 0.4, 0.9, "frozen")
+
+    def interval(v, seg):
+        pa, pb = seg.a.x - v * seg.a.t, seg.b.x - v * seg.b.t
+        return min(pa, pb), max(pa, pb)
+
+    for seg1, seg2 in pairs:
+        ends = [seg1.a, seg1.b, seg2.a, seg2.b]
+        breaks = [(p.x - q.x) / (p.t - q.t) for p in ends for q in ends if p.t != q.t]
+        breaks += [(p.x - e) / p.t for p in ends if p.t for e in KINKED_EDGES]
+        breaks += [(0.4 - e) / 0.9 for e in KINKED_EDGES]
+        if seg1.b.t != seg1.a.t:                     # seg1's orientation flips
+            breaks.append((seg1.b.x - seg1.a.x) / (seg1.b.t - seg1.a.t))
+
+        def both(v):
+            (lo1, hi1), (lo2, hi2) = interval(v, seg1), interval(v, seg2)
+            return _kinked_pdf(v) * _kinked_rho_mass(max(lo1, lo2), min(hi1, hi2))
+
+        def plus(v):
+            lo, hi = interval(v, seg1)
+            dx, dt = seg1.b.x - seg1.a.x, seg1.b.t - seg1.a.t
+            return _kinked_pdf(v) * _kinked_rho_mass(lo, hi) * (dx - v * dt > 0.0)
+
+        def frozen_plus(v):
+            lo, hi = interval(v, seg1)
+            dx, dt = seg1.b.x - seg1.a.x, seg1.b.t - seg1.a.t
+            pos = 0.4 - 0.9 * v
+            rho = sum(c for a, b, c in zip(KINKED_EDGES, KINKED_EDGES[1:], KINKED_VALUES)
+                      if a <= pos < b)
+            return _kinked_pdf(v) * (hi - lo) * rho * (dx - v * dt > 0.0)
+
+        for got, f in ((model.moment_intersection(0, seg1, seg2), both),
+                       (model.moment_on_crossing(0, seg1, "plus"), plus),
+                       (frozen.moment_on_crossing(0, seg1, "plus"), frozen_plus)):
+            want = _piecewise_gauss_legendre(f, breaks)
+            assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)

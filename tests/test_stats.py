@@ -14,25 +14,28 @@ from hrfl.intensity import (
 )
 from hrfl.sampler import ObservationRegion, sample, stream
 from hrfl.stats import (
+    _map_ordered,
     covariance_statistic,
     diffusive_test,
     euler_fluctuation_test,
     lln_test,
     mean_statistic,
-    replicate,
     stationarity_smoke_test,
 )
 
 
 def test_replicate_deterministic_across_threads():
-    def fn(rng):
-        return [rng.normal(), rng.normal()]
+    # the replica harness: one stream per replica, rows in replica order
+    def rows(seed, threads):
+        def one(i):
+            rng = stream(seed, i)
+            return [rng.normal(), rng.normal()]
 
-    a = replicate(fn, 64, seed=5, threads=1)
-    b = replicate(fn, 64, seed=5, threads=8)
-    assert np.array_equal(a, b)
-    c = replicate(fn, 64, seed=6, threads=1)
-    assert not np.array_equal(a, c)
+        return np.asarray(_map_ordered(one, 64, threads))
+
+    a = rows(5, 1)
+    assert np.array_equal(a, rows(5, 8))
+    assert not np.array_equal(a, rows(6, 1))
 
 
 def test_single_replica_flags_se():
