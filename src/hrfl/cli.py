@@ -6,13 +6,15 @@ Usage::
          [--threads N] [--override key.path=value ...]
 
 Subcommands: sample-field, hardrod-evolve, verify-lln, verify-euler-clt,
-verify-diffusive, ghd-residual, stationarity.  The seed falls back to the
-HRFL_SEED environment variable, then 0.  All outputs land in a run
-directory named by the (post-override) config hash and the seed, so a rerun
-with identical inputs overwrites byte-identical files.
+verify-diffusive, ghd-residual, stationarity (the experiment kinds of
+config.SCHEMA).  The seed falls back to the HRFL_SEED environment variable,
+then 0.  All outputs land in a run directory named by the (post-override)
+config hash and the seed, so a rerun with identical inputs overwrites
+byte-identical files.
 
 Exit codes: 0 pass, 1 statistical failure, 2 usage or config error,
-3 numerical error.
+3 numerical error, 4 internal error (any other exception, reported on one
+stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import field, hardrod, hydro, stats
 from .config import (
+    SCHEMA,
     ConfigError,
     apply_overrides,
     build_model,
@@ -34,24 +37,22 @@ from .config import (
     load_config,
     validate_config,
 )
-from .geometry import SpaceTimePoint
 from .intensity import QuadratureError
 from .reporting import write_csv, write_json
-from .sampler import ObservationRegion, sample
+from .sampler import SampleSizeError, sample
 from .stats import ExperimentReport, StatisticResult
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hrfl", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("sample-field", "hardrod-evolve", "verify-lln",
-                 "verify-euler-clt", "verify-diffusive", "ghd-residual",
-                 "stationarity"):
+    for name in SCHEMA["experiment"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
@@ -82,12 +83,6 @@ def _resolve_threads(args, cfg) -> int:
     return threads
 
 
-def _region(rec, path) -> ObservationRegion:
-    from .config import _check_keys, _pair
-    _check_keys(rec, path, ("x", "t"))
-    return ObservationRegion(_pair(rec, "x", path), _pair(rec, "t", path))
-
-
 def _require_rod_marks(model):
     if not model.marks_nonnegative:
         raise ConfigError(
@@ -95,58 +90,25 @@ def _require_rod_marks(model):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (report, extra_outputs)
+# experiment runners: SCHEMA names one for each experiment kind.  A runner
+# takes the kind, the model, the seed, the thread count, the run directory
+# and the parsed experiment fields, and returns the report.
 # ---------------------------------------------------------------------------
 
-def _grid_axis(rec, key, path):
-    v = rec.get(key)
-    if not (isinstance(v, list) and len(v) == 3):
-        raise ConfigError(f"{path}.{key}: expected [lo, hi, n]")
-    n = v[2]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ConfigError(f"{path}.{key}[2]: expected an integer >= 2, got {n!r}")
-    return np.linspace(float(v[0]), float(v[1]), n)
-
-
-def _run_sample_field(model, exp, seed, threads, rundir):
-    eps = float(exp["epsilon"])
-    region = _region(exp["region"], "config.experiment.region")
-    from .config import _check_keys
-    _check_keys(exp["grid"], "config.experiment.grid", ("x", "t"))
-    xs = _grid_axis(exp["grid"], "x", "config.experiment.grid")
-    ts = _grid_axis(exp["grid"], "t", "config.experiment.grid")
-    cfg = sample(model, eps, region, seed)
+def run_sample_field(kind, model, seed, threads, rundir, epsilon, region, grid):
+    cfg = sample(model, epsilon, region, seed)
+    xs, ts = (np.linspace(*grid[axis]) for axis in ("x", "t"))
     values = field.walk_field_grid(cfg, xs, ts)
     rows = [(x, t, values[i, j]) for i, t in enumerate(ts) for j, x in enumerate(xs)]
     write_csv(rundir / "surface.csv", ("x", "t", "H"), rows)
-    report = ExperimentReport("sample-field", model.summary(), eps, 1, seed,
-                              [], {"points_sampled": cfg.n,
-                                   "grid": exp["grid"]}, True)
-    return report
+    return ExperimentReport(kind, model.summary(), epsilon, 1, seed, [],
+                            {"points_sampled": cfg.n, "grid": grid}, True)
 
 
-def _times(values, t_range, path):
-    """Evolution times, each a number inside the region's closed t range."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    lo, hi = t_range
-    for i, t in enumerate(values):
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not lo <= t <= hi:
-            raise ConfigError(f"{path}[{i}]: expected a number in region.t "
-                              f"[{lo}, {hi}], got {t!r}")
-    return [float(t) for t in values]
-
-
-def _run_hardrod_evolve(model, exp, seed, threads, rundir):
+def run_hardrod_evolve(kind, model, seed, threads, rundir, engine, epsilon, region, times):
     _require_rod_marks(model)
-    engine = exp["engine"]
-    if engine not in ("surface", "events", "tagged"):
-        raise ConfigError("config.experiment.engine: must be surface|events|tagged")
-    eps = float(exp["epsilon"])
-    region = _region(exp["region"], "config.experiment.region")
-    times = _times(exp["times"], region.t_range, "config.experiment.times")
-    cfg = sample(model, eps, region, seed)
-    gas = hardrod.GasConfiguration(cfg.x, cfg.v, cfg.r * eps)
+    cfg = sample(model, epsilon, region, seed)
+    gas = hardrod.GasConfiguration(cfg.x, cfg.v, cfg.r * epsilon)
     rows = []
     for t in times:
         if engine == "surface":
@@ -158,63 +120,16 @@ def _run_hardrod_evolve(model, exp, seed, threads, rundir):
         for i in range(state.n):
             rows.append((t, i, state.y[i], state.v[i], state.r[i]))
     write_csv(rundir / "trajectories.csv", ("time", "rod", "y", "v", "r"), rows)
-    report = ExperimentReport("hardrod-evolve", model.summary(), eps, 1, seed,
-                              [], {"engine": engine, "times": times,
-                                   "rods": int(gas.n)}, True)
-    return report
+    return ExperimentReport(kind, model.summary(), epsilon, 1, seed, [],
+                            {"engine": engine, "times": times, "rods": int(gas.n)}, True)
 
 
-def _run_verify_lln(model, exp, seed, threads, rundir):
-    report = stats.lln_test(
-        model, exp["epsilons"], int(exp["replicas"]), seed,
-        point=tuple(exp.get("point", (0.0, 1.0))),
-        mass_point=tuple(exp.get("mass_point", (1.0, 0.5))),
-        threads=threads)
-    return report
-
-
-def _run_verify_euler(model, exp, seed, threads, rundir):
-    points = [SpaceTimePoint(float(x), float(t)) for x, t in exp["points"]]
-    quasi = tuple(exp["quasiparticle"]) if "quasiparticle" in exp else None
-    mass_pt = tuple(exp["mass_point"]) if "mass_point" in exp else None
-    eps_list = tuple(exp["epsilons"]) if "epsilons" in exp else None
-    return stats.euler_fluctuation_test(
-        model, points, float(exp["epsilon"]), int(exp["replicas"]), seed,
-        threads=threads, quasiparticle=quasi, mass_point=mass_pt,
-        epsilons=eps_list)
-
-
-def _run_verify_diffusive(model, exp, seed, threads, rundir):
-    kwargs = {}
-    if "t" in exp:
-        kwargs["t"] = float(exp["t"])
-    if "frame" in exp:
-        kwargs["frame"] = tuple(exp["frame"])
-    if "same_velocity" in exp:
-        kwargs["same_velocity"] = tuple(exp["same_velocity"])
-    if "distinct_velocities" in exp:
-        kwargs["distinct_velocities"] = tuple(exp["distinct_velocities"])
-    if "independence_offsets" in exp:
-        kwargs["independence_offsets"] = [tuple(p) for p in exp["independence_offsets"]]
-    if "zo1_start" in exp:
-        kwargs["zo1_start"] = tuple(exp["zo1_start"])
-    return stats.diffusive_test(model, float(exp["epsilon"]),
-                                int(exp["replicas"]), seed, threads=threads,
-                                **kwargs)
-
-
-def _run_ghd_residual(model, exp, seed, threads, rundir):
+def run_ghd_residual(kind, model, seed, threads, rundir, ratio_band=(3.2, 4.8), **grid):
     _require_rod_marks(model)
     if model.kernel.atom_velocities() is None:
-        raise ConfigError("model.kernel: ghd-residual needs velocity atoms; "
+        raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
                           "the residual of a continuous kernel is not implemented")
-    q_range = tuple(exp["q_range"])
-    t_range = tuple(exp["t_range"])
-    nq, nt = int(exp["nq"]), int(exp["nt"])
-    refinements = int(exp.get("refinements", 2))
-    band = tuple(exp.get("ratio_band", (3.2, 4.8)))
-    levels, ratios = hydro.residual_refinement(model, q_range, t_range, nq, nt,
-                                               refinements)
+    levels, ratios = hydro.residual_refinement(model, **grid)
     res = levels[0]
     res.to_csv(rundir / "residual.csv")
     statistics = [
@@ -226,34 +141,37 @@ def _run_ghd_residual(model, exp, seed, threads, rundir):
                                           4.0, math.nan))
     # a residual that is exactly zero on every level leaves every ratio
     # undefined (NaN, written as null) and passes
+    lo, hi = ratio_band
     verdict = (all(level.max_norm == 0.0 for level in levels)
-               or all(band[0] <= r <= band[1] for r in ratios))
+               or all(lo <= r <= hi for r in ratios))
     extra = {"h_q": res.h_q, "h_t": res.h_t, "ratios": ratios,
-             "ratio_band": list(band)}
-    return ExperimentReport("ghd-residual", model.summary(), None, 1, seed,
+             "ratio_band": list(ratio_band)}
+    return ExperimentReport(kind, model.summary(), None, 1, seed,
                             statistics, extra, verdict)
 
 
-def _run_stationarity(model, exp, seed, threads, rundir):
+def run_stationarity(kind, model, seed, threads, rundir, replicas,
+                     expect_reject=False, **fields):
     _require_rod_marks(model)
-    report = stats.stationarity_smoke_test(
-        model, exp["t_values"], int(exp["replicas"]), seed,
-        core_halfwidth=float(exp.get("core_halfwidth", 8.0)), threads=threads)
-    if exp.get("expect_reject", False):
+    report = stats.stationarity_smoke_test(model, M=replicas, seed=seed,
+                                           threads=threads, **fields)
+    if expect_reject:
         report.verdict = not report.verdict
         report.extra["expect_reject"] = True
     return report
 
 
-_RUNNERS = {
-    "sample-field": _run_sample_field,
-    "hardrod-evolve": _run_hardrod_evolve,
-    "verify-lln": _run_verify_lln,
-    "verify-euler-clt": _run_verify_euler,
-    "verify-diffusive": _run_verify_diffusive,
-    "ghd-residual": _run_ghd_residual,
-    "stationarity": _run_stationarity,
-}
+def _run(kind, model, seed, threads, rundir, fields):
+    """Run the experiment that SCHEMA names for kind."""
+    name = SCHEMA["experiment"][kind][0]
+    try:
+        if name in globals():
+            return globals()[name](kind, model, seed, threads, rundir, **fields)
+        # a battery, looked up on stats when it runs
+        replicas = fields.pop("replicas")
+        return getattr(stats, name)(model, M=replicas, seed=seed, threads=threads, **fields)
+    except SampleSizeError as exc:       # epsilon too small for the region
+        raise ConfigError(f"config.experiment: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -262,17 +180,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.override)
-        cfg = validate_config(cfg, args.command)
+        # the run directory and resolved-config.json use the raw config
+        cfg = apply_overrides(load_config(args.config), args.override)
+        fields = validate_config(cfg, args.command)
         seed = _resolve_seed(args)
         threads = _resolve_threads(args, cfg)
         model = build_model(cfg["model"])
         rundir = Path(args.out) / f"{config_hash(cfg)}-s{seed}"
         rundir.mkdir(parents=True, exist_ok=True)
         write_json(rundir / "resolved-config.json", cfg)
-        report = _RUNNERS[args.command](model, cfg["experiment"], seed,
-                                        threads, rundir)
+        report = _run(args.command, model, seed, threads, rundir, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -281,9 +198,9 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     write_json(rundir / "report.json", report.to_dict())
     print(f"{args.command}: {'pass' if report.verdict else 'FAIL'} "
           f"({rundir / 'report.json'})")

@@ -3,6 +3,14 @@
 The config file is a single JSON document with nested records; unknown keys
 are errors, not warnings, so typos cannot silently change an experiment.
 Malformed JSON is reported with line and column.
+
+SCHEMA is the one description of every record.  For each kind of experiment
+and of model part (rho, velocity, mark, kernel) it lists the fields, each
+with its parser and whether it is required.  One walker checks a record's
+keys, parses each field under its config path (``model.kernel.atoms[0].v``)
+and passes the parsed values on; the error of a constructor becomes a
+ConfigError at the record's path.  Absent optional fields are not passed,
+so each default lives in the signature of the function that receives them.
 """
 
 from __future__ import annotations
@@ -12,6 +20,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from .geometry import SpaceTimePoint
 from .intensity import (
     ConstantDensity,
     ConstantMark,
@@ -25,12 +36,9 @@ from .intensity import (
     UniformMark,
     UniformVelocity,
 )
+from .sampler import ObservationRegion
 
 SCHEMA_VERSION = 1
-
-EXPERIMENT_KINDS = ("sample-field", "hardrod-evolve", "verify-lln",
-                    "verify-euler-clt", "verify-diffusive", "ghd-residual",
-                    "stationarity")
 
 
 class ConfigError(ValueError):
@@ -38,7 +46,10 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -74,155 +85,296 @@ def config_hash(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# field parsers: parse(value, path) returns the parsed value or raises a
+# ConfigError that names path
 # ---------------------------------------------------------------------------
 
-def _check_keys(record: dict, path: str, required: tuple, optional: tuple = ()):
-    if not isinstance(record, dict):
+def _any(v, path):
+    return v
+
+
+def _number(v, path) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:                # an integer beyond the float range
+            pass
+    raise ConfigError(f"{path}: expected a number")
+
+
+def _number_where(test, what):
+    def parse(v, path):
+        x = _number(v, path)
+        if not test(x):
+            raise ConfigError(f"{path}: expected {what}, got {v!r}")
+        return x
+    return parse
+
+
+_finite = _number_where(math.isfinite, "a finite number")
+_positive = _number_where(lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
+_nonzero = _number_where(lambda x: math.isfinite(x) and x != 0.0, "a finite number != 0")
+
+
+def _integer(minimum):
+    def parse(v, path):
+        if isinstance(v, int) and not isinstance(v, bool) and v >= minimum:
+            return v
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {v!r}")
+    return parse
+
+
+def _bool(v, path):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false, got {v!r}")
+    return v
+
+
+def _choice(*options):
+    def parse(v, path):
+        if not (isinstance(v, str) and v in options):
+            raise ConfigError(f"{path}: expected one of {'|'.join(options)}, got {v!r}")
+        return v
+    return parse
+
+
+def _version(v, path):
+    if v != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: expected {SCHEMA_VERSION}, got {v!r}")
+    return v
+
+
+def _list(item, what, at_least=0, distinct=False):
+    """A list of at least at_least values, each parsed by item; no two of
+    them equal if distinct."""
+    def parse(v, path):
+        if not (isinstance(v, list) and len(v) >= at_least):
+            more = f" ({at_least} or more)" if at_least else ""
+            raise ConfigError(f"{path}: expected a list of {what}{more}")
+        out = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        for i, x in enumerate(out if distinct else ()):
+            if x in out[:i]:
+                name = path.rsplit(".", 1)[-1]
+                raise ConfigError(f"{path}[{i}]: repeats {name}[{out.index(x)}]")
+        return out
+    return parse
+
+
+def _tuple(what, *items):
+    """A list of exactly len(items) values, the i-th parsed by items[i]."""
+    def parse(v, path):
+        if not (isinstance(v, list) and len(v) == len(items)):
+            raise ConfigError(f"{path}: expected {what}")
+        return tuple(item(x, f"{path}[{i}]") for i, (item, x) in enumerate(zip(items, v)))
+    return parse
+
+
+def _vector(n, item=_finite):
+    return _tuple(f"[{', '.join(['number'] * n)}]", *[item] * n)
+
+
+def _interval(finite: bool):
+    what = "finite lo < hi" if finite else "lo < hi"
+    pair = _vector(2, _number)
+
+    def parse(v, path):
+        lo, hi = pair(v, path)
+        if not (lo < hi and (not finite or math.isfinite(lo) and math.isfinite(hi))):
+            raise ConfigError(f"{path}: expected {what}, got {v!r}")
+        return lo, hi
+    return parse
+
+
+def _points(v, path):
+    """Distinct [x, t] pairs other than the origin, as space-time points."""
+    pairs = _list(_vector(2), "[x, t] pairs", 1, distinct=True)(v, path)
+    # the surface is 0 at the origin, so its statistic could never fail
+    if (0.0, 0.0) in pairs:
+        raise ConfigError(f"{path}[{pairs.index((0.0, 0.0))}]: the origin is not a valid point")
+    return [SpaceTimePoint(*p) for p in pairs]
+
+
+def _record(build, fields):
+    """A nested record without a kind."""
+    return lambda rec, path: _walk(rec, path, build, fields)
+
+
+def _kinded(table):
+    """A record whose 'kind' picks its entry in SCHEMA[table]."""
+    def parse(rec, path):
+        kind, body = _kind(rec, path, table)
+        return _walk(body, path, *SCHEMA[table][kind])
+    return parse
+
+
+# ---------------------------------------------------------------------------
+# the walker
+# ---------------------------------------------------------------------------
+
+def _kind(rec, path, table):
+    """The kind of rec, checked against SCHEMA[table], and rec without it."""
+    if not isinstance(rec, dict):
         raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in record:
-        if key not in allowed:
+    if "kind" not in rec:
+        raise ConfigError(f"{path}.kind: missing required key")
+    kind = rec["kind"]
+    if not (isinstance(kind, str) and kind in SCHEMA[table]):
+        raise ConfigError(f"{path}.kind: unknown {table} kind {kind!r}")
+    return kind, {k: v for k, v in rec.items() if k != "kind"}
+
+
+def _walk(rec, path, build, fields):
+    """Check rec's keys against fields, parse each present field under its
+    path and return build(**parsed).
+
+    A ValueError or ArithmeticError of build is reported at path; a
+    ConfigError of build names a field relative to path.
+    """
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in rec:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in record:
+    values = {}
+    for key, (parse, required) in fields.items():
+        if key in rec:
+            values[key] = parse(rec[key], f"{path}.{key}")
+        elif required:
             raise ConfigError(f"{path}.{key}: missing required key")
-
-
-def _where(path, key):
-    """The config path of record[key]; an integer key indexes a list."""
-    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
-
-
-def _number(record, key, path):
-    v = record[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{_where(path, key)}: expected a number")
-    return float(v)
-
-
-def _positive(record, key, path):
-    v = _number(record, key, path)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ConfigError(f"{_where(path, key)}: expected a finite number > 0, got {v!r}")
-    return v
-
-
-def _pair(record, key, path, n=2):
-    """record[key] as a tuple of n numbers, a pair by default."""
-    v = record[key]
-    if not (isinstance(v, list) and len(v) == n
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        raise ConfigError(f"{_where(path, key)}: expected [{', '.join(['number'] * n)}]")
-    return tuple(float(x) for x in v)
-
-
-def _int(record, key, path, minimum=1):
-    v = record[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ConfigError(f"{_where(path, key)}: expected an integer >= {minimum}")
-    return v
-
-
-def _list(record, key, path) -> list:
-    v = record[key]
-    if not isinstance(v, list):
-        raise ConfigError(f"{_where(path, key)}: expected a list")
-    return v
+    try:
+        return build(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# model construction
+# builders of the records that no constructor takes as they are
 # ---------------------------------------------------------------------------
 
-def _build_rho(rec, path):
-    _check_keys(rec, path, ("kind",), ("value", "edges", "values", "center",
-                                       "width", "height", "power", "bound"))
-    kind = rec["kind"]
-    if kind == "constant":
-        _check_keys(rec, path, ("kind", "value"))
-        return ConstantDensity(_number(rec, "value", path))
-    if kind == "piecewise":
-        _check_keys(rec, path, ("kind", "edges", "values"))
-        return PiecewiseConstantDensity(rec["edges"], rec["values"])
-    if kind == "bump":
-        _check_keys(rec, path, ("kind", "center", "width", "height"),
-                    ("power", "bound"))
-        c = _number(rec, "center", path)
-        w = _number(rec, "width", path)
-        h = _number(rec, "height", path)
-        p = rec.get("power", 4)
-        if w <= 0 or h < 0 or ("power" in rec and _number(rec, "power", path) < 0):
-            raise ConfigError(f"{path}: bump needs width > 0, height >= 0 and power >= 0")
-        bound = _number(rec, "bound", path) if "bound" in rec else None
+def _bump(center, width, height, power=4, bound=None):
+    """rho = height * (1 - u**2)**power for |u| < 1, u = (x - center) / width."""
+    if not (width > 0.0 and height >= 0.0 and power >= 0.0):
+        raise ValueError("bump needs width > 0, height >= 0 and power >= 0")
 
-        def fn(x):
-            import numpy as np
-            u = (np.asarray(x) - c) / w
-            return h * np.clip(1.0 - u * u, 0.0, None) ** p
+    def fn(x):
+        u = (np.asarray(x) - center) / width
+        return height * np.clip(1.0 - u * u, 0.0, None) ** power
 
-        try:
-            return SmoothDensity(fn, (c - w, c + w), bound=bound)
-        except ValueError as exc:
-            raise ConfigError(f"{path}{'' if bound is None else '.bound'}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
+    try:
+        return SmoothDensity(fn, (center - width, center + width), bound=bound)
+    except ValueError as exc:
+        if bound is None:
+            raise
+        raise ConfigError(f"bound: {exc}") from exc
 
 
-def _build_velocity(rec, path):
-    _check_keys(rec, path, ("kind",), ("lo", "hi", "mean", "sd"))
-    kind = rec["kind"]
-    if kind == "uniform":
-        _check_keys(rec, path, ("kind", "lo", "hi"))
-        return UniformVelocity(_number(rec, "lo", path), _number(rec, "hi", path))
-    if kind == "gaussian":
-        _check_keys(rec, path, ("kind", "mean", "sd"))
-        return GaussianVelocity(_number(rec, "mean", path), _number(rec, "sd", path))
-    raise ConfigError(f"{path}.kind: unknown velocity kind {kind!r}")
+def _model(rho, kernel=None, velocity=None, mark=None, v_support=None):
+    """The flat form {rho, velocity, mark} or the general {rho, kernel}."""
+    if kernel is not None:
+        if velocity is not None or mark is not None:
+            raise ValueError("give either kernel or velocity+mark, not both")
+    elif velocity is None or mark is None:
+        raise ValueError("needs either kernel or velocity+mark")
+    else:
+        kernel = ProductKernel(velocity, mark)
+    return IntensityModel(rho, kernel, v_support)
 
 
-def _build_mark(rec, path):
-    _check_keys(rec, path, ("kind",), ("value", "lo", "hi"))
-    kind = rec["kind"]
-    if kind == "constant":
-        _check_keys(rec, path, ("kind", "value"))
-        return ConstantMark(_number(rec, "value", path))
-    if kind == "uniform":
-        _check_keys(rec, path, ("kind", "lo", "hi"))
-        return UniformMark(_number(rec, "lo", path), _number(rec, "hi", path))
-    raise ConfigError(f"{path}.kind: unknown mark kind {kind!r}")
+# ---------------------------------------------------------------------------
+# the schema: each field is (parser, required)
+# ---------------------------------------------------------------------------
 
+_REGION = _record(lambda x, t: ObservationRegion(x, t),
+                  {"x": (_vector(2), True), "t": (_vector(2), True)})
+_AXIS = _tuple("[lo, hi, n]", _finite, _finite, _integer(2))
+_NUMBERS = _list(_number, "numbers")
 
-def _build_kernel(rec, path):
-    _check_keys(rec, path, ("kind",), ("velocity", "mark", "atoms", "cells"))
-    kind = rec["kind"]
-    if kind == "product":
-        _check_keys(rec, path, ("kind", "velocity", "mark"))
-        return ProductKernel(_build_velocity(rec["velocity"], f"{path}.velocity"),
-                             _build_mark(rec["mark"], f"{path}.mark"))
-    if kind == "atoms":
-        _check_keys(rec, path, ("kind", "atoms"))
-        atoms = []
-        for i, a in enumerate(rec["atoms"]):
-            _check_keys(a, f"{path}.atoms[{i}]", ("v", "r", "weight"))
-            atoms.append((_number(a, "v", path), _number(a, "r", path),
-                          _number(a, "weight", path)))
-        try:
-            return DiscreteKernel(atoms)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.atoms: {exc}") from exc
-    if kind == "piecewise":
-        _check_keys(rec, path, ("kind", "cells"))
-        cells = []
-        for i, cell in enumerate(rec["cells"]):
-            cpath = f"{path}.cells[{i}]"
-            _check_keys(cell, cpath, ("x_range", "kernel"))
-            lo, hi = _pair(cell, "x_range", cpath)
-            cells.append((lo, hi, _build_kernel(cell["kernel"], f"{cpath}.kernel")))
-        try:
-            return PiecewiseKernel(cells)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.cells: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown kernel kind {kind!r}")
+SCHEMA = {
+    # experiment kind: (runner, fields).  The runner is named, not bound: a
+    # runner of hrfl.cli, or else a battery of hrfl.stats
+    "experiment": {
+        "sample-field": ("run_sample_field", {
+            "epsilon": (_positive, True),
+            "region": (_REGION, True),
+            "grid": (_record(dict, {"x": (_AXIS, True), "t": (_AXIS, True)}), True)}),
+        "hardrod-evolve": ("run_hardrod_evolve", {
+            "engine": (_choice("surface", "events", "tagged"), True),
+            "epsilon": (_positive, True),
+            "region": (_REGION, True),
+            "times": (_list(_any, "numbers"), True)}),
+        "verify-lln": ("lln_test", {
+            "epsilons": (_list(_positive, "finite numbers > 0", 2, distinct=True), True),
+            "replicas": (_integer(1), True),
+            "point": (_vector(2), False),
+            "mass_point": (_vector(2), False)}),
+        # covariance batteries need M >= 3: with fewer the standard errors vanish
+        "verify-euler-clt": ("euler_fluctuation_test", {
+            "epsilon": (_positive, True),
+            "replicas": (_integer(3), True),
+            "points": (_points, True),
+            "quasiparticle": (_vector(3), False),
+            "mass_point": (_vector(2), False),
+            "epsilons": (_list(_positive, "finite numbers > 0", 1, distinct=True), False)}),
+        "verify-diffusive": ("diffusive_test", {
+            "epsilon": (_positive, True),
+            "replicas": (_integer(3), True),
+            "t": (_nonzero, False),
+            "frame": (_vector(2), False),
+            "same_velocity": (_vector(3), False),
+            "distinct_velocities": (_vector(2), False),
+            "independence_offsets": (_list(_vector(2), "[a, b] pairs"), False),
+            "zo1_start": (_vector(2), False)}),
+        "ghd-residual": ("run_ghd_residual", {
+            "q_range": (_interval(True), True),
+            "t_range": (_interval(True), True),
+            "nq": (_integer(3), True),
+            "nt": (_integer(3), True),
+            "refinements": (_integer(0), False),
+            "ratio_band": (_interval(False), False)}),
+        "stationarity": ("run_stationarity", {
+            "t_values": (_list(_finite, "finite numbers", 1), True),
+            "replicas": (_integer(1), True),
+            "core_halfwidth": (_positive, False),
+            "expect_reject": (_bool, False)}),
+    },
+    # model part kind: (constructor, fields)
+    "rho": {
+        "constant": (ConstantDensity, {"value": (_number, True)}),
+        "piecewise": (PiecewiseConstantDensity, {"edges": (_NUMBERS, True),
+                                                 "values": (_NUMBERS, True)}),
+        "bump": (_bump, {"center": (_number, True), "width": (_number, True),
+                         "height": (_number, True), "power": (_number, False),
+                         "bound": (_number, False)}),
+    },
+    "velocity": {
+        "uniform": (UniformVelocity, {"lo": (_number, True), "hi": (_number, True)}),
+        "gaussian": (GaussianVelocity, {"mean": (_number, True), "sd": (_number, True)}),
+    },
+    "mark": {
+        "constant": (ConstantMark, {"value": (_number, True)}),
+        "uniform": (UniformMark, {"lo": (_number, True), "hi": (_number, True)}),
+    },
+    "kernel": {
+        "product": (ProductKernel, {"velocity": (_kinded("velocity"), True),
+                                    "mark": (_kinded("mark"), True)}),
+        "atoms": (DiscreteKernel, {"atoms": (_list(_record(
+            lambda v, r, weight: (v, r, weight),
+            {"v": (_finite, True), "r": (_finite, True), "weight": (_finite, True)}),
+            "atom records"), True)}),
+        "piecewise": (PiecewiseKernel, {"cells": (_list(_record(
+            lambda x_range, kernel: (*x_range, kernel),
+            {"x_range": (_vector(2, _number), True), "kernel": (_kinded("kernel"), True)}),
+            "cell records"), True)}),
+    },
+}
+
+_MODEL = {"rho": (_kinded("rho"), True), "kernel": (_kinded("kernel"), False),
+          "velocity": (_kinded("velocity"), False), "mark": (_kinded("mark"), False),
+          "v_support": (_interval(True), False)}
+_CONFIG = {"schema_version": (_version, True), "model": (_any, True),
+           "experiment": (_any, True), "threads": (_integer(0), False)}
 
 
 def build_model(rec, path="model") -> IntensityModel:
@@ -232,111 +384,33 @@ def build_model(rec, path="model") -> IntensityModel:
     discrete and piecewise conditional laws use the general form
     {rho, kernel, v_support} instead.
     """
-    _check_keys(rec, path, ("rho",), ("kernel", "velocity", "mark", "v_support"))
-    rho = _build_rho(rec["rho"], f"{path}.rho")
-    if "kernel" in rec:
-        if "velocity" in rec or "mark" in rec:
-            raise ConfigError(f"{path}: give either kernel or velocity+mark, not both")
-        kernel = _build_kernel(rec["kernel"], f"{path}.kernel")
-    elif "velocity" in rec and "mark" in rec:
-        kernel = ProductKernel(_build_velocity(rec["velocity"], f"{path}.velocity"),
-                               _build_mark(rec["mark"], f"{path}.mark"))
-    else:
-        raise ConfigError(f"{path}: needs either kernel or velocity+mark")
-    v_support = _pair(rec, "v_support", path) if "v_support" in rec else None
-    try:
-        return IntensityModel(rho, kernel, v_support)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# full config validation
-# ---------------------------------------------------------------------------
-
-_EXPERIMENT_KEYS = {
-    "sample-field": (("kind", "epsilon", "region", "grid"), ()),
-    "hardrod-evolve": (("kind", "engine", "epsilon", "region", "times"), ()),
-    "verify-lln": (("kind", "epsilons", "replicas"), ("point", "mass_point")),
-    "verify-euler-clt": (("kind", "epsilon", "replicas", "points"),
-                         ("quasiparticle", "mass_point", "epsilons")),
-    "verify-diffusive": (("kind", "epsilon", "replicas"),
-                         ("t", "frame", "same_velocity", "distinct_velocities",
-                          "independence_offsets", "zo1_start")),
-    "ghd-residual": (("kind", "q_range", "t_range", "nq", "nt"),
-                     ("refinements", "ratio_band")),
-    "stationarity": (("kind", "t_values", "replicas"),
-                     ("core_halfwidth", "expect_reject")),
-}
-
-# covariance batteries need M >= 3: with fewer the standard errors vanish
-_MIN_REPLICAS = {"verify-lln": 1, "verify-euler-clt": 3, "verify-diffusive": 3,
-                 "stationarity": 1}
+    return _walk(rec, path, _model, _MODEL)
 
 
 def validate_config(cfg: dict, expected_kind: str) -> dict:
-    _check_keys(cfg, "config", ("schema_version", "model", "experiment"),
-                ("threads",))
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION}, "
-            f"got {cfg['schema_version']!r}")
-    if "threads" in cfg:
-        t = cfg["threads"]
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ConfigError("config.threads: expected an integer >= 0")
-    exp = cfg["experiment"]
-    if not isinstance(exp, dict) or "kind" not in exp:
-        raise ConfigError("config.experiment: needs a 'kind'")
-    kind = exp["kind"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"config.experiment.kind: unknown kind {kind!r}")
+    """Check the config and return the parsed fields of its experiment.
+
+    The model record is checked where it is built, by build_model.
+    """
+    _walk(cfg, "config", dict, _CONFIG)
+    path = "config.experiment"
+    kind, body = _kind(cfg["experiment"], path, "experiment")
     if kind != expected_kind:
-        raise ConfigError(
-            f"config.experiment.kind: {kind!r} does not match the "
-            f"{expected_kind!r} subcommand")
-    required, optional = _EXPERIMENT_KEYS[kind]
-    _check_keys(exp, "config.experiment", required, optional)
-    if kind in _MIN_REPLICAS:
-        _int(exp, "replicas", "config.experiment", _MIN_REPLICAS[kind])
-    if kind == "ghd-residual":
-        _validate_ghd_grid(exp)
-    _validate_battery_fields(exp)
-    return cfg
-
-
-def _validate_battery_fields(exp: dict) -> None:
-    path = "config.experiment"
-    if "epsilon" in exp:
-        _positive(exp, "epsilon", path)
-    if "epsilons" in exp:
-        epsilons = _list(exp, "epsilons", path)
-        for i in range(len(epsilons)):
-            _positive(epsilons, i, f"{path}.epsilons")
-    if "points" in exp:
-        points = _list(exp, "points", path)
-        for i in range(len(points)):
-            # the surface is 0 at the origin, so its statistic could never fail
-            if _pair(points, i, f"{path}.points") == (0.0, 0.0):
-                raise ConfigError(f"{path}.points[{i}]: the origin is not a valid point")
-    if "quasiparticle" in exp:
-        _pair(exp, "quasiparticle", path, 3)
-    for key in ("point", "mass_point"):
-        if key in exp:
-            _pair(exp, key, path)
-
-
-def _validate_ghd_grid(exp: dict) -> None:
-    path = "config.experiment"
-    for key in ("nq", "nt"):
-        _int(exp, key, path, 3)
-    for key in ("q_range", "t_range"):
-        lo, hi = _pair(exp, key, path)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigError(f"{path}.{key}: expected finite lo < hi")
-    if "ratio_band" in exp:
-        lo, hi = _pair(exp, "ratio_band", path)
-        if not lo < hi:
-            raise ConfigError(f"{path}.ratio_band: expected lo < hi")
-    if "refinements" in exp:
-        _int(exp, "refinements", path, 0)
+        raise ConfigError(f"{path}.kind: {kind!r} does not match the "
+                          f"{expected_kind!r} subcommand")
+    fields = _walk(body, path, dict, SCHEMA["experiment"][kind][1])
+    # the one cross-field check: times and grid axes lie inside the region
+    region = fields.get("region")
+    if "times" in fields:
+        lo, hi = region.t_range
+        for i, t in enumerate(fields["times"]):
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not lo <= t <= hi:
+                raise ConfigError(f"{path}.times[{i}]: expected a number in region.t "
+                                  f"[{lo}, {hi}], got {t!r}")
+        fields["times"] = [float(t) for t in fields["times"]]
+    for axis, (a, b, _) in fields.get("grid", {}).items():
+        lo, hi = region.x_range if axis == "x" else region.t_range
+        if not lo <= min(a, b) <= max(a, b) <= hi:
+            raise ConfigError(f"{path}.grid.{axis}: expected [lo, hi, n] inside "
+                              f"region.{axis} [{lo}, {hi}]")
+    return fields

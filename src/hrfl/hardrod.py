@@ -205,14 +205,13 @@ def evolve_surface(gas: GasConfiguration, t: float) -> RodConfiguration:
 # event-driven oracle
 # ---------------------------------------------------------------------------
 
-def evolve_events(rods: RodConfiguration, t: float,
-                  time_tol: float = TIME_TOL) -> RodConfiguration:
+def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
     """Event-driven hard-rod evolution to time t (independent oracle).
 
     Rods advance ballistically between adjacent-pair contacts; at contact
     the pair swaps positions.  Events are kept in a heap and invalidated
     lazily via per-rod version counters; positions are advanced globally at
-    each event.  Two valid collisions closer than time_tol raise
+    each event.  Two valid collisions closer than TIME_TOL raise
     SimultaneousCollisionError.  Negative times run the reversed dynamics
     with flipped velocities.  The returned configuration carries the number
     of processed events in its ``collisions`` attribute.
@@ -224,7 +223,7 @@ def evolve_events(rods: RodConfiguration, t: float,
         return out
     if t < 0.0:
         back = evolve_events(RodConfiguration(rods.y, -rods.v, rods.r,
-                                              validate=False), -t, time_tol)
+                                              validate=False), -t)
         out = RodConfiguration(back.y, rods.v.copy(), rods.r.copy(),
                                validate=False)
         out.collisions = back.collisions
@@ -276,11 +275,11 @@ def evolve_events(rods: RodConfiguration, t: float,
         if tau > t:
             break
         # spec'd guard: ambiguous simultaneous events force a resample
-        while heap and heap[0][0] <= tau + time_tol:
+        while heap and heap[0][0] <= tau + TIME_TOL:
             nxt = heapq.heappop(heap)
             if valid(nxt) and not (nxt[1] == left and nxt[2] == right):
                 raise SimultaneousCollisionError(
-                    f"collisions at {tau} and {nxt[0]} within {time_tol}")
+                    f"collisions at {tau} and {nxt[0]} within {TIME_TOL}")
         pos += vel * (tau - now)
         now = tau
         yf = pos[left]

@@ -217,9 +217,9 @@ class PiecewiseConstantDensity:
 class SmoothDensity:
     """Smooth density given by a callable on a bounded support.
 
-    The antiderivative F is precomputed once on a uniform grid of panels:
-    8-point Gauss-Legendre masses give F at the panel edges, and on each
-    panel F is the cubic Hermite interpolant with F' = fn at both edges,
+    The antiderivative F is precomputed once on a uniform grid of PANELS
+    panels: 8-point Gauss-Legendre masses give F at the panel edges, and on
+    each panel F is the cubic Hermite interpolant with F' = fn at both edges,
     stored in the power basis of the offset from the left edge.  Its error
     is O(h**4).  An interval mass costs two Horner evaluations, and an
     array call returns the same bits as one call per element.  Sampling is
@@ -231,16 +231,17 @@ class SmoothDensity:
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
     MAX_REJECTION_ROUNDS = 10_000
+    PANELS = 4096
 
     def __init__(self, fn: Callable, support: tuple[float, float],
-                 bound: float | None = None, panels: int = 4096):
+                 bound: float | None = None):
         lo, hi = float(support[0]), float(support[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("smooth density needs a bounded support (lo, hi)")
         self.fn = fn
         self.support = (lo, hi)
         self.breakpoints = (lo, hi)
-        edges = np.linspace(lo, hi, panels + 1)
+        edges = np.linspace(lo, hi, self.PANELS + 1)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
         nodes = mids[:, None] + half * self._GL_NODES[None, :]

@@ -27,6 +27,10 @@ COUNT_CAP = 1e8
 WINDOW_INFLATION = 1e-9
 
 
+class SampleSizeError(ValueError):
+    """The expected number of points exceeds COUNT_CAP."""
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Independent reproducible generator for the given (seed, key) path."""
     return np.random.Generator(
@@ -95,7 +99,7 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
     lo, hi = region.window_x(model.max_speed)
     mean_count = model.window_mass(lo, hi) / epsilon
     if mean_count > COUNT_CAP:
-        raise ValueError(
+        raise SampleSizeError(
             f"expected count {mean_count:.3e} exceeds cap {COUNT_CAP:.0e}; "
             "increase epsilon or shrink the observation region")
     rng = stream(seed, *stream_key)

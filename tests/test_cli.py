@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hrfl
 from hrfl.cli import main
@@ -64,10 +67,10 @@ def test_gaussian_without_support_is_config_error(tmp_path, capsys):
              "kernel": {"kind": "product",
                         "velocity": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
                         "mark": {"kind": "constant", "value": 1.0}}}
-    cfg = write_config(tmp_path, {"kind": "verify-lln", "epsilons": [0.1],
+    cfg = write_config(tmp_path, {"kind": "verify-lln", "epsilons": [0.1, 0.02],
                                   "replicas": 5}, model=model)
     assert main(["verify-lln", "--config", str(cfg)]) == 2
-    assert "v_support" in capsys.readouterr().err
+    assert "model: velocity support is unbounded; pass v_support" in capsys.readouterr().err
 
 
 def test_unknown_key_is_config_error(tmp_path, capsys):
@@ -219,6 +222,8 @@ def test_negative_thread_count_is_config_error(tmp_path, capsys):
     ("t", [0, 1, 1], "config.experiment.grid.t[2]: expected an integer >= 2, got 1"),
     ("x", [0, 1, True], "config.experiment.grid.x[2]: expected an integer >= 2"),
     ("t", [0, 1, "3"], "config.experiment.grid.t[2]: expected an integer >= 2"),
+    ("x", ["a", 1, 3], "config.experiment.grid.x[0]: expected a number"),
+    ("x", [0, 2, 3], "config.experiment.grid.x: expected [lo, hi, n] inside region.x"),
 ])
 def test_bad_grid_count_is_config_error(tmp_path, capsys, axis, value, message):
     grid = {"x": [0, 1, 3], "t": [0, 1, 2]}
@@ -328,6 +333,16 @@ REPLICA_EXPERIMENTS = {
 }
 
 
+SAMPLE_FIELD = {"kind": "sample-field", "epsilon": 0.1,
+                "region": {"x": [0, 1], "t": [0, 1]},
+                "grid": {"x": [0, 1, 3], "t": [0, 1, 2]}}
+
+# one valid experiment of each kind, small enough to run
+FIELD_EXPERIMENTS = {**{command: dict(exp, replicas=3)
+                        for command, exp in REPLICA_EXPERIMENTS.items()},
+                     "sample-field": SAMPLE_FIELD, "hardrod-evolve": EVOLVE}
+
+
 @pytest.mark.parametrize("command,replicas", [
     ("verify-euler-clt", 0), ("verify-euler-clt", 1), ("verify-euler-clt", 2),
     ("verify-diffusive", 0), ("verify-diffusive", 1), ("verify-diffusive", 2),
@@ -377,10 +392,21 @@ BUMP_ATOMS_MODEL = {
     ("bound", "0.9", "model.rho.bound: expected a number"),
     ("power", "4", "model.rho.power: expected a number"),
     ("power", -1, "model.rho: bump needs"),
+    ("rho", {"kind": "piecewise", "edges": [-1, 1], "values": ["a"]},
+     "model.rho.values[0]: expected a number"),
+    ("kernel", {"kind": "atoms", "atoms": 5}, "model.kernel.atoms: expected a list"),
+    ("kernel", {"kind": "atoms", "atoms": [{"v": "x", "r": 0.4, "weight": 1.0}]},
+     "model.kernel.atoms[0].v: expected a"),
+    ("kernel", {"kind": "product", "velocity": {"kind": "uniform", "lo": 1.0, "hi": -1.0},
+                "mark": {"kind": "constant", "value": 1.0}},
+     "model.kernel.velocity: uniform velocity needs lo < hi"),
 ])
 def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
     model = json.loads(json.dumps(BUMP_ATOMS_MODEL))
-    model["rho"][field] = value
+    if field in model:          # a whole part of the model
+        model[field] = value
+    else:                       # a field of the bump density
+        model["rho"][field] = value
     cfg = write_config(tmp_path, {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
                                   "t_range": [0.05, 0.45], "nq": 3, "nt": 3},
                        model=model)
@@ -482,10 +508,26 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     ("verify-euler-clt", "mass_point", [1], "config.experiment.mass_point: expected [number, number]"),
     ("verify-lln", "point", [0, 1, 2], "config.experiment.point: expected [number, number]"),
     ("verify-lln", "mass_point", [1], "config.experiment.mass_point: expected [number, number]"),
+    ("stationarity", "t_values", [], "config.experiment.t_values: expected a list"),
+    ("verify-euler-clt", "points", [], "config.experiment.points: expected a list"),
+    ("stationarity", "expect_reject", "no", "config.experiment.expect_reject: expected true or false"),
+    ("stationarity", "core_halfwidth", -3, "config.experiment.core_halfwidth: expected a finite number > 0"),
+    ("stationarity", "core_halfwidth", 0, "config.experiment.core_halfwidth: expected a finite number > 0"),
+    ("verify-diffusive", "t", 0, "config.experiment.t: expected a finite number != 0"),
+    ("verify-diffusive", "t", math.inf, "config.experiment.t: expected a finite number != 0"),
+    ("verify-diffusive", "frame", [1], "config.experiment.frame: expected [number, number]"),
+    ("verify-diffusive", "t", "x", "config.experiment.t: expected a number"),
+    ("stationarity", "t_values", 5, "config.experiment.t_values: expected a list"),
+    ("verify-lln", "epsilons", [0.1], "config.experiment.epsilons: expected a list"),
+    ("verify-euler-clt", "points", [[0, 1], [1, 0], [0, 1]],
+     "config.experiment.points[2]: repeats points[0]"),
+    ("sample-field", "region", {"x": [5, 0], "t": [0, 1]},
+     "config.experiment.region: region ranges must be nonempty"),
+    ("verify-lln", "epsilons", [1e-9, 1e-8], "config.experiment: expected count"),
+    ("verify-lln", "epsilons", [0.1, 0.1], "config.experiment.epsilons[1]: repeats epsilons[0]"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
-    cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS[command], replicas=3,
-                                      **{field: value}))
+    cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))
     out = tmp_path / "runs"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -531,3 +573,102 @@ def test_ghd_residual_of_a_continuous_kernel_is_config_error(tmp_path, capsys):
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
     assert "model.kernel: " in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    assert main(["verify-lln", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    # the battery is looked up when it runs, so a replaced one is the one called
+    from hrfl import stats
+
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(stats, "lln_test", broken)
+    cfg = write_config(tmp_path, FIELD_EXPERIMENTS["verify-lln"])
+    out = tmp_path / "runs"
+    assert main(["verify-lln", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+    assert not list(out.glob("*/report.json"))
+
+
+# every optional experiment field present, so that each one can be replaced
+FUZZ_EXPERIMENTS = {
+    "sample-field": SAMPLE_FIELD,
+    "hardrod-evolve": EVOLVE,
+    "verify-lln": {"kind": "verify-lln", "epsilons": [0.1, 0.02], "replicas": 3,
+                   "point": [0, 1], "mass_point": [1, 0.5]},
+    "verify-euler-clt": {"kind": "verify-euler-clt", "epsilon": 0.05, "replicas": 3,
+                         "points": [[0, 1], [1, 0]], "quasiparticle": [0.5, 0.5, 1.0],
+                         "mass_point": [1.0, 0.5], "epsilons": [0.1, 0.05]},
+    "verify-diffusive": {"kind": "verify-diffusive", "epsilon": 0.05, "replicas": 3,
+                         "t": 1.0, "frame": [0.2, 0.1], "same_velocity": [0.0, 0.0, 0.5],
+                         "distinct_velocities": [0.0, 1.0],
+                         "independence_offsets": [[1.0, -1.0]], "zo1_start": [0.3, 0.0]},
+    "ghd-residual": dict(GHD_EXPERIMENT, ratio_band=[3.2, 4.8]),
+    "stationarity": {"kind": "stationarity", "t_values": [1.0], "replicas": 3,
+                     "core_halfwidth": 6.0, "expect_reject": False},
+}
+FUZZ_CONFIGS = {
+    **{kind: (exp, HOMOGENEOUS_MODEL) for kind, exp in FUZZ_EXPERIMENTS.items()},
+    **{f"model-{name}": (FUZZ_EXPERIMENTS["verify-lln"], model)
+       for name, model in dict(PROBE_MODELS, bump_atoms=BUMP_ATOMS_MODEL).items()},
+}
+
+
+def _key_paths(node, prefix=()):
+    """The path of every value below node, through objects and lists."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_CONFIGS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_replaced_field_is_valid_or_a_config_error(name, data):
+    from hrfl.config import ConfigError, build_model, validate_config
+
+    exp, model = FUZZ_CONFIGS[name]
+    cfg = json.loads(json.dumps({"schema_version": 1, "model": model, "experiment": exp}))
+    path = data.draw(st.sampled_from([p for p in _key_paths(cfg) if p[0] != "schema_version"]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_JSON)
+    try:
+        validate_config(cfg, exp["kind"])
+        build_model(cfg["model"])
+    except ConfigError as exc:
+        # the message starts with the path of the field or record at fault
+        assert re.match(r"(config|model)[.:]", str(exc)), str(exc)
+
+
+def test_readme_field_table_matches_the_schema():
+    from hrfl.config import _MODEL, SCHEMA
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = set()
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            for name in cells[1].split(", "):
+                documented.add((cells[0].strip("`"), name.strip("`")))
+    coded = {("model", name) for name in _MODEL}
+    for table, kinds in SCHEMA.items():
+        for kind, (_, fields) in kinds.items():
+            label = kind if table == "experiment" else f"{table}: {kind}"
+            coded |= {(label, name) for name in fields}
+    assert documented == coded
