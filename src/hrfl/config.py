@@ -194,6 +194,14 @@ def _points(v, path):
     return [SpaceTimePoint(*p) for p in pairs]
 
 
+def _quasiparticle(v, path):
+    """[x, v, t] of a tagged rod whose line reaches a finite x + v t."""
+    x, vel, t = _vector(3)(v, path)
+    if not math.isfinite(x + vel * t):
+        raise ConfigError(f"{path}: expected [x, v, t] with x + v t finite, got {v!r}")
+    return x, vel, t
+
+
 def _record(build, fields):
     """A nested record without a kind."""
     return lambda rec, path: _walk(rec, path, build, fields)
@@ -314,7 +322,7 @@ SCHEMA = {
             "epsilon": (_positive, True),
             "replicas": (_integer(3), True),
             "points": (_points, True),
-            "quasiparticle": (_vector(3), False),
+            "quasiparticle": (_quasiparticle, False),
             "mass_point": (_vector(2), False),
             "epsilons": (_list(_positive, "finite numbers > 0", 1, distinct=True), False)}),
         "verify-diffusive": ("diffusive_test", {

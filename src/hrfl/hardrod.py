@@ -13,7 +13,9 @@ again.  The two evolution routes implemented here are
 * an event-driven simulation: rods travel ballistically and swap positions
   at contact (the left extreme of the updated slow rod goes to the left
   extreme of the fast rod, the right extreme of the updated fast rod to the
-  right extreme of the slow rod).
+  right extreme of the slow rod).  Each rod carries its own clock, the
+  position and time of its last collision, so a collision touches only the
+  colliding pair.
 
 The mass formula is half-open, counting marks with ``z <= x < x_query``;
 points exactly at a boundary follow the formula literally.  Both routes
@@ -22,7 +24,7 @@ keep per-rod identity, so they can be compared rod by rod.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +211,12 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
     """Event-driven hard-rod evolution to time t (independent oracle).
 
     Rods advance ballistically between adjacent-pair contacts; at contact
-    the pair swaps positions.  Events are kept in a heap and invalidated
-    lazily via per-rod version counters; positions are advanced globally at
-    each event.  Two valid collisions closer than TIME_TOL raise
+    the pair swaps positions.  Each rod keeps its own clock (y0, t0) and sits
+    at ``y0 + v (s - t0)`` at time s, so an event restarts the clocks of the
+    colliding pair only and costs O(log n).  Events within [0, t] are kept
+    in a heap and invalidated lazily via per-rod version counters; contact
+    times are computed from the pair's positions at the current event.
+    Two valid collisions closer than TIME_TOL raise
     SimultaneousCollisionError.  Negative times run the reversed dynamics
     with flipped velocities.  The returned configuration carries the number
     of processed events in its ``collisions`` attribute.
@@ -230,34 +235,32 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
         return out
     rods.validate()
     n = rods.n
-    pos = rods.y.astype(float).copy()
-    vel, length = rods.v, rods.r
     if n < 2:
-        out = RodConfiguration(pos + vel * t, vel.copy(), length.copy(),
+        out = RodConfiguration(rods.y + rods.v * t, rods.v.copy(), rods.r.copy(),
                                validate=False)
         out.collisions = 0
         return out
 
-    order = list(np.argsort(pos, kind="stable"))
-    rank = {rod: k for k, rod in enumerate(order)}
+    vel, length = rods.v.tolist(), rods.r.tolist()
+    y0, t0 = rods.y.tolist(), [0.0] * n
+    order = np.argsort(rods.y, kind="stable").tolist()
+    rank = np.argsort(order).tolist()
     version = [0] * n
     now = 0.0
     events = 0
     heap: list[tuple[float, int, int, int, int]] = []
 
-    def contact_time(left: int, right: int) -> float | None:
-        dv = vel[left] - vel[right]
-        if dv <= 0.0:
-            return None
-        gap = pos[right] - (pos[left] + length[left])
-        return now + max(gap, 0.0) / dv
-
     def push_pair(k: int) -> None:
         if 0 <= k < n - 1:
             left, right = order[k], order[k + 1]
-            tau = contact_time(left, right)
-            if tau is not None and tau <= t:
-                heapq.heappush(heap, (tau, left, right, version[left], version[right]))
+            dv = vel[left] - vel[right]
+            if dv <= 0.0:
+                return
+            gap = (y0[right] + vel[right] * (now - t0[right])
+                   - (y0[left] + vel[left] * (now - t0[left]) + length[left]))
+            tau = now + gap / dv if gap > 0.0 else now
+            if tau <= t:
+                heappush(heap, (tau, left, right, version[left], version[right]))
 
     for k in range(n - 1):
         push_pair(k)
@@ -268,23 +271,21 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
                 and rank[left] + 1 == rank[right])
 
     while heap:
-        entry = heapq.heappop(heap)
+        entry = heappop(heap)
         if not valid(entry):
             continue
         tau, left, right, _, _ = entry
-        if tau > t:
-            break
         # spec'd guard: ambiguous simultaneous events force a resample
         while heap and heap[0][0] <= tau + TIME_TOL:
-            nxt = heapq.heappop(heap)
+            nxt = heappop(heap)
             if valid(nxt) and not (nxt[1] == left and nxt[2] == right):
                 raise SimultaneousCollisionError(
                     f"collisions at {tau} and {nxt[0]} within {TIME_TOL}")
-        pos += vel * (tau - now)
         now = tau
-        yf = pos[left]
-        pos[right] = yf                      # slow rod takes the fast rod's left extreme
-        pos[left] = yf + length[right]       # fast rod lands past the slow rod
+        yf = y0[left] + vel[left] * (tau - t0[left])
+        y0[right] = yf                       # slow rod takes the fast rod's left extreme
+        y0[left] = yf + length[right]        # fast rod lands past the slow rod
+        t0[left] = t0[right] = tau
         k = rank[left]
         order[k], order[k + 1] = right, left
         rank[left], rank[right] = k + 1, k
@@ -294,8 +295,8 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
         push_pair(k - 1)
         push_pair(k + 1)
 
-    pos += vel * (t - now)
-    out = RodConfiguration(pos, vel.copy(), length.copy())
+    out = RodConfiguration(np.array(y0) + rods.v * (t - np.array(t0)),
+                           rods.v.copy(), rods.r.copy())
     out.collisions = events
     return out
 

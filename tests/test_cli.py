@@ -525,6 +525,8 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
      "config.experiment.region: region ranges must be nonempty"),
     ("verify-lln", "epsilons", [1e-9, 1e-8], "config.experiment: expected count"),
     ("verify-lln", "epsilons", [0.1, 0.1], "config.experiment.epsilons[1]: repeats epsilons[0]"),
+    ("verify-euler-clt", "quasiparticle", [0, 1e200, 1e200],
+     "config.experiment.quasiparticle: expected [x, v, t] with x + v t finite"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))

@@ -207,6 +207,27 @@ def test_events_match_surface_route(rng):
         assert np.abs(surface.y - events.y).max() < 1e-9
 
 
+def test_collisions_count_the_crossed_gas_pairs(rng):
+    # each collision swaps one adjacent pair, and free gas lines cross once
+    for i in range(20):
+        gas = random_gas(np.random.default_rng(600 + i), n=int(rng.integers(2, 120)))
+        t = float(rng.uniform(-6.0, 6.0))
+        x, xt = gas.x, gas.x + gas.v * t
+        crossed = (x[:, None] < x[None, :]) != (xt[:, None] < xt[None, :])
+        assert evolve_events(dilate(gas, 0.0), t).collisions == int(crossed.sum()) // 2
+
+
+def test_long_horizon_events_match_surface_route():
+    # at least 50 collisions per rod; positions must not drift from the
+    # surface route as collisions accumulate
+    for seed in (0, 1, 2):
+        gas = random_gas(np.random.default_rng(700 + seed), n=240, halfwidth=10.0)
+        t = 400.0
+        events = evolve_events(dilate(gas, 0.0), t)
+        assert events.collisions >= 50 * gas.n
+        assert np.abs(evolve_surface(gas, t).y - events.y).max() < 1e-9
+
+
 def test_conservation_and_disjointness(rng):
     gas = random_gas(rng, n=60)
     rods = dilate(gas, 0.0)
