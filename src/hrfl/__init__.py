@@ -13,6 +13,7 @@ from .intensity import (
     ConstantDensity,
     ConstantMark,
     DiscreteKernel,
+    FrozenModel,
     GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
@@ -22,7 +23,6 @@ from .intensity import (
     SmoothDensity,
     UniformMark,
     UniformVelocity,
-    timeshifted_model,
 )
 from .sampler import ObservationRegion, SampledConfiguration, sample, stream
 
@@ -37,6 +37,7 @@ __all__ = [
     "ConstantDensity",
     "ConstantMark",
     "DiscreteKernel",
+    "FrozenModel",
     "GaussianVelocity",
     "IntensityModel",
     "PiecewiseConstantDensity",
@@ -46,7 +47,6 @@ __all__ = [
     "SmoothDensity",
     "UniformMark",
     "UniformVelocity",
-    "timeshifted_model",
     "ObservationRegion",
     "SampledConfiguration",
     "sample",

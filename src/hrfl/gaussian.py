@@ -5,8 +5,9 @@ from the crossing-moment distance d(a, b) = mu_2(ab):
 
     Cov(eta(p_i), eta(p_j)) = (d(o,p_i) + d(o,p_j) - d(p_i,p_j)) / 2.
 
-Distances may be taken in the base model or in one of its frame variants
-(frozen or translated), matching the diffusive fluctuation fields.
+Distances are taken in the model passed in, a base model or its frozen
+frame (:class:`hrfl.intensity.FrozenModel`); the translated frame's
+distances are the base model's between translated points.
 Sampling factors the covariance by symmetric eigendecomposition with
 negative eigenvalues clipped at zero, which is robust for rank-deficient
 point sets containing the origin.
@@ -14,42 +15,14 @@ point sets containing the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import ORIGIN, Segment, SpaceTimePoint
-from .intensity import timeshifted_model
 from .sampler import stream
 
 EIG_FLOOR_REL = 1e-8
-
-MODES = ("standard", "frozen", "tilde", "translated")
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Points, model and frame mode defining a finite-dimensional covariance."""
-
-    model: object
-    points: tuple[SpaceTimePoint, ...]
-    mode: str = "standard"
-    frame: SpaceTimePoint | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.mode != "standard" and self.frame is None:
-            raise ValueError("frame modes need a frame point (z, s)")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be distinct")
-
-    def distance_model(self):
-        if self.mode == "standard":
-            return self.model
-        return timeshifted_model(self.model, self.frame.x, self.frame.t,
-                                 "frozen" if self.mode == "frozen" else "translated")
 
 
 def distance(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float:
@@ -57,10 +30,11 @@ def distance(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float:
     return model.moment_on_crossing(2, Segment(a, b), "both")
 
 
-def covariance_matrix(spec: CovarianceSpec) -> np.ndarray:
-    """Covariance of the limit field at spec.points in the chosen mode."""
-    model = spec.distance_model()
-    pts = spec.points
+def covariance_matrix(model, points: Sequence[SpaceTimePoint]) -> np.ndarray:
+    """Covariance of the limit field of the model at distinct points."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise ValueError("points must be distinct")
     n = len(pts)
     d_o = np.array([distance(model, ORIGIN, p) for p in pts])
     cov = np.empty((n, n))
@@ -90,10 +64,10 @@ def _factor(cov: np.ndarray) -> np.ndarray:
     return fac
 
 
-def sample_field(spec: CovarianceSpec, n_samples: int, seed: int,
+def sample_field(model, points: Sequence[SpaceTimePoint], n_samples: int, seed: int,
                  stream_key: tuple[int, ...] = ()) -> np.ndarray:
-    """Zero-mean Gaussian samples with the spec covariance; (n_samples, n_points)."""
-    cov = covariance_matrix(spec)
+    """Zero-mean Gaussian samples of the limit field; (n_samples, n_points)."""
+    cov = covariance_matrix(model, points)
     fac = _factor(cov)
     rng = stream(seed, *stream_key)
     z = rng.standard_normal((n_samples, cov.shape[0]))

@@ -193,32 +193,24 @@ def squeezed_length_fraction(model: IntensityModel, q: float, t: float) -> float
     return s / (1.0 + s)
 
 
-def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float,
-                method: str = "contraction") -> float:
+def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -> float:
     """Macroscopic hard-rod phase density at rod coordinate q.
 
-    Two equivalent formulas are exposed: "contraction" divides the gas
-    density by 1 + sigma at the pre-image, "squeeze" multiplies by
-    1 - sigma~ at q.  Both take sigma at the one pre-image, so they agree to
-    rounding.  The species is
-    the atom (v, r): only atoms with exactly that velocity and mark count,
-    and a pair that is no atom of the kernel is a ValueError.
+    The gas density at the pre-image Z^-1(q), contracted by 1 + sigma
+    there.  The species is the atom (v, r): only atoms with exactly that
+    velocity and mark count, and a pair that is no atom of the kernel is a
+    ValueError.
     """
     _require_rod_model(model)
     _require_atoms(model, "the pointwise rod density")
     if not model.kernel.has_atom(v, r):
         raise ValueError(f"(v, r) = ({v}, {r}) is not an atom of the kernel")
-    if method not in ("contraction", "squeeze"):
-        raise ValueError("method must be 'contraction' or 'squeeze'")
     x = inverse_characteristic(model, q, t)
     pos = x - v * t
     # the weight of the atoms at exactly (v, r) in the kernel at the pre-image
     w = model.kernel.cell_prob((v, v), (r, r), pos)
     g = w * float(np.asarray(model.rho.value(pos)))
-    s = sigma(model, x, t)
-    if method == "contraction":
-        return g / (1.0 + s)
-    return g * (1.0 - s / (1.0 + s))
+    return g / (1.0 + sigma(model, x, t))
 
 
 @dataclass

@@ -10,11 +10,15 @@ package are moment masses of crossing sets: for a segment ``ab``,
     moment_intersection(k, ab, cd)      ~  mu_k(ab intersect cd)
 
 Both reduce to a one-dimensional velocity integral of ``rho``-masses over
-the crossing interval of :func:`hrfl.geometry.crossing_interval`; for a
-fixed velocity the crossing orientation is the sign of ``dx - v*dt``, so
-the velocity domain splits at ``v* = dx/dt``.  Plus and Minus masses are
-integrated on the two sides of ``v*`` and ``both`` is their sum, so the sign
-split is exact by construction; an atom at ``v*`` itself goes by the sign.
+the crossing interval of :func:`hrfl.geometry.crossing_interval`.  A line
+of velocity v crosses ``ab`` Plus when ``dx - v*dt > 0`` and Minus when it
+is negative, so each orientation lives on one side of ``v* = dx/dt``.  A
+Plus or Minus mass integrates over its side of ``v*`` an integrand that is
+0 unless the sign matches, and ``both`` is their sum, so the sign split is
+exact by construction; an atom at ``v*`` itself crosses in neither
+direction.  A frame of the diffusive limits at a space-time point (z, s)
+is either the :class:`FrozenModel` or, for the translated frame, the base
+model on the segment translated by (z, s).
 
 Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
 rule, :func:`velocity_integral`.  The integrand carries the law's weight
@@ -528,7 +532,6 @@ class GaussianVelocity:
 class ProductKernel:
     """kappa = (velocity law) x (mark law), independent of x."""
 
-    is_discrete = False
     cell_edges: tuple[float, ...] = ()
 
     def __init__(self, velocity, mark):
@@ -573,7 +576,6 @@ class ProductKernel:
 class DiscreteKernel:
     """Finite set of velocity-mark atoms (v, r, weight), independent of x."""
 
-    is_discrete = True
     cell_edges: tuple[float, ...] = ()
 
     def __init__(self, atoms: Sequence[tuple[float, float, float]]):
@@ -645,8 +647,8 @@ class PiecewiseKernel:
     """Conditional law with piecewise-constant dependence on x.
 
     Cells are contiguous intervals [lo, hi) each carrying its own
-    x-independent kernel; all cells must be of the same discreteness so one
-    velocity rule serves every x.
+    x-independent kernel; the cells must be all atoms or all continuous, so
+    one velocity rule serves every x.
     """
 
     def __init__(self, cells: Sequence[tuple[float, float, object]]):
@@ -659,14 +661,13 @@ class PiecewiseKernel:
                 raise ValueError("kernel cells must not overlap")
         if any(hi <= lo for lo, hi, _ in cells):
             raise ValueError("kernel cells must have positive width")
-        kinds = {k.is_discrete for _, _, k in cells}
-        if len(kinds) != 1:
-            raise ValueError("kernel cells must be all discrete or all continuous")
+        continuous = {k.atom_velocities() is None for _, _, k in cells}
+        if len(continuous) != 1:
+            raise ValueError("kernel cells must be all atoms or all continuous")
         self.cells = cells
-        self.is_discrete = cells[0][2].is_discrete
-        self._velocities = (tuple(sorted({v for _, _, k in cells
-                                          for v in k.atom_velocities()}))
-                            if self.is_discrete else None)
+        self._velocities = (None if True in continuous else
+                            tuple(sorted({v for _, _, k in cells
+                                          for v in k.atom_velocities()})))
 
     def truncated(self, lo: float, hi: float) -> "PiecewiseKernel":
         return PiecewiseKernel([(a, b, k.truncated(lo, hi)) for a, b, k in self.cells])
@@ -768,34 +769,6 @@ def velocity_integral(kernel, f: Callable[[float], float], lo: float, hi: float,
     return total
 
 
-def _oriented_v_ranges(seg: Segment, vlo: float, vhi: float):
-    """Closed subranges of [vlo, vhi] carrying Plus / Minus crossings of seg.
-
-    The orientation at velocity v is the sign of dx - v*dt; the domain
-    splits at v* = dx/dt.  A range may have zero width, which keeps the
-    atom of a single-atom kernel.
-    """
-    dx = seg.b.x - seg.a.x
-    dt = seg.b.t - seg.a.t
-    if dt == 0.0:
-        if dx > 0.0:
-            return [(vlo, vhi, "plus")]
-        if dx < 0.0:
-            return [(vlo, vhi, "minus")]
-        return []
-    vstar = dx / dt
-    if dt > 0.0:
-        below, above = "plus", "minus"
-    else:
-        below, above = "minus", "plus"
-    ranges = []
-    if vlo <= min(vstar, vhi):
-        ranges.append((vlo, min(vstar, vhi), below))
-    if max(vstar, vlo) <= vhi:
-        ranges.append((max(vstar, vlo), vhi, above))
-    return ranges
-
-
 def edge_velocities(edges: Sequence[float], points) -> list[float]:
     """Velocities v = (x - e) / t at which x - v*t, for a point (x, t), hits an edge e.
 
@@ -842,22 +815,33 @@ class _CrossingMoments:
             raise ValueError("sign must be 'plus', 'minus' or 'both'")
         if seg.is_degenerate:
             return 0.0
+        if sign == "both":
+            return (self._oriented_moment(k, seg, "plus")
+                    + self._oriented_moment(k, seg, "minus"))
+        return self._oriented_moment(k, seg, sign)
+
+    def _oriented_moment(self, k: int, seg: Segment, sign: str) -> float:
+        # lines of velocity v cross seg Plus where dx - v*dt > 0 and Minus
+        # where it is negative: one side of v* = dx/dt, or all v when dt = 0
         dx = seg.b.x - seg.a.x
         dt = seg.b.t - seg.a.t
-        total = 0.0
-        for lo, hi, orient in _oriented_v_ranges(seg, *self.v_support):
-            if sign != "both" and orient != sign:
-                continue
+        plus = sign == "plus"
+        lo, hi = self.v_support
+        if dt == 0.0:
+            if (dx > 0.0) != plus:
+                return 0.0
+        elif (dt > 0.0) == plus:
+            hi = min(dx / dt, hi)
+        else:
+            lo = max(dx / dt, lo)
 
-            def f(v, plus=orient == "plus"):
-                # the sign, not the range, orients an atom at v* = dx/dt
-                s = dx - v * dt
-                if s == 0.0 or (s > 0.0) != plus:
-                    return 0.0
-                return self.x_mass(v, k, *crossing_interval(v, seg))
+        def f(v):
+            s = dx - v * dt
+            if s == 0.0 or (s > 0.0) != plus:
+                return 0.0
+            return self.x_mass(v, k, *crossing_interval(v, seg))
 
-            total += velocity_integral(self.kernel, f, lo, hi, self._kinks(seg))
-        return total
+        return velocity_integral(self.kernel, f, lo, hi, self._kinks(seg))
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
         """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""
@@ -877,7 +861,7 @@ class _CrossingMoments:
 
 
 # ---------------------------------------------------------------------------
-# the intensity model and its frame variants
+# the intensity model and its frozen frame
 # ---------------------------------------------------------------------------
 
 class IntensityModel(_CrossingMoments):
@@ -948,38 +932,19 @@ class IntensityModel(_CrossingMoments):
                 "marks_nonnegative": self.marks_nonnegative}
 
 
-class _FrameModel(_CrossingMoments):
-    """A base model seen from the space-time frame point (z, s)."""
+class FrozenModel(_CrossingMoments):
+    """Space-homogeneous freeze of a base model at the frame point (z, s).
+
+    At velocity v the x-density is the base phase density evaluated at the
+    backtracked position z - v*s, constant in x; for a homogeneous base
+    model it coincides with the base.
+    """
 
     def __init__(self, base: IntensityModel, z: float, s: float):
         self.base = base
         self.z, self.s = float(z), float(s)
         self.v_support = base.v_support
         self.kernel = base.kernel
-
-
-class _TranslatedModel(_FrameModel):
-    """Space-time translation of a base model by (z, s).
-
-    A point (x, v, r) of the base measure is seen at relative intercept
-    x + v*s - z, so crossing masses of a segment equal base masses of the
-    segment translated by (z, s).
-    """
-
-    def moment_on_crossing(self, k, seg, sign="both"):
-        return self.base.moment_on_crossing(k, seg.translated(self.z, self.s), sign)
-
-    def moment_intersection(self, k, seg1, seg2):
-        return self.base.moment_intersection(
-            k, seg1.translated(self.z, self.s), seg2.translated(self.z, self.s))
-
-
-class _FrozenModel(_FrameModel):
-    """Space-homogeneous freeze of a base model at the frame point (z, s).
-
-    At velocity v the x-density is the base phase density evaluated at the
-    backtracked position z - v*s, constant in x.
-    """
 
     def x_mass(self, v, k, lo, hi):
         if hi <= lo:
@@ -991,20 +956,3 @@ class _FrozenModel(_FrameModel):
     def _kinks(self, *segs):
         # the backtracked position z - v*s crosses an edge of the base model
         return edge_velocities(self.base.edges, [(self.z, self.s)])
-
-
-def timeshifted_model(model: IntensityModel, z: float, s: float,
-                      mode: str = "translated"):
-    """Frame variant of a model at the space-time point (z, s).
-
-    mode "translated" (alias "tilde") is the space-time translation: every
-    point of the base measure is mapped to its intercept relative to an
-    observer at (z, s).  mode "frozen" keeps only the local phase density at
-    the frame point, yielding a space-homogeneous measure; for homogeneous
-    base models it coincides with the base.
-    """
-    if mode in ("translated", "tilde"):
-        return _TranslatedModel(model, z, s)
-    if mode == "frozen":
-        return _FrozenModel(model, z, s)
-    raise ValueError("mode must be 'translated', 'tilde' or 'frozen'")

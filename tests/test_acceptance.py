@@ -13,7 +13,7 @@ import pytest
 
 from hrfl import hardrod, hydro, stats
 from hrfl.cli import main as cli_main
-from hrfl.gaussian import CovarianceSpec, covariance_matrix
+from hrfl.gaussian import covariance_matrix
 from hrfl.geometry import SpaceTimePoint
 from hrfl.intensity import (
     ConstantDensity,
@@ -57,7 +57,7 @@ def test_criterion_1_lln_scaling(reference_model):
 def test_criterion_2_euler_clt(reference_model):
     points = [SpaceTimePoint(0, 1), SpaceTimePoint(0, 2),
               SpaceTimePoint(1, 0), SpaceTimePoint(2, 0)]
-    targets = covariance_matrix(CovarianceSpec(reference_model, tuple(points)))
+    targets = covariance_matrix(reference_model, tuple(points))
     # the analytic matrix pins the entries quoted for these points
     assert targets[0, 0] == pytest.approx(0.5, abs=1e-9)
     assert targets[0, 1] == pytest.approx(0.5, abs=1e-9)

@@ -62,6 +62,20 @@ def test_empty_model_zero_report(tmp_path):
         assert s["mean"] == 0.0 and s["target"] == 0.0
 
 
+def test_empty_samples_against_nonzero_targets_fail(tmp_path):
+    # at epsilon 1e6 the region holds no line: every covariance is 0 with
+    # se 0 against targets 0.5, 0.25 and 1.0, an infinite z that must fail
+    cfg = write_config(tmp_path, {"kind": "verify-euler-clt", "epsilon": 1e6,
+                                  "replicas": 50, "points": [[0, 1], [1, 0]]})
+    code = main(["verify-euler-clt", "--config", str(cfg),
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    rep = report_of(tmp_path / "runs")
+    assert rep["verdict"] == "fail"
+    missed = [s for s in rep["statistics"] if s["target"] != 0.0]
+    assert missed and all(s["mean"] == 0.0 and s["z"] is None for s in missed)
+
+
 def test_gaussian_without_support_is_config_error(tmp_path, capsys):
     model = {"rho": {"kind": "constant", "value": 1.0},
              "kernel": {"kind": "product",

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hrfl.gaussian import CovarianceSpec, covariance_matrix, distance, sample_field
+from hrfl.gaussian import covariance_matrix, distance, sample_field
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint
+from hrfl.intensity import FrozenModel
 
 
 def pt(x, t):
@@ -12,23 +13,23 @@ def pt(x, t):
 
 
 def test_single_point_origin(reference_model):
-    cov = covariance_matrix(CovarianceSpec(reference_model, (ORIGIN,)))
+    cov = covariance_matrix(reference_model, (ORIGIN,))
     assert cov.shape == (1, 1) and cov[0, 0] == 0.0
 
 
 def test_nested_vertical_points(reference_model):
-    cov = covariance_matrix(CovarianceSpec(reference_model, (pt(0, 1), pt(0, 2))))
+    cov = covariance_matrix(reference_model, (pt(0, 1), pt(0, 2)))
     assert cov == pytest.approx(np.array([[0.5, 0.5], [0.5, 1.0]]), abs=1e-9)
 
 
 def test_horizontal_points(reference_model):
-    cov = covariance_matrix(CovarianceSpec(reference_model, (pt(1, 0), pt(2, 0))))
+    cov = covariance_matrix(reference_model, (pt(1, 0), pt(2, 0)))
     assert cov == pytest.approx(np.array([[1.0, 1.0], [1.0, 2.0]]), abs=1e-9)
 
 
 def test_matrix_matches_intersection_moments(reference_model, rng):
     pts = tuple(pt(*rng.uniform(-1.5, 1.5, 2)) for _ in range(3))
-    cov = covariance_matrix(CovarianceSpec(reference_model, pts))
+    cov = covariance_matrix(reference_model, pts)
     for i in range(3):
         for j in range(3):
             inter = reference_model.moment_intersection(
@@ -38,31 +39,29 @@ def test_matrix_matches_intersection_moments(reference_model, rng):
 
 def test_psd_and_symmetry(reference_model, rng):
     pts = tuple(pt(*rng.uniform(-2, 2, 2)) for _ in range(6))
-    cov = covariance_matrix(CovarianceSpec(reference_model, pts))
+    cov = covariance_matrix(reference_model, pts)
     assert np.allclose(cov, cov.T)
     w = np.linalg.eigvalsh(cov)
     assert w.min() >= -1e-8 * np.trace(cov)
 
 
 def test_sample_at_origin_exactly_zero(reference_model):
-    spec = CovarianceSpec(reference_model, (ORIGIN, pt(0, 1)))
-    s = sample_field(spec, 50, seed=3)
+    s = sample_field(reference_model, (ORIGIN, pt(0, 1)), 50, seed=3)
     assert np.all(s[:, 0] == 0.0)
     assert s[:, 1].std() > 0
 
 
 def test_sample_reproducible(reference_model):
-    spec = CovarianceSpec(reference_model, (pt(0, 1), pt(1, 0)))
-    assert np.array_equal(sample_field(spec, 10, seed=5),
-                          sample_field(spec, 10, seed=5))
+    pts = (pt(0, 1), pt(1, 0))
+    assert np.array_equal(sample_field(reference_model, pts, 10, seed=5),
+                          sample_field(reference_model, pts, 10, seed=5))
 
 
 def test_empirical_covariance_matches(reference_model):
     pts = (pt(0, 1), pt(0, 2), pt(1, 0))
-    spec = CovarianceSpec(reference_model, pts)
-    cov = covariance_matrix(spec)
+    cov = covariance_matrix(reference_model, pts)
     M = 100_000
-    s = sample_field(spec, M, seed=8)
+    s = sample_field(reference_model, pts, M, seed=8)
     emp = np.cov(s, rowvar=False)
     for i in range(3):
         for j in range(3):
@@ -76,9 +75,8 @@ def test_line_marginal_has_independent_increments(reference_model):
     x0, v = 0.2, 0.7
     times = (0.0, 0.5, 1.0, 1.5)
     pts = tuple(pt(x0 + v * t, t) for t in times)
-    spec = CovarianceSpec(reference_model, pts)
     M = 60_000
-    s = sample_field(spec, M, seed=9)
+    s = sample_field(reference_model, pts, M, seed=9)
     inc1 = s[:, 1] - s[:, 0]
     inc2 = s[:, 3] - s[:, 2]
     corr = np.corrcoef(inc1, inc2)[0, 1]
@@ -94,7 +92,7 @@ def test_difference_covariance_identity(reference_model, rng):
     for _ in range(10):
         a, b, at, bt = (pt(*rng.uniform(-1.5, 1.5, 2)) for _ in range(4))
         pts = (a, b, at, bt)
-        cov = covariance_matrix(CovarianceSpec(reference_model, pts))
+        cov = covariance_matrix(reference_model, pts)
         lhs = cov[1, 3] - cov[1, 2] - cov[0, 3] + cov[0, 2]
         d = lambda p, q: distance(reference_model, p, q)
         rhs = 0.5 * (d(at, b) + d(a, bt) - d(a, at) - d(b, bt))
@@ -102,26 +100,27 @@ def test_difference_covariance_identity(reference_model, rng):
 
 
 def test_frame_modes(reference_model):
+    # homogeneous base: the frozen frame, and the distances between
+    # translated points, coincide with the base
+    pts = (pt(0, 1), pt(1, 0))
     frame = pt(0.4, -0.3)
-    for mode in ("frozen", "tilde"):
-        spec = CovarianceSpec(reference_model, (pt(0, 1), pt(1, 0)),
-                              mode=mode, frame=frame)
-        cov = covariance_matrix(spec)
-        # homogeneous base: frame variants coincide with the base distances
-        base = covariance_matrix(CovarianceSpec(reference_model,
-                                                (pt(0, 1), pt(1, 0))))
-        assert cov == pytest.approx(base, abs=1e-8)
+    base = covariance_matrix(reference_model, pts)
+    frozen = covariance_matrix(FrozenModel(reference_model, frame.x, frame.t), pts)
+    assert frozen == pytest.approx(base, abs=1e-8)
+    for i, p in enumerate(pts):
+        translated = distance(reference_model, frame, frame.translated(p.x, p.t))
+        assert translated == pytest.approx(base[i, i], abs=1e-8)
 
 
-def test_frame_mode_requires_frame(reference_model):
-    with pytest.raises(ValueError):
-        CovarianceSpec(reference_model, (pt(0, 1),), mode="frozen")
+def test_points_must_be_distinct(reference_model):
+    with pytest.raises(ValueError, match="distinct"):
+        covariance_matrix(reference_model, (pt(0, 1), pt(0, 1)))
 
 
 def test_sample_csv_dump(reference_model, tmp_path):
     from hrfl.gaussian import samples_to_csv
     pts = (pt(0, 1), pt(1, 0))
-    s = sample_field(CovarianceSpec(reference_model, pts), 5, seed=2)
+    s = sample_field(reference_model, pts, 5, seed=2)
     path = tmp_path / "samples.csv"
     samples_to_csv(s, pts, path)
     lines = path.read_text().splitlines()

@@ -113,19 +113,7 @@ def test_characteristic_roundtrip_bump(rng):
         assert abs(characteristic_map(model, x, t) - q) <= 1e-10
 
 
-def test_rod_density_formulas_agree(rng):
-    model = bump_two_velocity()
-    for _ in range(30):
-        q = float(rng.uniform(-2, 2))
-        t = float(rng.uniform(0, 0.8))
-        for v, r in [(-1.0, 0.4), (1.0, 0.6)]:
-            a = rod_density(model, q, v, r, t, method="contraction")
-            b = rod_density(model, q, v, r, t, method="squeeze")
-            assert a == pytest.approx(b, abs=1e-10)
-
-
-@pytest.mark.parametrize("method", ["contraction", "squeeze"])
-def test_rod_density_inverts_the_characteristic_once(method, monkeypatch):
+def test_rod_density_inverts_the_characteristic_once(monkeypatch):
     from hrfl import hydro
     model = bump_two_velocity()
     inverses = []
@@ -136,7 +124,7 @@ def test_rod_density_inverts_the_characteristic_once(method, monkeypatch):
         return inverse(*args)
 
     monkeypatch.setattr(hydro, "inverse_characteristic", counted)
-    rod_density(model, 0.3, 1.0, 0.6, 0.4, method=method)
+    rod_density(model, 0.3, 1.0, 0.6, 0.4)
     assert len(inverses) == 1
 
 
@@ -165,9 +153,7 @@ def test_rod_density_reads_the_mark():
     x = inverse_characteristic(shared, q, t)
     for r, w in [(0.2, 0.2), (0.3, 0.3)]:
         want = w * rho.value(x - 0.5 * t) / (1.0 + sigma(shared, x, t))
-        for method in ("contraction", "squeeze"):
-            assert rod_density(shared, q, 0.5, r, t, method) == pytest.approx(
-                want, abs=1e-12)
+        assert rod_density(shared, q, 0.5, r, t) == pytest.approx(want, abs=1e-12)
 
 
 def test_rod_density_of_an_atom_absent_at_the_pre_image():

@@ -9,6 +9,7 @@ from hrfl.intensity import (
     ConstantDensity,
     ConstantMark,
     DiscreteKernel,
+    FrozenModel,
     GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
@@ -21,7 +22,6 @@ from hrfl.intensity import (
     SmoothDensity,
     UniformMark,
     UniformVelocity,
-    timeshifted_model,
 )
 
 
@@ -76,15 +76,53 @@ def test_degenerate_segment_moment_is_zero(reference_model):
     assert reference_model.moment_on_crossing(2, segment(1, 1, 1, 1)) == 0.0
 
 
+def _atom_cell_model():
+    kern = PiecewiseKernel([(-3.0, 0.0, DiscreteKernel([(-0.5, 0.4, 0.3), (0.8, 1.2, 0.7)])),
+                            (0.0, 3.0, DiscreteKernel([(0.8, 0.6, 1.0)]))])
+    return IntensityModel(PiecewiseConstantDensity([-3.0, -1.0, 3.0], [0.7, 1.3]), kern)
+
+
 def test_sign_split_is_exact(reference_model, rng):
-    for _ in range(50):
-        seg = segment(*rng.uniform(-3, 3, size=4))
-        if seg.is_degenerate:
-            continue
-        p = reference_model.moment_on_crossing(2, seg, "plus")
-        m = reference_model.moment_on_crossing(2, seg, "minus")
-        b = reference_model.moment_on_crossing(2, seg, "both")
-        assert p + m == b
+    piecewise = QUAD_MODELS["piecewise-rho"]()
+    models = [reference_model, QUAD_MODELS["gaussian"](), piecewise, _atom_cell_model(),
+              FrozenModel(piecewise, 0.4, 0.9)]
+    segs = [segment(*rng.uniform(-3, 3, size=4)) for _ in range(20)]
+    segs += [segment(-0.5, 0.3, 1.0, 0.3), segment(1.0, -0.2, -0.5, -0.2)]  # dt = 0
+    for model in models:
+        for seg in segs:
+            if seg.is_degenerate:
+                continue
+            for k in (0, 1, 2):
+                p = model.moment_on_crossing(k, seg, "plus")
+                m = model.moment_on_crossing(k, seg, "minus")
+                assert p + m == model.moment_on_crossing(k, seg, "both")
+
+
+def test_atom_at_the_orientation_velocity_crosses_neither_way():
+    # v* = dx/dt = 0.5: a line of velocity 0.5 runs along the segment
+    seg = segment(0.0, 0.0, 0.5, 1.0)
+    along = IntensityModel(ConstantDensity(1.0), DiscreteKernel([(0.5, 1.0, 1.0)]))
+    for sign in ("plus", "minus", "both"):
+        assert along.moment_on_crossing(1, seg, sign) == 0.0
+    # beside it, the atom at -0.5 crosses Plus on the intercepts [0, 1]
+    pair = IntensityModel(ConstantDensity(1.0),
+                          DiscreteKernel([(0.5, 1.0, 0.5), (-0.5, 2.0, 0.5)]))
+    assert pair.moment_on_crossing(1, seg, "minus") == 0.0
+    assert pair.moment_on_crossing(1, seg, "plus") == 1.0
+    assert pair.moment_on_crossing(1, seg, "both") == 1.0
+
+
+def test_single_atom_kernel_counts_its_atom():
+    # the velocity support is the single point 0.5; the vertical segment
+    # from (0, 0) to (0, 1) is crossed Minus on the intercepts [-0.5, 0]
+    model = IntensityModel(ConstantDensity(2.0), DiscreteKernel([(0.5, 1.5, 1.0)]))
+    assert model.v_support == (0.5, 0.5)
+    seg = segment(0.0, 0.0, 0.0, 1.0)
+    assert model.moment_on_crossing(2, seg, "minus") == pytest.approx(2.0 * 0.5 * 1.5**2)
+    assert model.moment_on_crossing(2, seg, "plus") == 0.0
+    assert model.moment_on_crossing(2, seg, "both") == model.moment_on_crossing(
+        2, seg, "minus")
+    assert model.moment_on_crossing(0, segment(1.0, 0.0, 0.0, 0.0), "minus") == 2.0
 
 
 def test_intersection_examples(reference_model):
@@ -145,15 +183,8 @@ def test_distance_triangle_inequality(reference_model, rng):
         assert d(pts[0], pts[2]) <= d(pts[0], pts[1]) + d(pts[1], pts[2]) + 1e-9
 
 
-def test_timeshift_identity(reference_model):
-    shifted = timeshifted_model(reference_model, 0.0, 0.0, "translated")
-    seg = segment(0.3, -0.2, -1.0, 0.8)
-    assert shifted.moment_on_crossing(2, seg) == pytest.approx(
-        reference_model.moment_on_crossing(2, seg), abs=1e-10)
-
-
 def test_frozen_of_homogeneous_is_identity(reference_model, rng):
-    frozen = timeshifted_model(reference_model, 1.3, -0.4, "frozen")
+    frozen = FrozenModel(reference_model, 1.3, -0.4)
     for _ in range(10):
         seg = segment(*rng.uniform(-2, 2, size=4))
         if seg.is_degenerate:
@@ -165,26 +196,15 @@ def test_frozen_of_homogeneous_is_identity(reference_model, rng):
 def test_translated_density_follows_pushforward():
     # bump on [0,1] moving at v=1: after s=1 the mass sits on [1,2], so the
     # translated x-marginal is 1 inside [1,2] and 0 on the near side; the
-    # translated crossing mass of a thin horizontal segment at x recovers it
+    # base crossing mass of a thin horizontal segment at x, translated to
+    # time 1, recovers it
     base = IntensityModel(PiecewiseConstantDensity([0, 1], [1.0]),
                           DiscreteKernel([(1.0, 0.5, 1.0)]))
-    shifted = timeshifted_model(base, 0.0, 1.0, "translated")
     for x, want in ((1.5, 1.0), (-0.5, 0.0), (0.5, 0.0)):
         h = 1e-4
         seg = segment(x, 0.0, x + h, 0.0)
-        est = shifted.moment_on_crossing(0, seg) / h
+        est = base.moment_on_crossing(0, seg.translated(0.0, 1.0)) / h
         assert est == pytest.approx(want, abs=1e-6)
-
-
-def test_translated_moments_equal_base_on_translated_segment(reference_model, rng):
-    shifted = timeshifted_model(reference_model, 0.7, -0.3, "tilde")
-    for _ in range(10):
-        seg = segment(*rng.uniform(-2, 2, size=4))
-        if seg.is_degenerate:
-            continue
-        assert shifted.moment_on_crossing(1, seg, "plus") == pytest.approx(
-            reference_model.moment_on_crossing(1, seg.translated(0.7, -0.3), "plus"),
-            abs=1e-12)
 
 
 def test_gaussian_velocity_requires_support():
@@ -489,7 +509,7 @@ def test_crossing_moments_are_exact_across_rho_edges():
     rng = np.random.default_rng(7)
     pairs = [(segment(*rng.uniform(-2, 2, 4)), segment(*rng.uniform(-2, 2, 4)))
              for _ in range(12)]
-    frozen = timeshifted_model(model, 0.4, 0.9, "frozen")
+    frozen = FrozenModel(model, 0.4, 0.9)
 
     def interval(v, seg):
         pa, pb = seg.a.x - v * seg.a.t, seg.b.x - v * seg.b.t

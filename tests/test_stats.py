@@ -48,6 +48,12 @@ def test_constant_statistic_zero_variance():
     vals = np.full(100, 2.5)
     s = covariance_statistic("var", vals, vals, 0.0)
     assert s.mean == 0.0 and s.z == 0.0
+    assert s.passed
+    # no spread, but a missed target: the infinite z fails the gate
+    for s in (covariance_statistic("var", vals, vals, 0.5),
+              mean_statistic("mean", vals, 1.0)):
+        assert s.se == 0.0 and math.isinf(s.z)
+        assert not s.passed
 
 
 def test_covariance_estimator_unbiased_on_gaussians():
@@ -99,9 +105,9 @@ def test_euler_battery_detects_wrong_target(reference_model):
     # sample from the wrong model but compare against reference targets
     rep = euler_fluctuation_test(wrong, pts, 1e-2, 800, seed=12)
     assert rep.verdict  # consistent model passes
-    from hrfl.gaussian import CovarianceSpec, covariance_matrix
-    ref_targets = covariance_matrix(CovarianceSpec(reference_model, tuple(pts)))
-    wrong_targets = covariance_matrix(CovarianceSpec(wrong, tuple(pts)))
+    from hrfl.gaussian import covariance_matrix
+    ref_targets = covariance_matrix(reference_model, tuple(pts))
+    wrong_targets = covariance_matrix(wrong, tuple(pts))
     assert not np.allclose(ref_targets, wrong_targets)
 
 
