@@ -130,6 +130,11 @@ def run_ghd_residual(kind, model, seed, threads, rundir, ratio_band=(3.2, 4.8), 
         raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
                           "the residual of a continuous kernel is not implemented")
     levels, ratios = hydro.residual_refinement(model, **grid)
+    wiped = [i for i, level in enumerate(levels) if not len(level.q)]
+    if wiped:
+        raise ConfigError(f"config.experiment.q_range: the margins around density-jump "
+                          f"images exclude every interior q column of grid level "
+                          f"{wiped[0]}, so the residual checks nothing; widen q_range or raise nq")
     res = levels[0]
     res.to_csv(rundir / "residual.csv")
     statistics = [
@@ -139,8 +144,8 @@ def run_ghd_residual(kind, model, seed, threads, rundir, ratio_band=(3.2, 4.8), 
     for i, ratio in enumerate(ratios):
         statistics.append(StatisticResult(f"l2_ratio[{i}]", ratio, math.nan,
                                           4.0, math.nan))
-    # a residual that is exactly zero on every level leaves every ratio
-    # undefined (NaN, written as null) and passes
+    # a residual that is exactly zero on every level, each keeping a column,
+    # leaves every ratio undefined (NaN, written as null) and passes
     lo, hi = ratio_band
     verdict = (all(level.max_norm == 0.0 for level in levels)
                or all(lo <= r <= hi for r in ratios))

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
@@ -64,17 +66,18 @@ def segment(ax: float, at: float, bx: float, bt: float) -> Segment:
     return Segment(SpaceTimePoint(ax, at), SpaceTimePoint(bx, bt))
 
 
-def crossing_interval(v: float, seg: Segment) -> tuple[float, float]:
+def crossing_interval(v, seg: Segment):
     """Space intercepts x for which the line (x, v) crosses seg.
 
     For fixed velocity v the line (x, v) meets seg iff x lies between the
     two pivots ``a.x - v*a.t`` and ``b.x - v*b.t``.  Returns the closed
-    interval (lo, hi); it is empty (zero length) iff the pivots coincide.
-    The interval is closed while the Plus/Minus orientation is half-open
-    at the pivots; the mismatch is measure zero.
+    interval (lo, hi), elementwise for an array of velocities; it is empty
+    (zero length) iff the pivots coincide.  The interval is closed while
+    the Plus/Minus orientation is half-open at the pivots; the mismatch is
+    measure zero.
     """
-    if not math.isfinite(v):
+    if not np.all(np.isfinite(v)):
         raise ValueError(f"v must be finite, got {v!r}")
     pa = seg.a.x - v * seg.a.t
     pb = seg.b.x - v * seg.b.t
-    return (pa, pb) if pa <= pb else (pb, pa)
+    return np.minimum(pa, pb), np.maximum(pa, pb)

@@ -18,17 +18,20 @@ and the conservation law d_t g~ + d_q(V_eff g~) = 0, whose residual is
 measured by second-order central differences on a rectangular grid.
 
 Velocity integrals go through the rule of :mod:`hrfl.intensity`, so sigma,
-the phase moments and V_eff serve atoms and continuous laws alike.  The
-pointwise rod density, the residual grid and the limit rod measure are
-implemented for velocity atoms only and raise NotImplementedError otherwise.
+the phase moments, Z and V_eff serve atoms and continuous laws alike.  The
+pointwise rod density and the residual grid are implemented for velocity
+atoms only and raise NotImplementedError otherwise.
 
-sigma, Z and Z^-1 accept a scalar or an array of positions.  For atoms, Z
-is x plus the signed m_1 mass between 0 and x - v t summed over the atom
-velocities, one array operation per velocity and kernel cell; a continuous
-law goes through ``limit_field`` one point at a time.  Z^-1 brackets every
-q by doubling steps and then runs a safeguarded Newton iteration on
-Z' = 1 + sigma, bisecting whenever a step would leave the bracket.  The
-residual grid inverts a whole time slice of q nodes in one call.
+sigma, Z and Z^-1 accept a scalar or an array of positions; the rule's
+velocity nodes are broadcast against the array, so one integrand call
+evaluates a qk21 panel, or an atom velocity, at every position.  Z is x plus
+the signed m_1 mass between 0 and x - v t integrated over the velocity law.
+Array and per-element calls return the same bits for atoms; for a
+continuous law the positions of one call share their panels, so they agree
+within the quadrature tolerance.  Z^-1 brackets every q by doubling steps,
+then runs a safeguarded Newton iteration on Z' = 1 + sigma, bisecting
+whenever a step would leave the bracket.  The residual grid inverts a whole
+time slice of q nodes in one call.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .field import limit_field
 from .geometry import SpaceTimePoint
-from .intensity import IntensityModel, _quad, edge_velocities, velocity_integral
+from .intensity import IntensityModel, edge_velocities, velocity_integral
 from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
@@ -62,16 +65,23 @@ def _require_atoms(model, what: str) -> None:
             "are handled through integrated moments")
 
 
-def _pointwise(model: IntensityModel, fn, x):
-    """fn over x, which may be an array.
+def _over_positions(model: IntensityModel, integrand, x, t: float):
+    """The velocity rule of integrand(v, x - v t) at each position of x, a scalar or an array.
 
-    The atom sum of the velocity rule takes a whole array at once; the
-    quadrature of a continuous law is scalar, so it takes one point at a time.
+    Quadrature nodes arrive as a column against the flattened positions, an
+    atom velocity as a float; only a continuous law needs the edge kinks.
     """
-    if np.ndim(x) == 0 or model.kernel.atom_velocities() is not None:
-        return fn(x)
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
+    y = np.asarray(x, dtype=float)
+    flat = y.ravel()
+
+    def f(v):
+        v = v[:, None] if np.ndim(v) else v
+        return integrand(v, flat - v * t)
+
+    kinks = (edge_velocities(model.edges, flat, t)
+             if model.kernel.atom_velocities() is None else ())
+    out = velocity_integral(model.kernel, f, *model.v_support, kinks)
+    return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
 def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
@@ -79,17 +89,10 @@ def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
 
     The time-t density at (x, v) is the time-0 density at x - v t.
     """
-    def moment(y):
-        def f(v):
-            pos = y - v * t
-            return (model.kernel.vk_density(v, 1, pos) * v ** v_power
-                    * model.rho.value(pos))
+    def f(v, pos):
+        return model.kernel.vk_density(v, 1, pos) * v ** v_power * model.rho.value(pos)
 
-        # rho and the kernel's cells jump where y - v t crosses an edge
-        return velocity_integral(model.kernel, f, *model.v_support,
-                                 edge_velocities(model.edges, [(y, t)]))
-
-    return _pointwise(model, moment, x)
+    return _over_positions(model, f, x, t)
 
 
 def sigma(model: IntensityModel, x, t: float):
@@ -98,28 +101,16 @@ def sigma(model: IntensityModel, x, t: float):
     return phase_moment(model, x, t, 0)
 
 
-def _signed_m1_mass(model: IntensityModel, v: float, y):
-    """Signed m_1 x-mass at velocity v between 0 and y, negative where y < 0."""
-    mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
-    return np.where(y < 0.0, -mass, mass)
-
-
 def characteristic_map(model: IntensityModel, x, t: float):
-    """Z(x, t) = x + H_limit(x, t), gas position to rod position; x may be an array.
-
-    For atoms H is the signed m_1 mass between 0 and x - v t summed over the
-    atom velocities; a continuous law evaluates limit_field point by point.
-    """
+    """Z(x, t) = x + H_limit(x, t), gas position to rod position; x may be an array."""
     _require_rod_model(model)
 
-    def height(y):
-        if model.kernel.atom_velocities() is None:
-            return limit_field(model, SpaceTimePoint(y, t))
-        return velocity_integral(model.kernel,
-                                 lambda v: _signed_m1_mass(model, v, y - v * t),
-                                 *model.v_support)
+    def signed_m1_mass(v, y):
+        # the m_1 x-mass at velocity v between 0 and y, negative where y < 0
+        mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
+        return np.where(y < 0.0, -mass, mass)
 
-    z = x + _pointwise(model, height, x)
+    z = x + _over_positions(model, signed_m1_mass, x, t)
     return z if np.ndim(z) else float(z)
 
 
@@ -137,9 +128,10 @@ def inverse_characteristic(model: IntensityModel, q, t: float):
     Newton step that leaves the bracket is replaced by bisection, and a
     point stops once its step is at most INVERSE_XTOL + INVERSE_RTOL |x|.
     A point still moving after MAX_INVERSE_STEPS steps, or a q that cannot
-    be bracketed, raises CharacteristicInverseError.  Every operation is
-    elementwise, so an array call returns the same bits as one call per
-    element.
+    be bracketed, raises CharacteristicInverseError.  Every step is
+    elementwise and Z and sigma follow the rule of the module docstring, so
+    for atoms an array call returns the same bits as one call per element,
+    and for a continuous law the two agree within the quadrature tolerance.
     """
     _require_rod_model(model)
     q_in = np.asarray(q, dtype=float)
@@ -374,44 +366,3 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
     ratios = [coarse.l2_norm / fine.l2_norm if fine.l2_norm else math.nan
               for coarse, fine in zip(levels, levels[1:])]
     return levels, ratios
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo consistency of the rod empirical measure
-# ---------------------------------------------------------------------------
-
-def empirical_rod_measure(config: SampledConfiguration, phi, t: float) -> float:
-    """epsilon-weighted rod empirical measure applied to phi(y, v, r) at time t.
-
-    The quasi-particle displacement scales with the empirical measure, so
-    rod lengths enter the position computation multiplied by epsilon.
-    """
-    from .hardrod import quasiparticle_positions, GasConfiguration
-
-    gas = GasConfiguration(config.x, config.v, config.epsilon * config.r)
-    y = quasiparticle_positions(gas, t)
-    return config.epsilon * float(np.sum(config.r * phi(y, config.v, config.r)))
-
-
-def limit_rod_measure(model: IntensityModel, phi, t: float) -> float:
-    """The limiting rod measure: integral of r phi(y_limit(x,v,t), v, r) d mu."""
-    _require_rod_model(model)
-    _require_atoms(model, "the limit rod measure")
-    lo, hi = model.rho.support
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("limit rod measure needs a compactly supported density")
-
-    def y_limit(x, v):
-        b = SpaceTimePoint(x + v * t, t)
-        return x + v * t + limit_field(model, b)
-
-    def x_integral(v):
-        # phi reads the mark r, so the integrand takes the atoms present at x
-        def f(x):
-            rho = float(np.asarray(model.rho.value(x)))
-            return sum(w * r * rho * phi(y_limit(x, v), v, r)
-                       for u, r, w in model.kernel.atoms_at(x) if u == v and w)
-
-        return _quad(f, lo, hi, model.rho.breakpoints)
-
-    return velocity_integral(model.kernel, x_integral, *model.v_support)

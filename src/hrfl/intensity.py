@@ -27,7 +27,9 @@ the mass ``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule
 sums the integrand over the atom velocities, with no quadrature error, or
 integrates it by globally adaptive 21-point Gauss-Kronrod quadrature
 (QUADPACK's qk21 rule and error estimate, bisecting the worst subinterval
-as QAG does), in numpy, with the kink locations passed as breakpoints.
+as QAG does), in numpy, with the kink locations passed as breakpoints.  A
+quadrature integrand takes the 21 nodes of a panel as one array and may
+return a column per position, so one call evaluates a panel everywhere.
 
 The continuous velocity laws are uniform and a Gaussian truncated to the
 velocity support.  The truncated Gaussian's density, interval probabilities
@@ -95,55 +97,70 @@ _GK21_GAUSS = _mirrored(_GK21_WG)
 _EPS50 = 50.0 * float(np.finfo(float).eps)
 
 
-def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _node_sum(weights, fv):
+    # sum_i weights[i] fv[i]; a (21, n) fv is summed column by column, each
+    # column rounded by itself, so permuting the columns permutes the results
+    return weights @ fv if fv.ndim == 1 else (weights[:, None] * fv).sum(axis=0)
+
+
+def _gk21(f: Callable, a: float, b: float):
     """The qk21 estimate of the integral of f over [a, b] and its error.
 
+    f maps the 21 nodes, as one array, to an array with the node axis first.
     The error is QUADPACK's: the Kronrod-Gauss difference, rescaled by the
     integrand's spread about its mean and floored at rounding level.
     """
     half = 0.5 * (b - a)
-    fv = np.array([f(v) for v in (0.5 * (a + b) + half * _GK21_NODES).tolist()],
-                  dtype=float)
-    kronrod = _GK21_KRONROD @ fv
-    err = abs((kronrod - _GK21_GAUSS @ fv) * half)
-    spread = _GK21_KRONROD @ np.abs(fv - 0.5 * kronrod) * half
-    if spread != 0.0 and err != 0.0:
-        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
-    return kronrod * half, max(_EPS50 * (_GK21_KRONROD @ np.abs(fv)) * half, err)
+    fv = np.asarray(f(0.5 * (a + b) + half * _GK21_NODES), dtype=float)
+    kronrod = _node_sum(_GK21_KRONROD, fv)
+    err = np.abs((kronrod - _node_sum(_GK21_GAUSS, fv)) * half)
+    spread = _node_sum(_GK21_KRONROD, np.abs(fv - 0.5 * kronrod)) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
+    err = np.where((spread != 0.0) & (err != 0.0), scaled, err)
+    return kronrod * half, np.maximum(_EPS50 * _node_sum(_GK21_KRONROD, np.abs(fv)) * half, err)
 
 
-def _quad(f: Callable[[float], float], lo: float, hi: float,
-          inner_points: Sequence[float] = ()) -> float:
-    """Integral of the scalar function f over [lo, hi], globally adaptive.
+def _fsum(parts):
+    """math.fsum over the list parts, component by component; a float for scalars."""
+    parts = np.array(parts)
+    return math.fsum(parts) if parts.ndim == 1 else np.array([math.fsum(c) for c in parts.T])
 
+
+def _quad(f: Callable, lo: float, hi: float, inner_points=()):
+    """Integral of f over [lo, hi], globally adaptive, for every component at once.
+
+    f is called once per qk21 panel, as :func:`_gk21` describes; an integrand
+    returning (21,) gives a float and one returning (21, n) an (n,) array.
     The interval is first split at the inner points; then, as in QUADPACK's
-    QAG, the subinterval with the largest qk21 error is bisected until the
-    summed error is at most max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|).
-    Needing more than QUAD_LIMIT subintervals, or a subinterval too short to
-    bisect, is a QuadratureError that reports the error achieved.
+    QAG, the subinterval with the largest qk21 error of any component is
+    bisected until the summed error of every component is at most
+    max(QUAD_ABS_TOL, QUAD_REL_TOL * |its integral|).  Needing more than
+    QUAD_LIMIT subintervals, or a subinterval too short to bisect, is a
+    QuadratureError that reports the largest error achieved.
     """
     if hi <= lo:
         return 0.0
-    edges = [lo, *sorted({p for p in inner_points if lo < p < hi}), hi]
-    panels = []                          # a heap of (-error, a, b, estimate)
-    for a, b in zip(edges, edges[1:]):
-        value, err = _gk21(f, a, b)
-        heapq.heappush(panels, (-err, a, b, value))
+    inner = np.asarray(inner_points, dtype=float)
+    edges = [lo, *np.unique(inner[(lo < inner) & (inner < hi)]).tolist(), hi]
+    panels = []               # a heap of (-largest error, a, b, estimate, error)
+    new = list(zip(edges, edges[1:]))
     while True:
-        value = math.fsum(p[3] for p in panels)
-        err = -math.fsum(p[0] for p in panels)
-        if err <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
+        for a, b in new:
+            value, err = _gk21(f, a, b)
+            heapq.heappush(panels, (-float(np.max(err, initial=0.0)), a, b, value, err))
+        value = _fsum([p[3] for p in panels])
+        err = _fsum([p[4] for p in panels])
+        if np.all(err <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(value))):
             return value
-        _, a, b, _ = panels[0]
+        a, b = panels[0][1:3]
         mid = 0.5 * (a + b)
         if len(panels) >= QUAD_LIMIT or not a < mid < b:
             raise QuadratureError(
                 f"quadrature on [{lo}, {hi}] did not converge in "
-                f"{len(panels)} subintervals (achieved abserr={err:.3e})")
+                f"{len(panels)} subintervals (achieved abserr={np.max(err, initial=0.0):.3e})")
         heapq.heappop(panels)
-        for a, b in ((a, mid), (mid, b)):
-            part, part_err = _gk21(f, a, b)
-            heapq.heappush(panels, (-part_err, a, b, part))
+        new = [(a, mid), (mid, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +181,8 @@ class ConstantDensity:
         return np.broadcast_to(self.c, np.shape(x)).copy() if np.ndim(x) else self.c
 
     def integral(self, lo, hi):
-        # the scalar form serves quadrature integrands, which call it per node
-        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-            return np.where(hi > lo, self.c * (hi - lo), 0.0)
-        return self.c * (hi - lo) if hi > lo else 0.0
+        out = np.where(np.greater(hi, lo), self.c * np.subtract(hi, lo), 0.0)
+        return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
         return rng.uniform(lo, hi, size=n)
@@ -614,9 +629,6 @@ class DiscreteKernel:
     def atom_velocities(self):
         return self._velocities
 
-    def atoms_at(self, x: float):
-        return self.atoms
-
     def has_atom(self, v: float, r: float) -> bool:
         return any(u == v and s == r for u, s, _ in self.atoms)
 
@@ -697,10 +709,6 @@ class PiecewiseKernel:
     def atom_velocities(self):
         return self._velocities
 
-    def atoms_at(self, x: float):
-        kern = self._cell_at(x)
-        return kern.atoms_at(x) if kern is not None else []
-
     def has_atom(self, v: float, r: float) -> bool:
         return any(k.has_atom(v, r) for _, _, k in self.cells)
 
@@ -748,20 +756,19 @@ class PiecewiseKernel:
 # the velocity rule and the crossing-moment machinery
 # ---------------------------------------------------------------------------
 
-def velocity_integral(kernel, f: Callable[[float], float], lo: float, hi: float,
-                      kinks: Sequence[float] = ()) -> float:
+def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
     """The velocity rule: f integrated over the velocities in [lo, hi].
 
     The integrand carries the law's weight itself, through
-    ``kernel.vk_density``.  For a kernel of atoms the rule sums f over the
-    distinct atom velocities in [lo, hi], in kernel order; f may return
-    arrays, which are summed elementwise.  For a continuous law it is
-    adaptive quadrature with the law's breakpoints and the given kinks as
-    break points, and f must return a scalar.
+    ``kernel.vk_density``.  For a kernel of atoms the rule sums f(v), v a
+    float, over the distinct atom velocities in [lo, hi], in kernel order;
+    f may return arrays, which are summed elementwise.  For a continuous law
+    it is the quadrature of :func:`_quad`, one call of f per panel, with the
+    law's breakpoints and the given kinks as break points.
     """
     vs = kernel.atom_velocities()
     if vs is None:
-        return _quad(f, lo, hi, (*kernel.v_breakpoints(), *kinks))
+        return _quad(f, lo, hi, np.concatenate([kernel.v_breakpoints(), kinks]))
     total = 0.0
     for v in vs:
         if lo <= v <= hi:
@@ -769,43 +776,32 @@ def velocity_integral(kernel, f: Callable[[float], float], lo: float, hi: float,
     return total
 
 
-def edge_velocities(edges: Sequence[float], points) -> list[float]:
-    """Velocities v = (x - e) / t at which x - v*t, for a point (x, t), hits an edge e.
+def edge_velocities(edges: Sequence[float], x, t):
+    """Velocities v = (x - e) / t at which x - v*t hits an edge e; x and t broadcast.
 
     An integrand that reads rho or the kernel's cells at a pivot or a
-    backtracked position x - v*t kinks or jumps there; a point at t = 0
-    gives none.
+    backtracked position x - v*t kinks or jumps there; t = 0 gives none.
     """
-    return [(x - e) / t for x, t in points if t != 0.0 for e in edges]
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    moving = t != 0.0
+    return (np.subtract.outer(x[moving], edges) / t[moving][:, None]).ravel()
 
 
 def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
     """Velocities where any two pivot lines of the two segments meet."""
-    pts = []
-    ends = [(seg1.a.x, seg1.a.t), (seg1.b.x, seg1.b.t),
-            (seg2.a.x, seg2.a.t), (seg2.b.x, seg2.b.t)]
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            (xi, ti), (xj, tj) = ends[i], ends[j]
-            if ti != tj:
-                pts.append((xi - xj) / (ti - tj))
-    return pts
+    ends = [seg1.a, seg1.b, seg2.a, seg2.b]
+    return [(p.x - q.x) / (p.t - q.t)
+            for i, p in enumerate(ends) for q in ends[i + 1:] if p.t != q.t]
 
 
 class _CrossingMoments:
     """Shared Plus/Minus/Both and intersection machinery.
 
-    Subclasses provide ``kernel``, ``v_support``, ``x_mass``, the mass of
-    an intercept interval at fixed velocity, and ``_kinks``.
+    Subclasses provide ``kernel``, ``v_support``, ``x_mass(v, k, lo, hi)``,
+    the m_k mass at velocity v of the intercepts in [lo, hi], elementwise
+    over arrays, and ``_kinks(*segs)``, the velocities where the x-mass of
+    a crossing interval of segs kinks or jumps.
     """
-
-    def x_mass(self, v: float, k: int, lo: float, hi: float) -> float:
-        """m_k mass at velocity v of the intercepts in [lo, hi]."""
-        raise NotImplementedError
-
-    def _kinks(self, *segs: Segment) -> list[float]:
-        """Velocities where the x-mass of a crossing interval of segs kinks or jumps."""
-        raise NotImplementedError
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
         """mu_k of the set of lines crossing seg with the given orientation."""
@@ -837,11 +833,10 @@ class _CrossingMoments:
 
         def f(v):
             s = dx - v * dt
-            if s == 0.0 or (s > 0.0) != plus:
-                return 0.0
-            return self.x_mass(v, k, *crossing_interval(v, seg))
+            mass = self.x_mass(v, k, *crossing_interval(v, seg))
+            return np.where(s > 0.0 if plus else s < 0.0, mass, 0.0)
 
-        return velocity_integral(self.kernel, f, lo, hi, self._kinks(seg))
+        return float(velocity_integral(self.kernel, f, lo, hi, self._kinks(seg)))
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
         """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""
@@ -853,11 +848,10 @@ class _CrossingMoments:
         def f(v):
             lo1, hi1 = crossing_interval(v, seg1)
             lo2, hi2 = crossing_interval(v, seg2)
-            return self.x_mass(v, k, max(lo1, lo2), min(hi1, hi2))
+            return self.x_mass(v, k, np.maximum(lo1, lo2), np.minimum(hi1, hi2))
 
-        return velocity_integral(self.kernel, f, *self.v_support,
-                                 _pivot_crossing_velocities(seg1, seg2)
-                                 + self._kinks(seg1, seg2))
+        return float(velocity_integral(self.kernel, f, *self.v_support, np.concatenate(
+            [_pivot_crossing_velocities(seg1, seg2), self._kinks(seg1, seg2)])))
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +908,8 @@ class IntensityModel(_CrossingMoments):
 
     def _kinks(self, *segs):
         # a pivot x - v*t of a segment end crosses an edge
-        return edge_velocities(self.edges, [(p.x, p.t) for seg in segs
-                                            for p in (seg.a, seg.b)])
+        ends = [p for seg in segs for p in (seg.a, seg.b)]
+        return edge_velocities(self.edges, [p.x for p in ends], [p.t for p in ends])
 
     def window_mass(self, lo: float, hi: float) -> float:
         return self.rho.integral(lo, hi)
@@ -947,12 +941,10 @@ class FrozenModel(_CrossingMoments):
         self.kernel = base.kernel
 
     def x_mass(self, v, k, lo, hi):
-        if hi <= lo:
-            return 0.0
         pos = self.z - v * self.s
-        rho = float(np.asarray(self.base.rho.value(pos)))
-        return (hi - lo) * rho * self.kernel.vk_density(v, k, pos)
+        mass = (hi - lo) * self.base.rho.value(pos) * self.kernel.vk_density(v, k, pos)
+        return np.where(hi > lo, mass, 0.0)
 
     def _kinks(self, *segs):
         # the backtracked position z - v*s crosses an edge of the base model
-        return edge_velocities(self.base.edges, [(self.z, self.s)])
+        return edge_velocities(self.base.edges, self.z, self.s)

@@ -74,8 +74,12 @@ class ExperimentReport:
         }
 
     def max_abs_z(self) -> float:
-        zs = [abs(s.z) for s in self.statistics if math.isfinite(s.z)]
-        return max(zs) if zs else 0.0
+        return _max_abs_z(self.statistics)
+
+
+def _max_abs_z(statistics) -> float:
+    """The largest |z|: an infinite z counts, an undefined (NaN) one does not."""
+    return max((abs(s.z) for s in statistics if not math.isnan(s.z)), default=0.0)
 
 
 def _map_ordered(fn, M: int, threads: int):
@@ -212,8 +216,7 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
                 f"{tag}mass_var", matrix[:, col], matrix[:, col], var_mass))
             stats.append(mean_statistic(f"{tag}mass_mean", matrix[:, col], 0.0))
         all_stats.extend(stats)
-        max_z_by_eps.append(max((abs(s.z) for s in stats if math.isfinite(s.z)),
-                                default=0.0))
+        max_z_by_eps.append(_max_abs_z(stats))
 
     verdict = all(s.passed for s in all_stats)
     extra = {"points": [[p.x, p.t] for p in points],

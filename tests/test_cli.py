@@ -572,14 +572,35 @@ def test_ghd_zero_residual_reports_undefined_ratios(tmp_path):
     assert stats["l2_ratio[0]"] is None and stats["l2_ratio[1]"] is None
 
 
-def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path):
-    # nodes 1e299 apart miss the bump entirely: the residual vanishes
+def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path, capsys):
+    # nodes 1e299 apart miss the bump entirely, and the jump-image margins of
+    # the coarse grid cover every interior column: a config error, not a pass
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, q_range=[-1e300, 1e300]),
                        model=BUMP_ATOMS_MODEL)
     out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.experiment.q_range: " in capsys.readouterr().err
+    # with more nodes some columns stay, and the vanishing residual is a
+    # complete strict-JSON report
+    cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, q_range=[-1e300, 1e300], nq=41),
+                       model=BUMP_ATOMS_MODEL, name="wide.json")
     code = main(["ghd-residual", "--config", str(cfg), "--out", str(out)])
     rep = _strict_json(next(out.glob("*/report.json")))
     assert code == (0 if rep["verdict"] == "pass" else 1)
+
+
+def test_ghd_grid_without_a_kept_column_is_config_error(tmp_path, capsys):
+    # the margins around the jump images at x = 0 +- t cover the whole narrow
+    # q range, so no level keeps a column and the residual checks nothing
+    model = {"rho": {"kind": "piecewise", "edges": [-3.0, 0.0, 3.0], "values": [0.3, 0.6]},
+             "kernel": {"kind": "atoms", "atoms": [{"v": -1.0, "r": 0.4, "weight": 0.5},
+                                                   {"v": 1.0, "r": 0.6, "weight": 0.5}]}}
+    cfg = write_config(tmp_path, {"kind": "ghd-residual", "q_range": [-0.2, 0.2],
+                                  "t_range": [0.05, 0.15], "nq": 5, "nt": 3}, model=model)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.experiment.q_range: " in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
 
 
 def test_ghd_residual_of_a_continuous_kernel_is_config_error(tmp_path, capsys):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from hrfl.hydro import (
+    _species_state,
     characteristic_map,
     effective_velocity,
     empirical_mass,
-    empirical_rod_measure,
     ghd_residual,
     inverse_characteristic,
     limit_mass,
-    limit_rod_measure,
     phase_moment,
     residual_refinement,
     rod_density,
@@ -288,12 +287,16 @@ def test_piecewise_cell_with_repeated_velocity_counts_every_atom():
     # rho mass 0.5 * 2 on seg times sum w r = 0.46
     assert celled.moment_on_crossing(1, seg) == pytest.approx(0.46, abs=1e-12)
     assert plain.moment_on_crossing(1, seg) == pytest.approx(0.46, abs=1e-12)
-
-    def phi(y, v, r):
-        return r * (1.0 + np.asarray(y) ** 2)
-
-    assert limit_rod_measure(celled, phi, 0.3) == pytest.approx(
-        limit_rod_measure(plain, phi, 0.3), abs=1e-10)
+    # the rod-phase state too; the celled kernel lists its velocities sorted
+    qs = np.linspace(-2.5, 2.5, 21)
+    for t in (0.0, 0.3):
+        a, b = _species_state(plain, qs, t), _species_state(celled, qs, t)
+        g_plain = dict(zip(plain.kernel.atom_velocities(), a.g))
+        for v, g in zip(celled.kernel.atom_velocities(), b.g):
+            np.testing.assert_allclose(g, g_plain[v], rtol=0, atol=1e-14)
+        for field in ("sigma_tilde", "pi_tilde"):
+            np.testing.assert_allclose(getattr(b, field), getattr(a, field),
+                                       rtol=0, atol=1e-14)
 
 
 def test_empirical_mass_converges(single_velocity_bump):
@@ -303,23 +306,6 @@ def test_empirical_mass_converges(single_velocity_bump):
                            1.0, 0.5) for i in range(200)]
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert np.mean(vals) == pytest.approx(0.5, abs=4 * se)
-
-
-def test_rod_empirical_measure_converges_to_limit(rng):
-    # K_t phi at epsilon = 1e-3 within Monte Carlo error
-    model = bump_two_velocity()
-    t = 0.5
-
-    def phi(y, v, r):
-        return np.exp(-np.asarray(y) ** 2)
-
-    target = limit_rod_measure(model, phi, t)
-    region = ObservationRegion((-6.0, 6.0), (0.0, t))
-    eps = 1e-3
-    vals = [empirical_rod_measure(sample(model, eps, region, 77, (i,)), phi, t)
-            for i in range(200)]
-    se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-    assert np.mean(vals) == pytest.approx(target, abs=4 * se)
 
 
 def test_negative_marks_rejected():
@@ -426,8 +412,35 @@ def test_continuous_law_inverse_round_trips_over_arrays(reference_model):
     for t in (0.0, 0.8):
         xs = inverse_characteristic(reference_model, qs, t)
         assert np.abs(characteristic_map(reference_model, xs, t) - qs).max() <= 1e-10
-        assert xs.tobytes() == np.array(
-            [inverse_characteristic(reference_model, float(q), t) for q in qs]).tobytes()
+        np.testing.assert_allclose(
+            xs, [inverse_characteristic(reference_model, float(q), t) for q in qs],
+            rtol=0, atol=1e-14)
+
+
+CONTINUOUS_MODELS = {
+    "uniform": lambda: IntensityModel(INVERSE_RHOS["smooth"],
+                                      ProductKernel(UniformVelocity(-1.0, 1.0),
+                                                    UniformMark(0.0, 2.0))),
+    "piecewise-gauss": lambda: IntensityModel(
+        INVERSE_RHOS["piecewise"], ProductKernel(GaussianVelocity(0.2, 1.0), ConstantMark(0.5)),
+        v_support=(-3.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_MODELS))
+def test_continuous_law_array_calls_are_permutation_invariant(name, rng):
+    # the positions of one call share a panel set, and each column is summed
+    # by itself, so permuting the positions permutes the results bit for bit
+    model = CONTINUOUS_MODELS[name]()
+    xs = rng.uniform(-2.5, 2.5, 24)
+    perm = rng.permutation(len(xs))
+    for t in (0.0, 0.35, -0.6):
+        for fn in (sigma, characteristic_map, inverse_characteristic):
+            got = fn(model, xs, t)
+            assert fn(model, xs[perm], t).tobytes() == got[perm].tobytes()
+            # one call per element has its own panels: equal within the tolerance
+            np.testing.assert_allclose(got, [fn(model, float(x), t) for x in xs],
+                                       rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("q,t", [(math.nan, 0.2), (math.inf, 0.2),
@@ -461,6 +474,26 @@ def test_inverse_step_cap_raises_numerical_error(monkeypatch, tmp_path, capsys):
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 3
     assert "numerical error" in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(bump_two_velocity(), id="bump_two_velocity"),
+    pytest.param(IntensityModel(INVERSE_RHOS["smooth"], _two_cell_atoms()), id="two-cell"),
+])
+def test_species_state_matches_the_pointwise_oracles(model):
+    # the residual grid's g~, sigma~ and V_eff equal rod_density,
+    # squeezed_length_fraction and effective_velocity; both kernels carry
+    # one mark per velocity
+    marks = {-1.0: 0.4, 1.0: 0.6}
+    qs = np.linspace(-1.5, 1.5, 7)
+    for t in (0.0, 0.25):
+        st = _species_state(model, qs, t)
+        for j, q in enumerate(qs):
+            assert st.sigma_tilde[j] == squeezed_length_fraction(model, q, t)
+            for i, v in enumerate(model.kernel.atom_velocities()):
+                assert st.g[i, j] == rod_density(model, q, v, marks[v], t)
+                veff = v + (v * st.sigma_tilde[j] - st.pi_tilde[j]) / (1.0 - st.sigma_tilde[j])
+                assert veff == effective_velocity(model, q, v, t)
 
 
 def test_ghd_residual_excludes_kernel_cell_edges():

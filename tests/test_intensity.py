@@ -436,15 +436,36 @@ def test_quadrature_converges_on_a_kink_and_raises_at_the_subinterval_cap(monkey
         intensity._quad(kinked, 0.0, 1.0)
 
 
-def test_quadrature_calls_the_integrand_with_scalars():
-    seen = set()
+def test_gk21_calls_the_integrand_once_per_panel(monkeypatch):
+    shapes, panels = [], []
+    gk21 = intensity._gk21
+
+    def counted(f, a, b):
+        panels.append((a, b))
+        return gk21(f, a, b)
 
     def f(v):
-        seen.add(type(v))
-        return v * v
+        shapes.append(np.shape(v))
+        return np.abs(v - 0.3)
 
-    assert intensity._quad(f, -1.0, 2.0, (0.5,)) == pytest.approx(3.0, rel=1e-15)
-    assert seen == {float}
+    monkeypatch.setattr(intensity, "_gk21", counted)
+    assert intensity._quad(f, 0.0, 1.0) == pytest.approx(0.29, rel=0, abs=QUAD_ABS_TOL)
+    assert len(panels) > 2                   # the kink forced bisections
+    assert shapes == [(21,)] * len(panels)
+    assert isinstance(intensity._quad(f, 0.0, 1.0, (0.3,)), float)
+
+
+def test_vector_quadrature_matches_each_component():
+    # one panel set serves both columns; each still meets its own tolerance
+    def pair(v):
+        return np.stack([np.abs(v - 0.3), np.exp(v)], axis=-1)
+
+    both = intensity._quad(pair, 0.0, 1.0)
+    assert both.shape == (2,)
+    for j, one in enumerate((lambda v: np.abs(v - 0.3), np.exp)):
+        want = intensity._quad(one, 0.0, 1.0)
+        assert abs(both[j] - want) <= 2 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(want))
+    assert both[1] == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_smooth_density_matches_the_bump_antiderivative(rng):

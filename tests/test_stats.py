@@ -14,6 +14,8 @@ from hrfl.intensity import (
 )
 from hrfl.sampler import ObservationRegion, sample, stream
 from hrfl.stats import (
+    ExperimentReport,
+    StatisticResult,
     _map_ordered,
     covariance_statistic,
     diffusive_test,
@@ -54,6 +56,23 @@ def test_constant_statistic_zero_variance():
               mean_statistic("mean", vals, 1.0)):
         assert s.se == 0.0 and math.isinf(s.z)
         assert not s.passed
+
+
+def test_max_abs_z_counts_an_infinite_z(reference_model):
+    # an infinite z must reach the reported maxima and the bias guard; only
+    # an undefined (NaN) z is skipped
+    report = ExperimentReport("x", {}, 0.1, 10, 0, [
+        StatisticResult("a", 0.0, 0.0, 0.5, -math.inf),
+        StatisticResult("b", 1.0, math.nan, 1.0, math.nan),
+        StatisticResult("c", 1.0, 0.5, 0.0, 2.0)])
+    assert report.max_abs_z() == math.inf
+    # at epsilon 1e6 the region holds no line: zero covariances, se 0, nonzero targets
+    points = [SpaceTimePoint(0.0, 1.0), SpaceTimePoint(1.0, 0.0)]
+    rep = euler_fluctuation_test(reference_model, points,
+                                 epsilon=1e6, M=50, seed=0)
+    assert not rep.verdict
+    assert rep.extra["max_abs_z_by_epsilon"] == [math.inf]
+    assert rep.max_abs_z() == math.inf
 
 
 def test_covariance_estimator_unbiased_on_gaussians():
