@@ -185,18 +185,25 @@ def _interval(finite: bool):
     return parse
 
 
+# A statistic that is exactly its target could never fail: the surface at
+# the origin, the mass between 0 and x = 0, and a tagged rod after time 0.
+
+def _point(v, path):
+    """An [x, t] pair other than the origin."""
+    p = _vector(2)(v, path)
+    if p == (0.0, 0.0):
+        raise ConfigError(f"{path}: the origin is not a valid point")
+    return p
+
+
 def _points(v, path):
     """Distinct [x, t] pairs other than the origin, as space-time points."""
-    pairs = _list(_vector(2), "[x, t] pairs", 1, distinct=True)(v, path)
-    # the surface is 0 at the origin, so its statistic could never fail
-    if (0.0, 0.0) in pairs:
-        raise ConfigError(f"{path}[{pairs.index((0.0, 0.0))}]: the origin is not a valid point")
-    return [SpaceTimePoint(*p) for p in pairs]
+    return [SpaceTimePoint(*p) for p in _list(_point, "[x, t] pairs", 1, distinct=True)(v, path)]
 
 
 def _quasiparticle(v, path):
-    """[x, v, t] of a tagged rod whose line reaches a finite x + v t."""
-    x, vel, t = _vector(3)(v, path)
+    """[x, v, t] of a tagged rod, t != 0, whose line reaches a finite x + v t."""
+    x, vel, t = _tuple("[number, number, number]", _finite, _finite, _nonzero)(v, path)
     if not math.isfinite(x + vel * t):
         raise ConfigError(f"{path}: expected [x, v, t] with x + v t finite, got {v!r}")
     return x, vel, t
@@ -315,15 +322,15 @@ SCHEMA = {
         "verify-lln": ("lln_test", {
             "epsilons": (_list(_positive, "finite numbers > 0", 2, distinct=True), True),
             "replicas": (_integer(1), True),
-            "point": (_vector(2), False),
-            "mass_point": (_vector(2), False)}),
+            "point": (_point, False),
+            "mass_point": (_tuple("[number, number]", _nonzero, _finite), False)}),
         # covariance batteries need M >= 3: with fewer the standard errors vanish
         "verify-euler-clt": ("euler_fluctuation_test", {
             "epsilon": (_positive, True),
             "replicas": (_integer(3), True),
             "points": (_points, True),
             "quasiparticle": (_quasiparticle, False),
-            "mass_point": (_vector(2), False),
+            "mass_point": (_tuple("[number, number]", _nonzero, _finite), False),
             "epsilons": (_list(_positive, "finite numbers > 0", 1, distinct=True), False)}),
         "verify-diffusive": ("diffusive_test", {
             "epsilon": (_positive, True),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ORIGIN, Segment, SpaceTimePoint
-from .sampler import SampledConfiguration
+from .sampler import SampledConfiguration, crossing_indices
 
 
 def surface_sum(x: np.ndarray, v: np.ndarray, r: np.ndarray, b: SpaceTimePoint) -> float:
@@ -50,10 +50,7 @@ def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
     for p in (a, b):
         if not config.region.contains(p.x, p.t):
             raise ValueError(f"evaluation point ({p.x}, {p.t}) outside observation region")
-    ua = config.x + a.t * config.v <= a.x
-    ub = config.x + b.t * config.v <= b.x
-    plus = np.nonzero(ub & ~ua)[0]
-    minus = np.nonzero(ua & ~ub)[0]
+    plus, minus = crossing_indices(config, Segment(a, b))
     return config.epsilon * float(np.sum(config.r[plus]) - np.sum(config.r[minus]))
 
 

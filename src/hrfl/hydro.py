@@ -23,15 +23,15 @@ pointwise rod density and the residual grid are implemented for velocity
 atoms only and raise NotImplementedError otherwise.
 
 sigma, Z and Z^-1 accept a scalar or an array of positions; the rule's
-velocity nodes are broadcast against the array, so one integrand call
-evaluates a qk21 panel, or an atom velocity, at every position.  Z is x plus
-the signed m_1 mass between 0 and x - v t integrated over the velocity law.
-Array and per-element calls return the same bits for atoms; for a
-continuous law the positions of one call share their panels, so they agree
-within the quadrature tolerance.  Z^-1 brackets every q by doubling steps,
-then runs a safeguarded Newton iteration on Z' = 1 + sigma, bisecting
-whenever a step would leave the bracket.  The residual grid inverts a whole
-time slice of q nodes in one call.
+velocities, a qk21 panel's nodes or all the atom velocities at once, arrive
+as a column against the array, so one integrand call evaluates them at
+every position.  Z is x plus the signed m_1 mass between 0 and x - v t
+integrated over the velocity law.  Array and per-element calls return the
+same bits for atoms; for a continuous law the positions of one call share
+their panels, so they agree within the quadrature tolerance.  Z^-1 brackets
+every q by doubling steps, then runs a safeguarded Newton iteration on
+Z' = 1 + sigma, bisecting whenever a step would leave the bracket.  The
+residual grid inverts a whole time slice of q nodes in one call.
 """
 
 from __future__ import annotations
@@ -68,19 +68,16 @@ def _require_atoms(model, what: str) -> None:
 def _over_positions(model: IntensityModel, integrand, x, t: float):
     """The velocity rule of integrand(v, x - v t) at each position of x, a scalar or an array.
 
-    Quadrature nodes arrive as a column against the flattened positions, an
-    atom velocity as a float; only a continuous law needs the edge kinks.
+    The velocities arrive as a column against the flattened positions.
     """
     y = np.asarray(x, dtype=float)
     flat = y.ravel()
 
     def f(v):
-        v = v[:, None] if np.ndim(v) else v
-        return integrand(v, flat - v * t)
+        return integrand(v[:, None], flat - v[:, None] * t)
 
-    kinks = (edge_velocities(model.edges, flat, t)
-             if model.kernel.atom_velocities() is None else ())
-    out = velocity_integral(model.kernel, f, *model.v_support, kinks)
+    out = velocity_integral(model.kernel, f, *model.v_support,
+                            edge_velocities(model.edges, flat, t))
     return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
@@ -90,7 +87,7 @@ def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
     The time-t density at (x, v) is the time-0 density at x - v t.
     """
     def f(v, pos):
-        return model.kernel.vk_density(v, 1, pos) * v ** v_power * model.rho.value(pos)
+        return model.kernel.vk_density(v, 1, pos) * model.rho.value(pos) * v ** v_power
 
     return _over_positions(model, f, x, t)
 
@@ -200,7 +197,7 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -
     x = inverse_characteristic(model, q, t)
     pos = x - v * t
     # the weight of the atoms at exactly (v, r) in the kernel at the pre-image
-    w = model.kernel.cell_prob((v, v), (r, r), pos)
+    w = model.kernel.atom_weight(v, r, pos)
     g = w * float(np.asarray(model.rho.value(pos)))
     return g / (1.0 + sigma(model, x, t))
 
@@ -215,18 +212,12 @@ class _SpeciesState:
 
 
 def _species_state(model: IntensityModel, q: np.ndarray, t: float) -> _SpeciesState:
-    # one pass over the atom velocities yields every g and, with them, sigma and pi
+    # g at every atom velocity at once; sigma and pi by the velocity rule
     x = inverse_characteristic(model, q, t)
-    vs = model.kernel.atom_velocities()
-    g = np.empty((len(vs), len(x)))
-    s = p = 0.0
-    for i, v in enumerate(vs):
-        pos = x - v * t
-        rho = model.rho.value(pos)
-        g[i] = model.kernel.vk_density(v, 0, pos) * rho
-        m = model.kernel.vk_density(v, 1, pos) * rho
-        s = s + m
-        p = p + m * v
+    vs = np.array(model.kernel.atom_velocities())[:, None]
+    pos = x - vs * t
+    g = model.kernel.vk_density(vs, 0, pos) * model.rho.value(pos)
+    s, p = sigma(model, x, t), phase_moment(model, x, t, 1)
     return _SpeciesState(g / (1.0 + s), s / (1.0 + s), p / (1.0 + s))
 
 

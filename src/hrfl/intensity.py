@@ -21,20 +21,21 @@ is either the :class:`FrozenModel` or, for the translated frame, the base
 model on the segment translated by (z, s).
 
 Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
-rule, :func:`velocity_integral`.  The integrand carries the law's weight
-through ``kernel.vk_density(v, k, x)``: a density in v for a continuous law,
-the mass ``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule
-sums the integrand over the atom velocities, with no quadrature error, or
-integrates it by globally adaptive 21-point Gauss-Kronrod quadrature
-(QUADPACK's qk21 rule and error estimate, bisecting the worst subinterval
-as QAG does), in numpy, with the kink locations passed as breakpoints.  A
-quadrature integrand takes the 21 nodes of a panel as one array and may
-return a column per position, so one call evaluates a panel everywhere.
+rule, :func:`velocity_integral`.  The integrand maps an array of velocities
+to an array with the velocity axis first, and may return a column per
+position.  It carries the law's weight through ``kernel.vk_density(v, k,
+x)``, elementwise over v: a density in v for a continuous law, the mass
+``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule sums the
+integrand over the atom velocities, all in one call and with no quadrature
+error, or integrates it by globally adaptive 21-point Gauss-Kronrod
+quadrature (QUADPACK's qk21 rule and error estimate, bisecting the worst
+subinterval as QAG does), in numpy, one call per panel of 21 nodes, with
+the kink locations passed as breakpoints.
 
 The continuous velocity laws are uniform and a Gaussian truncated to the
-velocity support.  The truncated Gaussian's density, interval probabilities
-and inverse CDF are closed forms on :mod:`scipy.special` whose truncation
-constants are computed once, in :meth:`GaussianVelocity.truncated`.
+velocity support.  The truncated Gaussian's density and inverse CDF are
+closed forms on :mod:`scipy.special` whose truncation constants are
+computed once, in :meth:`GaussianVelocity.truncated`.
 ``scipy.special`` is imported when the first GaussianVelocity is built;
 nothing else here needs scipy, so importing this module, or building a
 model with atoms, uniform laws and constant, piecewise or smooth
@@ -346,9 +347,6 @@ class ConstantMark:
     def sample(self, rng: np.random.Generator, n: int):
         return np.full(n, self.r)
 
-    def prob(self, lo: float, hi: float) -> float:
-        return 1.0 if lo <= self.r <= hi else 0.0
-
     def summary(self) -> dict:
         return {"kind": "constant", "value": self.r}
 
@@ -370,10 +368,6 @@ class _UniformLaw:
 
     def sample(self, rng: np.random.Generator, n: int):
         return rng.uniform(self.lo, self.hi, size=n)
-
-    def prob(self, lo: float, hi: float) -> float:
-        w = min(hi, self.hi) - max(lo, self.lo)
-        return max(w, 0.0) / (self.hi - self.lo)
 
 
 class UniformMark(_UniformLaw):
@@ -500,12 +494,9 @@ class GaussianVelocity:
         if self.lo is None:
             raise ValueError("gaussian velocity law used without v_support truncation")
 
-    def _z(self, v):
-        return (np.asarray(v, dtype=float) - self.mean) / self.sd
-
     def pdf(self, v):
         self._require_truncated()
-        z = self._z(v)
+        z = (np.asarray(v, dtype=float) - self.mean) / self.sd
         # scipy's order of operations, which keeps its truncated-normal pdf bits
         dens = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self._log_mass) / self.sd
         out = np.where((z >= self._a) & (z <= self._b), dens, 0.0)
@@ -522,17 +513,6 @@ class GaussianVelocity:
                 log_share, sign = np.log(u), 1.0
         z = sign * special.ndtri_exp(_log_add(self._log_phi_start, log_share + self._log_mass))
         return z * self.sd + self.mean
-
-    def prob(self, lo: float, hi: float) -> float:
-        self._require_truncated()
-        za, zb = np.clip(self._z((lo, hi)), self._a, self._b)
-        if zb <= za:
-            return 0.0
-        if self._mirrored:
-            mass = special.ndtr(-za) - special.ndtr(-zb)
-        else:
-            mass = special.ndtr(zb) - special.ndtr(za)
-        return float(mass / math.exp(self._log_mass))
 
     def summary(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean, "sd": self.sd,
@@ -567,7 +547,7 @@ class ProductKernel:
     def v_breakpoints(self) -> tuple[float, ...]:
         return self.velocity.support
 
-    def vk_density(self, v: float, k: int, x: float) -> float:
+    def vk_density(self, v, k: int, x):
         return self.velocity.pdf(v) * self.mark.moment(k)
 
     def atom_velocities(self):
@@ -576,9 +556,6 @@ class ProductKernel:
     def sample(self, rng: np.random.Generator, xs):
         n = len(xs)
         return self.velocity.sample(rng, n), self.mark.sample(rng, n)
-
-    def cell_prob(self, v_range, r_range, x: float) -> float:
-        return self.velocity.prob(*v_range) * self.mark.prob(*r_range)
 
     def tail_mass_removed(self) -> float:
         return getattr(self.velocity, "tail_mass_removed", 0.0) or 0.0
@@ -605,12 +582,13 @@ class DiscreteKernel:
         self.atoms = atoms
         self._cum = np.cumsum([w for _, _, w in atoms])
         # sum of w * r**k over the atoms at each distinct velocity, kernel order
-        self._by_v: dict[float, list[float]] = {}
+        sums: dict[float, list[float]] = {}
         for v, r, w in atoms:
-            m = self._by_v.setdefault(v, [0.0] * len(_MOMENT_ORDERS))
+            m = sums.setdefault(v, [0.0] * len(_MOMENT_ORDERS))
             for k in _MOMENT_ORDERS:
                 m[k] += w * r ** k
-        self._velocities = tuple(self._by_v)
+        self._velocities = tuple(sums)
+        self._moment_sums = tuple(zip(*sums.values()))      # [k][velocity]
 
     def truncated(self, lo: float, hi: float) -> "DiscreteKernel":
         if any(not (lo <= v <= hi) for v, _, _ in self.atoms):
@@ -632,9 +610,12 @@ class DiscreteKernel:
     def has_atom(self, v: float, r: float) -> bool:
         return any(u == v and s == r for u, s, _ in self.atoms)
 
-    def vk_density(self, v: float, k: int, x: float) -> float:
-        m = self._by_v.get(v)
-        return m[k] if m is not None else 0.0
+    def vk_density(self, v, k: int, x):
+        # an exact lookup, elementwise over v; 0 at a velocity that is no atom
+        out = 0.0
+        for u, m in zip(self._velocities, self._moment_sums[k]):
+            out = np.where(np.equal(v, u), m, out)
+        return out
 
     def sample(self, rng: np.random.Generator, xs):
         n = len(xs)
@@ -643,9 +624,9 @@ class DiscreteKernel:
         rs = np.array([a[1] for a in self.atoms])[idx]
         return vs, rs
 
-    def cell_prob(self, v_range, r_range, x: float) -> float:
-        return sum(w for v, r, w in self.atoms
-                   if v_range[0] <= v <= v_range[1] and r_range[0] <= r <= r_range[1])
+    def atom_weight(self, v: float, r: float, x: float) -> float:
+        """The summed weight of the atoms at exactly (v, r)."""
+        return sum(w for u, s, w in self.atoms if u == v and s == r)
 
     def tail_mass_removed(self) -> float:
         return 0.0
@@ -658,9 +639,10 @@ class DiscreteKernel:
 class PiecewiseKernel:
     """Conditional law with piecewise-constant dependence on x.
 
-    Cells are contiguous intervals [lo, hi) each carrying its own
-    x-independent kernel; the cells must be all atoms or all continuous, so
-    one velocity rule serves every x.
+    Cells are intervals [lo, hi) each carrying its own x-independent kernel.
+    They must be contiguous, each cell's hi the next cell's lo, so that
+    every x between the first lo and the last hi has a kernel; and they must
+    be all atoms or all continuous, so one velocity rule serves every x.
     """
 
     def __init__(self, cells: Sequence[tuple[float, float, object]]):
@@ -668,9 +650,10 @@ class PiecewiseKernel:
             raise ValueError("piecewise kernel needs at least one cell")
         cells = sorted(((float(lo), float(hi), kern) for lo, hi, kern in cells),
                        key=lambda c: c[0])
-        for (lo, hi, _), (nlo, _, _) in zip(cells, cells[1:]):
-            if hi > nlo:
-                raise ValueError("kernel cells must not overlap")
+        for (_, hi, _), (nlo, _, _) in zip(cells, cells[1:]):
+            if hi != nlo:
+                raise ValueError(f"kernel cells must be contiguous: a cell ends at {hi} "
+                                 f"and the next begins at {nlo}")
         if any(hi <= lo for lo, hi, _ in cells):
             raise ValueError("kernel cells must have positive width")
         continuous = {k.atom_velocities() is None for _, _, k in cells}
@@ -686,10 +669,7 @@ class PiecewiseKernel:
 
     @property
     def cell_edges(self) -> tuple[float, ...]:
-        edges = []
-        for lo, hi, _ in self.cells:
-            edges.extend((lo, hi))
-        return tuple(sorted(set(edges)))
+        return (*(lo for lo, _, _ in self.cells), self.cells[-1][1])
 
     @property
     def v_support(self):
@@ -700,23 +680,16 @@ class PiecewiseKernel:
     def min_mark(self) -> float:
         return min(k.min_mark for _, _, k in self.cells)
 
-    def _cell_at(self, x: float):
-        for lo, hi, kern in self.cells:
-            if lo <= x < hi:
-                return kern
-        return None
-
     def atom_velocities(self):
         return self._velocities
 
     def has_atom(self, v: float, r: float) -> bool:
         return any(k.has_atom(v, r) for _, _, k in self.cells)
 
-    def vk_density(self, v: float, k: int, x):
+    def vk_density(self, v, k: int, x):
         # cells do not overlap, so at most one term is nonzero at each x
-        out = sum(np.where((lo <= x) & (x < hi), kern.vk_density(v, k, x), 0.0)
-                  for lo, hi, kern in self.cells)
-        return out if np.ndim(out) else float(out)
+        return sum(np.where((lo <= x) & (x < hi), kern.vk_density(v, k, x), 0.0)
+                   for lo, hi, kern in self.cells)
 
     def v_breakpoints(self) -> tuple[float, ...]:
         pts = set()
@@ -739,9 +712,11 @@ class PiecewiseKernel:
             raise ValueError("sampled positions fall outside all kernel cells")
         return vs, rs
 
-    def cell_prob(self, v_range, r_range, x: float) -> float:
-        kern = self._cell_at(x)
-        return kern.cell_prob(v_range, r_range, x) if kern is not None else 0.0
+    def atom_weight(self, v: float, r: float, x: float) -> float:
+        for lo, hi, kern in self.cells:
+            if lo <= x < hi:
+                return kern.atom_weight(v, r, x)
+        return 0.0
 
     def tail_mass_removed(self) -> float:
         return max(k.tail_mass_removed() for _, _, k in self.cells)
@@ -759,30 +734,36 @@ class PiecewiseKernel:
 def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
     """The velocity rule: f integrated over the velocities in [lo, hi].
 
-    The integrand carries the law's weight itself, through
-    ``kernel.vk_density``.  For a kernel of atoms the rule sums f(v), v a
-    float, over the distinct atom velocities in [lo, hi], in kernel order;
-    f may return arrays, which are summed elementwise.  For a continuous law
-    it is the quadrature of :func:`_quad`, one call of f per panel, with the
-    law's breakpoints and the given kinks as break points.
+    f maps an array of velocities to an array whose first axis runs over
+    them, and carries the law's weight itself, through ``kernel.vk_density``.
+    For a kernel of atoms f is called once, on the distinct atom velocities
+    in [lo, hi] in kernel order, and its rows are summed left to right from
+    0.0, so a position's result has the same bits whether f evaluates it
+    alone or among many; with no atom in [lo, hi] it is 0.0 and f is not
+    called.  For a
+    continuous law it is the quadrature of :func:`_quad`, one call of f per
+    panel, with the law's breakpoints and the given kinks as break points;
+    the atom rule ignores the kinks.
     """
     vs = kernel.atom_velocities()
     if vs is None:
         return _quad(f, lo, hi, np.concatenate([kernel.v_breakpoints(), kinks]))
+    vs = np.array([v for v in vs if lo <= v <= hi])
     total = 0.0
-    for v in vs:
-        if lo <= v <= hi:
-            total += f(v)
+    for row in (f(vs) if len(vs) else ()):
+        total = total + row
     return total
 
 
 def edge_velocities(edges: Sequence[float], x, t):
-    """Velocities v = (x - e) / t at which x - v*t hits an edge e; x and t broadcast.
+    """Velocities v = (x - e) / t at which x - v*t hits an edge e; t is one time or one per x.
 
     An integrand that reads rho or the kernel's cells at a pivot or a
     backtracked position x - v*t kinks or jumps there; t = 0 gives none.
     """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    if t.ndim == 0:                      # one time for every position
+        return (np.subtract.outer(x, edges) / t).ravel() if t else np.empty(0)
     moving = t != 0.0
     return (np.subtract.outer(x[moving], edges) / t[moving][:, None]).ravel()
 

@@ -414,6 +414,10 @@ BUMP_ATOMS_MODEL = {
     ("kernel", {"kind": "product", "velocity": {"kind": "uniform", "lo": 1.0, "hi": -1.0},
                 "mark": {"kind": "constant", "value": 1.0}},
      "model.kernel.velocity: uniform velocity needs lo < hi"),
+    ("kernel", {"kind": "piecewise", "cells": [
+        {"x_range": [-2.0, 0.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
+        {"x_range": [1.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
+     "model.kernel: kernel cells must be contiguous"),
 ])
 def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
     model = json.loads(json.dumps(BUMP_ATOMS_MODEL))
@@ -541,6 +545,13 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     ("verify-lln", "epsilons", [0.1, 0.1], "config.experiment.epsilons[1]: repeats epsilons[0]"),
     ("verify-euler-clt", "quasiparticle", [0, 1e200, 1e200],
      "config.experiment.quasiparticle: expected [x, v, t] with x + v t finite"),
+    ("verify-lln", "point", [0, 0], "config.experiment.point: the origin is not a valid point"),
+    ("verify-lln", "mass_point", [0, 0.5],
+     "config.experiment.mass_point[0]: expected a finite number != 0, got 0"),
+    ("verify-euler-clt", "mass_point", [0.0, 1.0],
+     "config.experiment.mass_point[0]: expected a finite number != 0, got 0.0"),
+    ("verify-euler-clt", "quasiparticle", [0.5, 1.0, 0],
+     "config.experiment.quasiparticle[2]: expected a finite number != 0, got 0"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))

@@ -303,10 +303,6 @@ def test_gaussian_velocity_matches_scipy_truncnorm(a, b):
     assert isinstance(law.pdf(0.5 * (law.lo + law.hi)), float)
     mass = integrate.quad(law.pdf, law.lo, law.hi, epsabs=1e-13, epsrel=1e-12)[0]
     assert mass == pytest.approx(1.0, abs=1e-11)
-    # interval probabilities, clipped to the support
-    for lo, hi in [(law.lo - 1, law.hi + 1), (law.lo, law.lo + 0.3 * sd),
-                   (law.lo + 0.2 * sd, law.hi), (law.hi, law.hi + 1)]:
-        assert law.prob(lo, hi) == pytest.approx(ref.cdf(hi) - ref.cdf(lo), abs=1e-13)
     # the summary's tail mass keeps its bits
     assert law.tail_mass_removed == float(1.0 - (norm.cdf(b) - norm.cdf(a)))
 
@@ -453,6 +449,38 @@ def test_gk21_calls_the_integrand_once_per_panel(monkeypatch):
     assert len(panels) > 2                   # the kink forced bisections
     assert shapes == [(21,)] * len(panels)
     assert isinstance(intensity._quad(f, 0.0, 1.0, (0.3,)), float)
+
+
+def test_atom_rule_calls_the_integrand_once_in_kernel_order():
+    kern = DiscreteKernel([(0.5, 1.0, 0.25), (-1.0, 0.4, 0.25), (0.5, 2.0, 0.25),
+                           (2.0, 1.0, 0.25)])
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return np.stack([v, v * v], axis=-1)     # a column per position
+
+    got = intensity.velocity_integral(kern, f, -1.0, 1.0)
+    assert len(calls) == 1
+    assert calls[0].tolist() == [0.5, -1.0]      # distinct, in range, kernel order
+    assert got.tolist() == [0.0 + 0.5 + -1.0, 0.0 + 0.25 + 1.0]
+    calls.clear()
+    assert intensity.velocity_integral(kern, f, 0.6, 1.5) == 0.0
+    assert calls == []
+
+
+def test_atom_density_over_arrays_matches_scalar_calls():
+    # two atoms share v = 0.5 with different marks; 0.7 is no atom
+    kern = DiscreteKernel([(0.5, 0.3, 0.2), (-1.0, 0.4, 0.3), (0.5, 0.9, 0.5)])
+    vs = np.array([[0.5, -1.0], [0.7, 0.5], [-1.0, 2.0]])
+    for k in (0, 1, 2):
+        got = kern.vk_density(vs, k, 0.0)
+        assert got.shape == vs.shape
+        want = [[kern.vk_density(float(v), k, 0.0) for v in row] for row in vs]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[1, 0] == 0.0 and got[2, 1] == 0.0
+    assert kern.vk_density(0.5, 1, 0.0) == 0.2 * 0.3 + 0.5 * 0.9
+    assert kern.vk_density(0.5, 2, 0.0) == 0.2 * 0.3 ** 2 + 0.5 * 0.9 ** 2
 
 
 def test_vector_quadrature_matches_each_component():

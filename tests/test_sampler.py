@@ -95,9 +95,8 @@ def test_poisson_counts_disjoint_boxes(reference_model):
     na, nb = np.array(na, dtype=float), np.array(nb, dtype=float)
     for counts, box in ((na, box_a), (nb, box_b)):
         (xlo, xhi), (vlo, vhi) = box
-        mean = (reference_model.window_mass(xlo, xhi)
-                * reference_model.kernel.cell_prob((vlo, vhi), (-np.inf, np.inf), 0.0)
-                / eps)
+        # v ~ U[-1, 1], so the band [vlo, vhi) has probability (vhi - vlo) / 2
+        mean = reference_model.window_mass(xlo, xhi) * (vhi - vlo) / 2 / eps
         assert counts.mean() == pytest.approx(mean, abs=3 * math.sqrt(mean / M))
     corr = np.corrcoef(na, nb)[0, 1]
     assert abs(corr) < 3 / math.sqrt(M)
