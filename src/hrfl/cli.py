@@ -77,10 +77,7 @@ def _resolve_seed(args) -> int:
 def _resolve_threads(args, cfg) -> int:
     if args.threads is not None and args.threads < 0:
         raise ConfigError(f"--threads: expected an integer >= 0, got {args.threads}")
-    threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
+    return args.threads if args.threads is not None else cfg.get("threads", 1)
 
 
 def _require_rod_marks(model):
@@ -91,7 +88,8 @@ def _require_rod_marks(model):
 
 # ---------------------------------------------------------------------------
 # experiment runners: SCHEMA names one for each experiment kind.  A runner
-# takes the kind, the model, the seed, the thread count, the run directory
+# takes the kind, the model, the seed, the thread count (which has no
+# effect: replicas run in order on the calling thread), the run directory
 # and the parsed experiment fields, and returns the report.
 # ---------------------------------------------------------------------------
 

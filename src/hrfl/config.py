@@ -339,7 +339,7 @@ SCHEMA = {
             "frame": (_vector(2), False),
             "same_velocity": (_vector(3), False),
             "distinct_velocities": (_vector(2), False),
-            "independence_offsets": (_list(_vector(2), "[a, b] pairs"), False),
+            "independence_offsets": (_list(_vector(2, _nonzero), "[a, b] pairs"), False),
             "zo1_start": (_vector(2), False)}),
         "ghd-residual": ("run_ghd_residual", {
             "q_range": (_interval(True), True),

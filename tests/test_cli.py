@@ -225,7 +225,7 @@ def test_negative_thread_count_is_config_error(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "--threads: expected an integer >= 0, got -3" in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
-    # 0 still means one worker per CPU
+    # 0 is still accepted; the count has no effect on the run
     assert main(["verify-lln", "--config", str(cfg), "--threads", "0",
                  "--out", str(out)]) in (0, 1)
     assert report_of(out)["M"] == 5
@@ -552,6 +552,10 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
      "config.experiment.mass_point[0]: expected a finite number != 0, got 0.0"),
     ("verify-euler-clt", "quasiparticle", [0.5, 1.0, 0],
      "config.experiment.quasiparticle[2]: expected a finite number != 0, got 0"),
+    ("verify-diffusive", "independence_offsets", [[0, -1]],
+     "config.experiment.independence_offsets[0][0]: expected a finite number != 0, got 0"),
+    ("verify-diffusive", "independence_offsets", [[1, 0]],
+     "config.experiment.independence_offsets[0][1]: expected a finite number != 0, got 0"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))

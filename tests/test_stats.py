@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ def test_replicate_deterministic_across_threads():
     a = rows(5, 1)
     assert np.array_equal(a, rows(5, 8))
     assert not np.array_equal(a, rows(6, 1))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_map_ordered_runs_in_order_on_calling_thread(threads):
+    # a pool would call fn off the calling thread, or out of index order
+    calls = []
+
+    def fn(i):
+        calls.append((i, threading.get_ident()))
+        return -i
+
+    out = _map_ordered(fn, 12, threads)
+    assert calls == [(i, threading.get_ident()) for i in range(12)]
+    assert out == [-i for i in range(12)]
 
 
 def test_single_replica_flags_se():
