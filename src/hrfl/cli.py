@@ -122,7 +122,7 @@ def run_hardrod_evolve(kind, model, seed, threads, rundir, engine, epsilon, regi
                             {"engine": engine, "times": times, "rods": int(gas.n)}, True)
 
 
-def run_ghd_residual(kind, model, seed, threads, rundir, ratio_band=(3.2, 4.8), **grid):
+def run_ghd_residual(kind, model, seed, threads, rundir, **grid):
     _require_rod_marks(model)
     if model.kernel.atom_velocities() is None:
         raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
@@ -144,11 +144,11 @@ def run_ghd_residual(kind, model, seed, threads, rundir, ratio_band=(3.2, 4.8), 
                                           4.0, math.nan))
     # a residual that is exactly zero on every level, each keeping a column,
     # leaves every ratio undefined (NaN, written as null) and passes
-    lo, hi = ratio_band
+    lo, hi = stats.GHD_RATIO_BAND
     verdict = (all(level.max_norm == 0.0 for level in levels)
                or all(lo <= r <= hi for r in ratios))
     extra = {"h_q": res.h_q, "h_t": res.h_t, "ratios": ratios,
-             "ratio_band": list(ratio_band)}
+             "ratio_band": [lo, hi]}
     return ExperimentReport(kind, model.summary(), None, 1, seed,
                             statistics, extra, verdict)
 

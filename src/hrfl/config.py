@@ -173,16 +173,12 @@ def _vector(n, item=_finite):
     return _tuple(f"[{', '.join(['number'] * n)}]", *[item] * n)
 
 
-def _interval(finite: bool):
-    what = "finite lo < hi" if finite else "lo < hi"
-    pair = _vector(2, _number)
-
-    def parse(v, path):
-        lo, hi = pair(v, path)
-        if not (lo < hi and (not finite or math.isfinite(lo) and math.isfinite(hi))):
-            raise ConfigError(f"{path}: expected {what}, got {v!r}")
-        return lo, hi
-    return parse
+def _interval(v, path):
+    """A pair of finite numbers lo < hi."""
+    lo, hi = _vector(2, _number)(v, path)
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{path}: expected finite lo < hi, got {v!r}")
+    return lo, hi
 
 
 # A statistic that is exactly its target could never fail: the surface at
@@ -242,8 +238,7 @@ def _walk(rec, path, build, fields):
     """Check rec's keys against fields, parse each present field under its
     path and return build(**parsed).
 
-    A ValueError or ArithmeticError of build is reported at path; a
-    ConfigError of build names a field relative to path.
+    A ValueError or ArithmeticError of build is reported at path.
     """
     if not isinstance(rec, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -258,8 +253,6 @@ def _walk(rec, path, build, fields):
             raise ConfigError(f"{path}.{key}: missing required key")
     try:
         return build(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -268,7 +261,7 @@ def _walk(rec, path, build, fields):
 # builders of the records that no constructor takes as they are
 # ---------------------------------------------------------------------------
 
-def _bump(center, width, height, power=4, bound=None):
+def _bump(center, width, height, power=4):
     """rho = height * (1 - u**2)**power for |u| < 1, u = (x - center) / width."""
     if not (width > 0.0 and height >= 0.0 and power >= 0.0):
         raise ValueError("bump needs width > 0, height >= 0 and power >= 0")
@@ -277,12 +270,7 @@ def _bump(center, width, height, power=4, bound=None):
         u = (np.asarray(x) - center) / width
         return height * np.clip(1.0 - u * u, 0.0, None) ** power
 
-    try:
-        return SmoothDensity(fn, (center - width, center + width), bound=bound)
-    except ValueError as exc:
-        if bound is None:
-            raise
-        raise ConfigError(f"bound: {exc}") from exc
+    return SmoothDensity(fn, (center - width, center + width))
 
 
 def _model(rho, kernel=None, velocity=None, mark=None, v_support=None):
@@ -342,12 +330,11 @@ SCHEMA = {
             "independence_offsets": (_list(_vector(2, _nonzero), "[a, b] pairs"), False),
             "zo1_start": (_vector(2), False)}),
         "ghd-residual": ("run_ghd_residual", {
-            "q_range": (_interval(True), True),
-            "t_range": (_interval(True), True),
+            "q_range": (_interval, True),
+            "t_range": (_interval, True),
             "nq": (_integer(3), True),
             "nt": (_integer(3), True),
-            "refinements": (_integer(0), False),
-            "ratio_band": (_interval(False), False)}),
+            "refinements": (_integer(0), False)}),
         "stationarity": ("run_stationarity", {
             "t_values": (_list(_finite, "finite numbers", 1), True),
             "replicas": (_integer(1), True),
@@ -360,8 +347,7 @@ SCHEMA = {
         "piecewise": (PiecewiseConstantDensity, {"edges": (_NUMBERS, True),
                                                  "values": (_NUMBERS, True)}),
         "bump": (_bump, {"center": (_number, True), "width": (_number, True),
-                         "height": (_number, True), "power": (_number, False),
-                         "bound": (_number, False)}),
+                         "height": (_number, True), "power": (_number, False)}),
     },
     "velocity": {
         "uniform": (UniformVelocity, {"lo": (_number, True), "hi": (_number, True)}),
@@ -387,7 +373,7 @@ SCHEMA = {
 
 _MODEL = {"rho": (_kinded("rho"), True), "kernel": (_kinded("kernel"), False),
           "velocity": (_kinded("velocity"), False), "mark": (_kinded("mark"), False),
-          "v_support": (_interval(True), False)}
+          "v_support": (_interval, False)}
 _CONFIG = {"schema_version": (_version, True), "model": (_any, True),
            "experiment": (_any, True), "threads": (_integer(0), False)}
 
@@ -414,7 +400,12 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         raise ConfigError(f"{path}.kind: {kind!r} does not match the "
                           f"{expected_kind!r} subcommand")
     fields = _walk(body, path, dict, SCHEMA["experiment"][kind][1])
-    # the one cross-field check: times and grid axes lie inside the region
+    # the cross-field checks: epsilon is one of the epsilons that run, and
+    # times and grid axes lie inside the region
+    epsilon, epsilons = fields.get("epsilon"), fields.get("epsilons")
+    if epsilon is not None and epsilons is not None and epsilon not in epsilons:
+        raise ConfigError(f"{path}.epsilon: expected one of epsilons {epsilons}, "
+                          f"got {epsilon!r}")
     region = fields.get("region")
     if "times" in fields:
         lo, hi = region.t_range

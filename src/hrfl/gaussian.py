@@ -1,4 +1,4 @@
-"""Finite-dimensional sampling of the limiting multitime Brownian field.
+"""Covariance of the limiting multitime Brownian field at finitely many points.
 
 The limit field is the centered Gaussian field whose covariance is built
 from the crossing-moment distance d(a, b) = mu_2(ab):
@@ -7,10 +7,9 @@ from the crossing-moment distance d(a, b) = mu_2(ab):
 
 Distances are taken in the model passed in, a base model or its frozen
 frame (:class:`hrfl.intensity.FrozenModel`); the translated frame's
-distances are the base model's between translated points.
-Sampling factors the covariance by symmetric eigendecomposition with
-negative eigenvalues clipped at zero, which is robust for rank-deficient
-point sets containing the origin.
+distances are the base model's between translated points.  The batteries
+compare empirical covariances with this matrix, so it is checked to be
+positive semidefinite within EIG_FLOOR_REL of its trace.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import ORIGIN, Segment, SpaceTimePoint
-from .sampler import stream
+from .intensity import QuadratureError
 
 EIG_FLOOR_REL = 1e-8
 
@@ -31,7 +30,11 @@ def distance(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float:
 
 
 def covariance_matrix(model, points: Sequence[SpaceTimePoint]) -> np.ndarray:
-    """Covariance of the limit field of the model at distinct points."""
+    """Covariance of the limit field of the model at distinct points.
+
+    A smallest eigenvalue below -EIG_FLOOR_REL * max(trace, 1) means the
+    distances do not form a covariance, and raises QuadratureError.
+    """
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
@@ -43,38 +46,10 @@ def covariance_matrix(model, points: Sequence[SpaceTimePoint]) -> np.ndarray:
         for j in range(i + 1, n):
             d_ij = distance(model, pts[i], pts[j])
             cov[i, j] = cov[j, i] = 0.5 * (d_o[i] + d_o[j] - d_ij)
-    return cov
-
-
-def _factor(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues clipped at zero.
-
-    Rows belonging to exactly-zero diagonal entries (the origin) are zeroed
-    so those coordinates sample to 0 exactly.
-    """
-    tr = float(np.trace(cov))
-    w, vecs = np.linalg.eigh(cov)
-    floor = -EIG_FLOOR_REL * max(tr, 1.0)
-    if w.min(initial=0.0) < floor:
-        raise ValueError(
-            f"covariance not PSD within tolerance: min eigenvalue {w.min():.3e} "
+    floor = -EIG_FLOOR_REL * max(float(np.trace(cov)), 1.0)
+    w_min = np.linalg.eigvalsh(cov).min(initial=0.0)
+    if w_min < floor:
+        raise QuadratureError(
+            f"covariance not PSD within tolerance: min eigenvalue {w_min:.3e} "
             f"< {floor:.3e}")
-    fac = vecs * np.sqrt(np.clip(w, 0.0, None))
-    fac[np.diag(cov) == 0.0, :] = 0.0
-    return fac
-
-
-def sample_field(model, points: Sequence[SpaceTimePoint], n_samples: int, seed: int,
-                 stream_key: tuple[int, ...] = ()) -> np.ndarray:
-    """Zero-mean Gaussian samples of the limit field; (n_samples, n_points)."""
-    cov = covariance_matrix(model, points)
-    fac = _factor(cov)
-    rng = stream(seed, *stream_key)
-    z = rng.standard_normal((n_samples, cov.shape[0]))
-    return z @ fac.T
-
-
-def samples_to_csv(samples: np.ndarray, points: Sequence[SpaceTimePoint], path) -> None:
-    from .reporting import write_csv
-    header = tuple(f"p{i}_x{p.x}_t{p.t}" for i, p in enumerate(points))
-    write_csv(path, header, samples)
+    return cov

@@ -28,9 +28,10 @@ as a column against the array, so one integrand call evaluates them at
 every position.  Z is x plus the signed m_1 mass between 0 and x - v t
 integrated over the velocity law.  Array and per-element calls return the
 same bits for atoms; for a continuous law the positions of one call share
-their panels, so they agree within the quadrature tolerance.  Z^-1 brackets
-every q by doubling steps, then runs a safeguarded Newton iteration on
-Z' = 1 + sigma, bisecting whenever a step would leave the bracket.  The
+their panels, so they agree within the quadrature tolerance.  Since
+Z' = 1 + sigma >= 1, one evaluation s = Z(q) - q puts the root of Z(x) = q
+between q and q - s; Z^-1 runs a safeguarded Newton iteration on Z' from q
+inside that bracket, bisecting whenever a step would leave it.  The
 residual grid inverts a whole time slice of q nodes in one call.
 """
 
@@ -49,7 +50,6 @@ from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
 INVERSE_RTOL = 4.0 * float(np.finfo(float).eps)
-BRACKET_LIMIT = 1e12
 MAX_INVERSE_STEPS = 100
 
 
@@ -112,57 +112,42 @@ def characteristic_map(model: IntensityModel, x, t: float):
 
 
 class CharacteristicInverseError(RuntimeError):
-    """Z(x, t) = q could not be bracketed or solved within the step cap."""
+    """Z(x, t) = q has no finite bracket or was not solved within the step cap."""
 
 
 def inverse_characteristic(model: IntensityModel, q, t: float):
     """Solve Z(x, t) = q for x; q may be a scalar or an array.
 
-    Z is strictly increasing with Z' = 1 + sigma >= 1.  Each q is bracketed
-    by steps of doubling width outward from [q - 1, q + 1], up to
-    BRACKET_LIMIT.  A safeguarded Newton iteration on Z' then starts from
-    the bracket's midpoint: every evaluation of Z shrinks the bracket, a
-    Newton step that leaves the bracket is replaced by bisection, and a
-    point stops once its step is at most INVERSE_XTOL + INVERSE_RTOL |x|.
-    A point still moving after MAX_INVERSE_STEPS steps, or a q that cannot
-    be bracketed, raises CharacteristicInverseError.  Every step is
-    elementwise and Z and sigma follow the rule of the module docstring, so
-    for atoms an array call returns the same bits as one call per element,
-    and for a continuous law the two agree within the quadrature tolerance.
+    Z is strictly increasing with Z' = 1 + sigma >= 1, so with
+    s = Z(q) - q the root lies between q and q - s; the bracket
+    [q - max(s, 0) - 1, q - min(s, 0) + 1] holds it with a margin of 1
+    against rounding and quadrature error.  A safeguarded Newton iteration
+    on Z' then starts from q, whose Z is already known: every evaluation of
+    Z shrinks the bracket, a Newton step that leaves the bracket is
+    replaced by bisection, and a point stops once its step is at most
+    INVERSE_XTOL + INVERSE_RTOL |x|.  A non-finite s, or a point still
+    moving after MAX_INVERSE_STEPS steps, raises
+    CharacteristicInverseError.  Every step is elementwise and Z and sigma
+    follow the rule of the module docstring, so for atoms an array call
+    returns the same bits as one call per element, and for a continuous
+    law the two agree within the quadrature tolerance.
     """
     _require_rod_model(model)
     q_in = np.asarray(q, dtype=float)
     if not (np.all(np.isfinite(q_in)) and math.isfinite(t)):
         raise ValueError("the characteristic inverse needs finite q and t")
     q = q_in.ravel()
-
-    def f(x, idx):
-        return characteristic_map(model, x, t) - q[idx]
-
-    lo, hi = q - 1.0, q + 1.0
-    everywhere = np.arange(len(q))
-    flo, fhi = f(lo, everywhere), f(hi, everywhere)
-    width = 2.0
-    while True:
-        left, right = np.nonzero(flo > 0.0)[0], np.nonzero(fhi < 0.0)[0]
-        if not (len(left) or len(right)):
-            break
-        width *= 2.0
-        lo[left] -= width
-        flo[left] = f(lo[left], left)
-        hi[right] += width
-        fhi[right] = f(hi[right], right)
-        if width > BRACKET_LIMIT:
-            raise CharacteristicInverseError(
-                f"failed to bracket the characteristic inverse at t={t}")
-
-    x = 0.5 * (lo + hi)
-    active = everywhere
+    x = q.copy()
+    fx = characteristic_map(model, x, t) - q
+    if not np.all(np.isfinite(fx)):
+        raise CharacteristicInverseError(
+            f"Z(q, t) - q is not finite at t={t}, so the inverse has no bracket")
+    lo, hi = q - np.maximum(fx, 0.0) - 1.0, q - np.minimum(fx, 0.0) + 1.0
+    active = np.arange(len(q))
     for _ in range(MAX_INVERSE_STEPS):
-        xa, a, b = x[active], lo[active], hi[active]
-        fx = f(xa, active)
-        a = np.where(fx < 0.0, xa, a)
-        b = np.where(fx > 0.0, xa, b)
+        xa = x[active]
+        a = np.where(fx < 0.0, xa, lo[active])
+        b = np.where(fx > 0.0, xa, hi[active])
         newton = xa - fx / (1.0 + sigma(model, xa, t))
         step_in = (a < newton) & (newton < b)
         x_new = np.where(step_in | (fx == 0.0), newton, 0.5 * (a + b))
@@ -171,6 +156,7 @@ def inverse_characteristic(model: IntensityModel, q, t: float):
         active = active[moving]
         if not len(active):
             return x.reshape(q_in.shape) if q_in.ndim else float(x[0])
+        fx = characteristic_map(model, x[active], t) - q[active]
     raise CharacteristicInverseError(
         f"the characteristic inverse at t={t} did not converge in "
         f"{MAX_INVERSE_STEPS} steps ({len(active)} of {len(q)} points still moving)")
@@ -292,7 +278,9 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     differentiated with second-order central stencils, so the residual of a
     smooth exact solution shrinks like h^2.  Boundary rows and columns are
     excluded; where rho or the kernel's cells jump, a margin around the
-    image of each jump is excluded too (with a warning).
+    image of each jump is excluded too (with a warning).  A division by
+    zero, overflow or invalid operation while evaluating the nodes raises
+    FloatingPointError.
     """
     _require_rod_model(model)
     q_nodes = np.asarray(q_nodes, dtype=float)
@@ -312,11 +300,14 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     G = np.empty((n_s, len(t_nodes), len(q_nodes)))
     F = np.empty_like(G)
     v_col = vs[:, None]
-    for i, tv in enumerate(t_nodes):
-        st = _species_state(model, q_nodes, float(tv))
-        veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
-        G[:, i] = st.g
-        F[:, i] = veff * st.g
+    # a breakdown, such as sigma~ rounding to 1, is a FloatingPointError
+    # rather than a NaN norm that reads as a failed convergence test
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for i, tv in enumerate(t_nodes):
+            st = _species_state(model, q_nodes, float(tv))
+            veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
+            G[:, i] = st.g
+            F[:, i] = veff * st.g
 
     dG_dt = (G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
     dF_dq = (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q)

@@ -61,7 +61,8 @@ _LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance, or the
+    crossing-moment distances it gave do not form a covariance."""
 
 
 # QUADPACK's qk21 rule on [-1, 1], given on its nonnegative half: the
@@ -243,18 +244,16 @@ class SmoothDensity:
     stored in the power basis of the offset from the left edge.  Its error
     is O(h**4).  An interval mass costs two Horner evaluations, and an
     array call returns the same bits as one call per element.  Sampling is
-    by rejection against a constant bound, which may be user-supplied but
-    must be finite and at least the density's maximum on the quadrature
-    nodes; a sample that is not complete after MAX_REJECTION_ROUNDS rounds
-    is a ValueError.
+    by rejection against a constant bound, the density's maximum on the
+    quadrature nodes raised by a relative 1e-6; a sample that is not
+    complete after MAX_REJECTION_ROUNDS rounds is a ValueError.
     """
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
     MAX_REJECTION_ROUNDS = 10_000
     PANELS = 4096
 
-    def __init__(self, fn: Callable, support: tuple[float, float],
-                 bound: float | None = None):
+    def __init__(self, fn: Callable, support: tuple[float, float]):
         lo, hi = float(support[0]), float(support[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("smooth density needs a bounded support (lo, hi)")
@@ -279,13 +278,7 @@ class SmoothDensity:
                       (d0 + d1 - 2.0 * mean) / (h * h))
         self._edges, self._h = edges, h
         self._total = float(cum[-1])
-        top = float(vals.max())
-        if bound is None:
-            bound = top * 1.000001
-        elif not (math.isfinite(bound) and bound >= top):
-            raise ValueError(f"bound {bound} must be finite and at least the density's "
-                             f"maximum {top} on its node grid")
-        self.bound = float(bound)
+        self.bound = float(vals.max()) * 1.000001
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

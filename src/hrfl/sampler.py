@@ -3,10 +3,10 @@
 A sample at scale epsilon is a Poisson process with intensity
 ``(1/epsilon) * mu`` restricted to a sampling window in the intercept
 coordinate.  The window is chosen large enough that every line able to
-cross a declared observation region is included: with maximal speed V and
-T = max(|t_lo|, |t_hi|), intercepts range over
-``[x_lo - V*T, x_hi + V*T]`` (plus a tiny relative inflation against
-boundary clipping).
+cross a declared observation region, or to pass between the region and
+the origin, is included: with maximal speed V and T = max(|t_lo|, |t_hi|),
+intercepts range over ``[min(x_lo, 0) - V*T, max(x_hi, 0) + V*T]`` (plus a
+tiny relative inflation against boundary clipping).
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, *stream_key)``, so replicas are reproducible and independent
@@ -57,9 +57,12 @@ class ObservationRegion:
                 and self.t_range[0] <= t <= self.t_range[1])
 
     def window_x(self, max_speed: float) -> tuple[float, float]:
+        """Intercepts of every line that can separate a region point from the
+        origin: the surface counts all of them, and rod positions are
+        measured from 0."""
         tmax = max(abs(self.t_range[0]), abs(self.t_range[1]))
-        lo = self.x_range[0] - max_speed * tmax
-        hi = self.x_range[1] + max_speed * tmax
+        lo = min(self.x_range[0], 0.0) - max_speed * tmax
+        hi = max(self.x_range[1], 0.0) + max_speed * tmax
         pad = WINDOW_INFLATION * (hi - lo + 1.0)
         return lo - pad, hi + pad
 

@@ -30,6 +30,8 @@ from .sampler import ObservationRegion, sample
 Z_THRESHOLD = 4.0
 KS_LEVEL = 1e-3
 LLN_SLOPE_BAND = (0.4, 0.6)
+# L2 ratios of successive ghd-residual grid levels, around the second-order 4
+GHD_RATIO_BAND = (3.2, 4.8)
 
 
 @dataclass

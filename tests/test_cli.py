@@ -165,6 +165,21 @@ def test_sample_field_csv(tmp_path):
     assert len(csv.decode().strip().split("\n")) == 1 + 6
 
 
+def test_sample_field_away_from_the_origin_counts_the_lines_in_between(tmp_path):
+    # H(5, 0) counts every line between the origin and x = 5, not only those
+    # near the region: the limit is 5, with a Poisson sd of sqrt(0.01 * 5)
+    cfg = write_config(tmp_path, {
+        "kind": "sample-field", "epsilon": 0.01,
+        "region": {"x": [5, 10], "t": [0, 1]},
+        "grid": {"x": [5, 10, 3], "t": [0, 1, 2]}})
+    out = tmp_path / "runs"
+    assert main(["sample-field", "--config", str(cfg), "--seed", "0",
+                 "--out", str(out)]) == 0
+    rows = next(out.glob("*/surface.csv")).read_text().splitlines()[1:]
+    h = {(float(x), float(t)): float(v) for x, t, v in (r.split(",") for r in rows)}
+    assert h[(5.0, 0.0)] == pytest.approx(5.0, abs=1.5)
+
+
 def test_csv_17_digit_roundtrip(tmp_path):
     from hrfl.reporting import write_csv
     val = 0.1234567890123456789
@@ -307,6 +322,7 @@ def test_ghd_residual_subcommand(tmp_path):
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 0
     rep = report_of(out)
     assert rep["extra"]["ratios"][0] == pytest.approx(4.0, abs=0.8)
+    assert rep["extra"]["ratio_band"] == [3.2, 4.8]
     assert (next((tmp_path / "runs").glob("*/residual.csv"))
             .read_text().startswith("species,t,q,residual"))
 
@@ -402,8 +418,8 @@ BUMP_ATOMS_MODEL = {
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("bound", 0.1, "model.rho.bound: "),
-    ("bound", "0.9", "model.rho.bound: expected a number"),
+    ("bound", 0.1, "model.rho.bound: unknown key"),
+    ("width", 0, "model.rho: bump needs"),
     ("power", "4", "model.rho.power: expected a number"),
     ("power", -1, "model.rho: bump needs"),
     ("rho", {"kind": "piecewise", "edges": [-1, 1], "values": ["a"]},
@@ -496,8 +512,6 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
     ("q_range", [-math.inf, 0.8], "config.experiment.q_range: expected finite lo < hi"),
     ("t_range", [0.45, 0.05], "config.experiment.t_range: expected finite lo < hi"),
     ("t_range", [0.05, math.nan], "config.experiment.t_range: expected finite lo < hi"),
-    ("ratio_band", [4.8, 3.2], "config.experiment.ratio_band: expected lo < hi"),
-    ("ratio_band", "wide", "config.experiment.ratio_band: expected [number, number]"),
 ])
 def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
@@ -556,6 +570,8 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
      "config.experiment.independence_offsets[0][0]: expected a finite number != 0, got 0"),
     ("verify-diffusive", "independence_offsets", [[1, 0]],
      "config.experiment.independence_offsets[0][1]: expected a finite number != 0, got 0"),
+    ("verify-euler-clt", "epsilons", [0.1, 0.02],
+     "config.experiment.epsilon: expected one of epsilons [0.1, 0.02], got 0.05"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))
@@ -602,6 +618,17 @@ def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path, capsys):
     code = main(["ghd-residual", "--config", str(cfg), "--out", str(out)])
     rep = _strict_json(next(out.glob("*/report.json")))
     assert code == (0 if rep["verdict"] == "pass" else 1)
+
+
+def test_ghd_breakdown_is_a_numerical_error(tmp_path, capsys):
+    # at rho = 1e17 sigma~ rounds to 1 and V_eff divides by zero: exit 3,
+    # not a FAIL built on NaN norms
+    model = dict(BUMP_ATOMS_MODEL, rho={"kind": "constant", "value": 1e17})
+    cfg = write_config(tmp_path, GHD_EXPERIMENT, model=model)
+    out = tmp_path / "runs"
+    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not list(out.glob("*/report.json"))
 
 
 def test_ghd_grid_without_a_kept_column_is_config_error(tmp_path, capsys):
@@ -660,7 +687,7 @@ FUZZ_EXPERIMENTS = {
                          "t": 1.0, "frame": [0.2, 0.1], "same_velocity": [0.0, 0.0, 0.5],
                          "distinct_velocities": [0.0, 1.0],
                          "independence_offsets": [[1.0, -1.0]], "zo1_start": [0.3, 0.0]},
-    "ghd-residual": dict(GHD_EXPERIMENT, ratio_band=[3.2, 4.8]),
+    "ghd-residual": GHD_EXPERIMENT,
     "stationarity": {"kind": "stationarity", "t_values": [1.0], "replicas": 3,
                      "core_halfwidth": 6.0, "expect_reject": False},
 }

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from hrfl.gaussian import covariance_matrix, distance, sample_field
+from hrfl.gaussian import covariance_matrix, distance
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint
-from hrfl.intensity import FrozenModel
+from hrfl.intensity import FrozenModel, QuadratureError
 
 
 def pt(x, t):
@@ -45,45 +43,27 @@ def test_psd_and_symmetry(reference_model, rng):
     assert w.min() >= -1e-8 * np.trace(cov)
 
 
-def test_sample_at_origin_exactly_zero(reference_model):
-    s = sample_field(reference_model, (ORIGIN, pt(0, 1)), 50, seed=3)
-    assert np.all(s[:, 0] == 0.0)
-    assert s[:, 1].std() > 0
-
-
-def test_sample_reproducible(reference_model):
-    pts = (pt(0, 1), pt(1, 0))
-    assert np.array_equal(sample_field(reference_model, pts, 10, seed=5),
-                          sample_field(reference_model, pts, 10, seed=5))
-
-
-def test_empirical_covariance_matches(reference_model):
-    pts = (pt(0, 1), pt(0, 2), pt(1, 0))
-    cov = covariance_matrix(reference_model, pts)
-    M = 100_000
-    s = sample_field(reference_model, pts, M, seed=8)
-    emp = np.cov(s, rowvar=False)
-    for i in range(3):
-        for j in range(3):
-            se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / M)
-            assert emp[i, j] == pytest.approx(cov[i, j], abs=4 * se)
+def test_distances_that_form_no_covariance_are_a_quadrature_error(reference_model, monkeypatch):
+    # d(o, p) = 1 for both points but d(p1, p2) = 10 breaks the triangle
+    # inequality: the matrix [[1, -4], [-4, 1]] has eigenvalue -3
+    monkeypatch.setattr("hrfl.gaussian.distance",
+                        lambda model, a, b: 1.0 if ORIGIN in (a, b) else 10.0)
+    with pytest.raises(QuadratureError, match="not PSD"):
+        covariance_matrix(reference_model, (pt(0, 1), pt(1, 0)))
 
 
 def test_line_marginal_has_independent_increments(reference_model):
     # increments of the marginal along a straight line over disjoint
-    # parameter intervals are uncorrelated, like Brownian motion
+    # parameter intervals are uncorrelated, like Brownian motion: no line
+    # crosses both segments
     x0, v = 0.2, 0.7
     times = (0.0, 0.5, 1.0, 1.5)
     pts = tuple(pt(x0 + v * t, t) for t in times)
-    M = 60_000
-    s = sample_field(reference_model, pts, M, seed=9)
-    inc1 = s[:, 1] - s[:, 0]
-    inc2 = s[:, 3] - s[:, 2]
-    corr = np.corrcoef(inc1, inc2)[0, 1]
-    assert abs(corr) < 3 / math.sqrt(M)
+    cov = covariance_matrix(reference_model, pts)
+    assert abs(cov[1, 3] - cov[1, 2] - cov[0, 3] + cov[0, 2]) < 1e-9
     # and the increment variance is the segment distance
     d = distance(reference_model, pts[0], pts[1])
-    assert inc1.var(ddof=1) == pytest.approx(d, rel=0.05)
+    assert cov[1, 1] - 2.0 * cov[0, 1] + cov[0, 0] == pytest.approx(d, rel=1e-12, abs=1e-12)
 
 
 def test_difference_covariance_identity(reference_model, rng):
@@ -115,14 +95,3 @@ def test_frame_modes(reference_model):
 def test_points_must_be_distinct(reference_model):
     with pytest.raises(ValueError, match="distinct"):
         covariance_matrix(reference_model, (pt(0, 1), pt(0, 1)))
-
-
-def test_sample_csv_dump(reference_model, tmp_path):
-    from hrfl.gaussian import samples_to_csv
-    pts = (pt(0, 1), pt(1, 0))
-    s = sample_field(reference_model, pts, 5, seed=2)
-    path = tmp_path / "samples.csv"
-    samples_to_csv(s, pts, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == s[0, 1]

@@ -450,6 +450,17 @@ def test_inverse_of_non_finite_input_is_value_error(q, t):
         inverse_characteristic(bump_two_velocity(), q, t)
 
 
+def test_inverse_of_a_non_finite_z_is_a_numerical_error():
+    # Z(10) - 10 overflows to inf at rho = 1e308, so no bracket is finite
+    from hrfl import hydro
+
+    model = IntensityModel(ConstantDensity(1e308),
+                           DiscreteKernel([(-1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]))
+    with np.errstate(over="ignore"), pytest.raises(hydro.CharacteristicInverseError,
+                                                   match="not finite"):
+        inverse_characteristic(model, 10.0, 0.2)
+
+
 def test_inverse_step_cap_raises_numerical_error(monkeypatch, tmp_path, capsys):
     import json
 

@@ -259,17 +259,6 @@ def _bump(height=0.5, width=2.0):
     return lambda x: height * np.clip(1 - (np.asarray(x) / width) ** 2, 0, None) ** 4
 
 
-def test_smooth_density_rejects_a_bound_below_its_maximum():
-    # with bound 0.1 under a height-0.5 bump, rejection sampling would clip
-    # the density at 0.1 and bias every sample away from the centre
-    with pytest.raises(ValueError, match="bound"):
-        SmoothDensity(_bump(), (-2.0, 2.0), bound=0.1)
-    for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="bound"):
-            SmoothDensity(_bump(), (-2.0, 2.0), bound=bad)
-    assert SmoothDensity(_bump(), (-2.0, 2.0), bound=0.5).bound == 0.5
-
-
 def test_smooth_density_rejection_loop_is_bounded(rng):
     # the density vanishes on [0.5, 1], so no candidate there is accepted
     rho = SmoothDensity(lambda x: np.clip(0.25 - np.asarray(x) ** 2, 0, None), (-1, 1))
