@@ -12,8 +12,8 @@ sums by crossing moments of the intensity.  The Euler and diffusive
 fluctuation fields are the centered differences of the two, rescaled; the
 batteries of :mod:`hrfl.stats` form them from these functions.
 
-Every empirical evaluation is one vectorized scan of the sampled lines per
-query point; a grid of points is a loop over :func:`walk_field`.
+Each empirical surface value or mass is one :func:`signed_mark_sum` of two
+side masks of the sampled lines; a grid is a loop over :func:`walk_field`.
 """
 
 from __future__ import annotations
@@ -21,37 +21,39 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ORIGIN, Segment, SpaceTimePoint
-from .sampler import SampledConfiguration, crossing_indices
+from .sampler import SampledConfiguration
+
+
+def signed_mark_sum(r: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> float:
+    """sum_i r_i (1{plus_i} - 1{minus_i}) over boolean masks, in numpy's fixed
+    pairwise order (a BLAS dot's bits change with the OpenBLAS thread count)."""
+    return float(np.add.reduce(r * np.subtract(plus, minus, dtype=np.int8)))
+
+
+def require_in_region(config: SampledConfiguration, *points: tuple[float, float]) -> None:
+    """Outside the observation region not every separating line was drawn."""
+    for x, t in points:
+        if not config.region.contains(x, t):
+            raise ValueError(f"evaluation point ({x}, {t}) outside observation region")
 
 
 def surface_sum(x: np.ndarray, v: np.ndarray, r: np.ndarray, b: SpaceTimePoint) -> float:
     """Unweighted surface sum_i r_i (1{b right of i} - 1{o right of i})."""
-    ub = x + b.t * v <= b.x
-    uo = x <= 0.0
-    plus = np.nonzero(ub & ~uo)[0]
-    minus = np.nonzero(uo & ~ub)[0]
-    return float(np.sum(r[plus]) - np.sum(r[minus]))
+    return signed_mark_sum(r, x + b.t * v <= b.x, x <= 0.0)
 
 
 def walk_field(config: SampledConfiguration, b: SpaceTimePoint) -> float:
-    """H(b) for a sampled configuration, including the epsilon weight.
-
-    b must lie in the observation region: outside it the sampling window
-    does not guarantee every crossing line was drawn.
-    """
-    if not config.region.contains(b.x, b.t):
-        raise ValueError(f"evaluation point ({b.x}, {b.t}) outside observation region")
+    """H(b) for a sampled configuration, including the epsilon weight."""
+    require_in_region(config, (b.x, b.t))
     return config.epsilon * surface_sum(config.x, config.v, config.r, b)
 
 
 def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
                           b: SpaceTimePoint) -> float:
-    """H(b) - H(a) evaluated directly from the crossings of segment ab."""
-    for p in (a, b):
-        if not config.region.contains(p.x, p.t):
-            raise ValueError(f"evaluation point ({p.x}, {p.t}) outside observation region")
-    plus, minus = crossing_indices(config, Segment(a, b))
-    return config.epsilon * float(np.sum(config.r[plus]) - np.sum(config.r[minus]))
+    """H(b) - H(a) directly from the lines separating a from b."""
+    require_in_region(config, (a.x, a.t), (b.x, b.t))
+    x, v = config.x, config.v
+    return config.epsilon * signed_mark_sum(config.r, x + b.t * v <= b.x, x + a.t * v <= a.x)
 
 
 def walk_field_grid(config: SampledConfiguration, xs, ts) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import limit_field
+from .field import limit_field, require_in_region, signed_mark_sum
 from .geometry import SpaceTimePoint
 from .intensity import IntensityModel, edge_velocities, velocity_integral
 from .sampler import SampledConfiguration
@@ -224,13 +224,11 @@ def limit_mass(model: IntensityModel, z: float, t: float) -> float:
 
 
 def empirical_mass(config: SampledConfiguration, z: float, t: float) -> float:
-    """epsilon-weighted signed mark length in [0, z) at time t of the sample."""
+    """epsilon-weighted signed mark length in [0, z) at time t of the sample;
+    1{pos < z} - 1{pos < 0} is 1 on [0, z) and -1 on [z, 0)."""
+    require_in_region(config, (z, t), (0.0, t))
     pos = config.x + config.v * t
-    if z >= 0.0:
-        inside = (pos >= 0.0) & (pos < z)
-        return config.epsilon * float(np.sum(config.r[inside]))
-    inside = (pos >= z) & (pos < 0.0)
-    return -config.epsilon * float(np.sum(config.r[inside]))
+    return config.epsilon * signed_mark_sum(config.r, pos < z, pos < 0.0)
 
 
 # ---------------------------------------------------------------------------

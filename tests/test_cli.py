@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hrfl
 from hrfl.cli import main
+from hrfl.sampler import ObservationRegion
 
 HOMOGENEOUS_MODEL = {
     "rho": {"kind": "constant", "value": 1.0},
@@ -295,6 +296,31 @@ def test_reproducible_across_threads_and_runs(tmp_path):
                      "--threads", str(threads), "--out", str(out)]) == 0
         blobs.append(next(out.glob("*/report.json")).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    # non-integer marks make the bits of every field sum depend on its
+    # summation order; OpenBLAS splits a long dot product across its threads
+    model = {"rho": {"kind": "constant", "value": 1.0},
+             "velocity": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+             "mark": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}
+    cfg = write_config(tmp_path, {"kind": "verify-diffusive", "epsilon": 0.01,
+                                  "replicas": 4, "frame": [0.3, 0.2]}, model=model)
+    # part two samples the window of frame +- 1.5 at t in [0, 0.2] at scale eps^2
+    lo, hi = ObservationRegion((-1.2, 1.8), (0.0, 0.2)).window_x(1.0)
+    assert (hi - lo) / 0.01 ** 2 > 30_000
+    src = str(Path(hrfl.__file__).resolve().parent.parent)
+    blobs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / f"runs{blas_threads}"
+        proc = subprocess.run([sys.executable, "-m", "hrfl.cli", "verify-diffusive",
+                               "--config", str(cfg), "--seed", "3", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        blobs.append(next(out.glob("*/report.json")).read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_verify_diffusive_subcommand(tmp_path):

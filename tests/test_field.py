@@ -13,6 +13,7 @@ from hrfl.field import (
 )
 from hrfl.gaussian import distance
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint
+from hrfl.hydro import empirical_mass
 from hrfl.intensity import (
     ConstantDensity,
     ConstantMark,
@@ -20,7 +21,13 @@ from hrfl.intensity import (
     ProductKernel,
     UniformVelocity,
 )
-from hrfl.sampler import ObservationRegion, SampledConfiguration, sample, stream
+from hrfl.sampler import (
+    ObservationRegion,
+    SampledConfiguration,
+    crossing_indices,
+    sample,
+    stream,
+)
 
 
 def make_config(x, v, r, epsilon=1.0, halfwidth=20.0):
@@ -81,6 +88,67 @@ def test_crossing_decomposition(rng):
         rhs = walk_field_difference(cfg, a, b)
         scale = max(1.0, cfg.epsilon * float(np.abs(cfg.r).sum()))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def brute_right(config, i, p):
+    """Closed-right convention, line by line: line i is right of p iff its
+    position at time p.t is <= p.x."""
+    return float(config.x[i]) + p.t * float(config.v[i]) <= p.x
+
+
+def brute_difference(config, a, b):
+    return config.epsilon * math.fsum(
+        float(config.r[i]) * (brute_right(config, i, b) - brute_right(config, i, a))
+        for i in range(config.n))
+
+
+def brute_mass(config, z, t):
+    """Half-open convention: +r on [0, z), -r on [z, 0)."""
+    terms = []
+    for i in range(config.n):
+        pos, r = float(config.x[i]) + float(config.v[i]) * t, float(config.r[i])
+        terms.append(r if 0.0 <= pos < z else -r if z <= pos < 0.0 else 0.0)
+    return config.epsilon * math.fsum(terms)
+
+
+def config_on_thresholds(rng, marks, n=200):
+    """A configuration (cfg, a, b, z, t) with lines exactly on the thresholds:
+    line 0 through the origin, lines 1 and 2 through b and a, and at time t
+    line 3 at position 0 and line 4 at position z."""
+    x, v = rng.uniform(-10, 10, n), rng.uniform(-1, 1, n)
+    s, t = float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))
+    x[0] = 0.0
+    b = SpaceTimePoint(float(x[1] + s * v[1]), s)
+    a = SpaceTimePoint(float(x[2] + s * v[2]), s)
+    x[3] = -v[3] * t
+    z = float(x[4] + v[4] * t)
+    return make_config(x, v, marks(n), epsilon=0.01), a, b, z, t
+
+
+def test_signed_sums_match_brute_force_on_thresholds(rng):
+    for _ in range(40):
+        cfg, a, b, z, t = config_on_thresholds(rng, lambda n: rng.uniform(0.1, 1.0, n))
+        tol = 1e-12 * cfg.epsilon * float(np.abs(cfg.r).sum())
+        assert abs(walk_field(cfg, b) - brute_difference(cfg, ORIGIN, b)) <= tol
+        assert abs(walk_field(cfg, a) - brute_difference(cfg, ORIGIN, a)) <= tol
+        assert abs(walk_field_difference(cfg, a, b) - brute_difference(cfg, a, b)) <= tol
+        for zz in (z, -abs(z), 0.0, abs(z)):
+            assert abs(empirical_mass(cfg, zz, t) - brute_mass(cfg, zz, t)) <= tol
+        assert empirical_mass(cfg, 0.0, t) == 0.0
+
+
+def test_integer_mark_sums_equal_the_crossing_index_sums(rng):
+    def reference(cfg, a, b):
+        plus, minus = crossing_indices(cfg, Segment(a, b))
+        return cfg.epsilon * (float(np.sum(cfg.r[plus])) - float(np.sum(cfg.r[minus])))
+
+    for _ in range(40):
+        cfg, a, b, z, t = config_on_thresholds(
+            rng, lambda n: rng.integers(-3, 4, n).astype(float))
+        assert walk_field(cfg, b) == reference(cfg, ORIGIN, b)
+        assert walk_field_difference(cfg, a, b) == reference(cfg, a, b)
+        for zz in (z, -abs(z), 0.0, abs(z)):
+            assert empirical_mass(cfg, zz, t) == brute_mass(cfg, zz, t)
 
 
 def test_translation_covariance_of_differences(rng):

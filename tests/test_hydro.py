@@ -308,6 +308,19 @@ def test_empirical_mass_converges(single_velocity_bump):
     assert np.mean(vals) == pytest.approx(0.5, abs=4 * se)
 
 
+def test_empirical_mass_outside_the_region_is_rejected(single_velocity_bump):
+    # outside the region not every line of [0, z) was sampled, so the mass
+    # would silently come out too small
+    region = ObservationRegion((0.5, 2.0), (0.0, 1.0))
+    cfg = sample(single_velocity_bump, 1e-2, region, 5)
+    for z, t in ((3.0, 0.5), (1.0, 1.5), (1.0, 0.5)):     # (0, t) outside last
+        with pytest.raises(ValueError, match="outside"):
+            empirical_mass(cfg, z, t)
+    inside = ObservationRegion((0.0, 2.0), (0.0, 1.0))
+    cfg = sample(single_velocity_bump, 1e-2, inside, 5)
+    assert empirical_mass(cfg, 1.0, 0.5) > 0.0
+
+
 def test_negative_marks_rejected():
     model = IntensityModel(ConstantDensity(1.0),
                            ProductKernel(UniformVelocity(-1, 1),
