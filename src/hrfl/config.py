@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import SpaceTimePoint
+from .hydro import GRID_NODE_CAP
 from .intensity import (
     ConstantDensity,
     ConstantMark,
@@ -400,8 +401,9 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         raise ConfigError(f"{path}.kind: {kind!r} does not match the "
                           f"{expected_kind!r} subcommand")
     fields = _walk(body, path, dict, SCHEMA["experiment"][kind][1])
-    # the cross-field checks: epsilon is one of the epsilons that run, and
-    # times and grid axes lie inside the region
+    # the cross-field checks: epsilon is one of the epsilons that run, times
+    # and grid axes lie inside the region, and the residual grid levels (2
+    # refinements by default) hold at most GRID_NODE_CAP nodes together
     epsilon, epsilons = fields.get("epsilon"), fields.get("epsilons")
     if epsilon is not None and epsilons is not None and epsilon not in epsilons:
         raise ConfigError(f"{path}.epsilon: expected one of epsilons {epsilons}, "
@@ -419,4 +421,10 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         if not lo <= min(a, b) <= max(a, b) <= hi:
             raise ConfigError(f"{path}.grid.{axis}: expected [lo, hi, n] inside "
                               f"region.{axis} [{lo}, {hi}]")
+    nodes = 0
+    for k in range(fields.get("refinements", 2) + 1) if kind == "ghd-residual" else ():
+        nodes += ((fields["nq"] - 1) * 2 ** k + 1) * ((fields["nt"] - 1) * 2 ** k + 1)
+        if nodes > GRID_NODE_CAP:
+            raise ConfigError(f"{path}: grid levels 0 to {k} hold {nodes} nodes, over the "
+                              f"cap of {GRID_NODE_CAP}; lower nq, nt or refinements")
     return fields

@@ -31,8 +31,8 @@ same bits for atoms; for a continuous law the positions of one call share
 their panels, so they agree within the quadrature tolerance.  Since
 Z' = 1 + sigma >= 1, one evaluation s = Z(q) - q puts the root of Z(x) = q
 between q and q - s; Z^-1 runs a safeguarded Newton iteration on Z' from q
-inside that bracket, bisecting whenever a step would leave it.  The
-residual grid inverts a whole time slice of q nodes in one call.
+inside that bracket, bisecting whenever a step would leave it.  t is one
+time or one per position, so the residual grid evaluates blocks of (t, q) nodes at once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from .sampler import SampledConfiguration
 INVERSE_XTOL = 1e-13
 INVERSE_RTOL = 4.0 * float(np.finfo(float).eps)
 MAX_INVERSE_STEPS = 100
+# the most (t, q) nodes of a residual grid evaluated in one call, and the
+# most nodes of all residual_refinement levels together that a config may ask for
+BLOCK_NODES = 16_384
+GRID_NODE_CAP = 2 ** 22
 
 
 def _require_rod_model(model) -> None:
@@ -65,13 +69,15 @@ def _require_atoms(model, what: str) -> None:
             "are handled through integrated moments")
 
 
-def _over_positions(model: IntensityModel, integrand, x, t: float):
+def _over_positions(model: IntensityModel, integrand, x, t):
     """The velocity rule of integrand(v, x - v t) at each position of x, a scalar or an array.
 
-    The velocities arrive as a column against the flattened positions.
+    t is one time or one time per position.  The velocities arrive as a
+    column against the flattened positions.
     """
     y = np.asarray(x, dtype=float)
     flat = y.ravel()
+    t = np.ravel(t) if np.ndim(t) else t
 
     def f(v):
         return integrand(v[:, None], flat - v[:, None] * t)
@@ -81,8 +87,8 @@ def _over_positions(model: IntensityModel, integrand, x, t: float):
     return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
-def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
-    """Integral of r * v^j against the time-t phase density at x (x may be an array).
+def phase_moment(model: IntensityModel, x, t, v_power: int = 0):
+    """Integral of r * v^j against the time-t phase density at x (x and t as in _over_positions).
 
     The time-t density at (x, v) is the time-0 density at x - v t.
     """
@@ -92,14 +98,14 @@ def phase_moment(model: IntensityModel, x, t: float, v_power: int = 0):
     return _over_positions(model, f, x, t)
 
 
-def sigma(model: IntensityModel, x, t: float):
-    """Rod-length density of the gas at (x, t); x may be an array."""
+def sigma(model: IntensityModel, x, t):
+    """Rod-length density of the gas at (x, t); x may be an array, t one time or one per x."""
     _require_rod_model(model)
     return phase_moment(model, x, t, 0)
 
 
-def characteristic_map(model: IntensityModel, x, t: float):
-    """Z(x, t) = x + H_limit(x, t), gas position to rod position; x may be an array."""
+def characteristic_map(model: IntensityModel, x, t):
+    """Z(x, t) = x + H_limit(x, t), gas to rod position; x and t as in _over_positions."""
     _require_rod_model(model)
 
     def signed_m1_mass(v, y):
@@ -115,8 +121,8 @@ class CharacteristicInverseError(RuntimeError):
     """Z(x, t) = q has no finite bracket or was not solved within the step cap."""
 
 
-def inverse_characteristic(model: IntensityModel, q, t: float):
-    """Solve Z(x, t) = q for x; q may be a scalar or an array.
+def inverse_characteristic(model: IntensityModel, q, t):
+    """Solve Z(x, t) = q for x; q and t may be scalars or arrays, t broadcast against q.
 
     Z is strictly increasing with Z' = 1 + sigma >= 1, so with
     s = Z(q) - q the root lies between q and q - s; the bracket
@@ -127,28 +133,30 @@ def inverse_characteristic(model: IntensityModel, q, t: float):
     replaced by bisection, and a point stops once its step is at most
     INVERSE_XTOL + INVERSE_RTOL |x|.  A non-finite s, or a point still
     moving after MAX_INVERSE_STEPS steps, raises
-    CharacteristicInverseError.  Every step is elementwise and Z and sigma
-    follow the rule of the module docstring, so for atoms an array call
+    CharacteristicInverseError naming the first such node and their count.
+    Every step is elementwise and Z and sigma follow the rule of the module
+    docstring, so for atoms an array call, with one t or one t per node,
     returns the same bits as one call per element, and for a continuous
     law the two agree within the quadrature tolerance.
     """
     _require_rod_model(model)
-    q_in = np.asarray(q, dtype=float)
-    if not (np.all(np.isfinite(q_in)) and math.isfinite(t)):
+    q_in, t_in = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(t, dtype=float))
+    if not (np.all(np.isfinite(q_in)) and np.all(np.isfinite(t_in))):
         raise ValueError("the characteristic inverse needs finite q and t")
-    q = q_in.ravel()
+    q, t = q_in.ravel(), t_in.ravel()
     x = q.copy()
     fx = characteristic_map(model, x, t) - q
-    if not np.all(np.isfinite(fx)):
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if len(bad):
         raise CharacteristicInverseError(
-            f"Z(q, t) - q is not finite at t={t}, so the inverse has no bracket")
+            f"Z(q, t) - q is not finite {_at_nodes(q, t, bad)}, so the inverse has no bracket")
     lo, hi = q - np.maximum(fx, 0.0) - 1.0, q - np.minimum(fx, 0.0) + 1.0
     active = np.arange(len(q))
     for _ in range(MAX_INVERSE_STEPS):
         xa = x[active]
         a = np.where(fx < 0.0, xa, lo[active])
         b = np.where(fx > 0.0, xa, hi[active])
-        newton = xa - fx / (1.0 + sigma(model, xa, t))
+        newton = xa - fx / (1.0 + sigma(model, xa, t[active]))
         step_in = (a < newton) & (newton < b)
         x_new = np.where(step_in | (fx == 0.0), newton, 0.5 * (a + b))
         x[active], lo[active], hi[active] = x_new, a, b
@@ -156,10 +164,16 @@ def inverse_characteristic(model: IntensityModel, q, t: float):
         active = active[moving]
         if not len(active):
             return x.reshape(q_in.shape) if q_in.ndim else float(x[0])
-        fx = characteristic_map(model, x[active], t) - q[active]
-    raise CharacteristicInverseError(
-        f"the characteristic inverse at t={t} did not converge in "
-        f"{MAX_INVERSE_STEPS} steps ({len(active)} of {len(q)} points still moving)")
+        fx = characteristic_map(model, x[active], t[active]) - q[active]
+    raise CharacteristicInverseError(f"the characteristic inverse did not converge in "
+                                     f"{MAX_INVERSE_STEPS} steps {_at_nodes(q, t, active)}")
+
+
+def _at_nodes(q, t, failing) -> str:
+    """One line for the failing node indices: how many there are and the first one's (q, t)."""
+    i = failing[0]
+    return (f"at {len(failing)} of {len(q)} nodes, the first at (q, t) = "
+            f"({float(q[i])}, {float(t[i])})")
 
 
 def squeezed_length_fraction(model: IntensityModel, q: float, t: float) -> float:
@@ -190,15 +204,16 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -
 
 @dataclass
 class _SpeciesState:
-    """Rod-phase quantities of the atom velocities along one time slice."""
+    """Rod-phase quantities of the atom velocities at a set of (q, t) nodes."""
 
-    g: np.ndarray            # (atom velocity, q) rod-frame x-densities
-    sigma_tilde: np.ndarray  # (q,)
-    pi_tilde: np.ndarray     # (q,)
+    g: np.ndarray            # (atom velocity, node) rod-frame x-densities
+    sigma_tilde: np.ndarray  # (node,)
+    pi_tilde: np.ndarray     # (node,)
 
 
-def _species_state(model: IntensityModel, q: np.ndarray, t: float) -> _SpeciesState:
-    # g at every atom velocity at once; sigma and pi by the velocity rule
+def _species_state(model: IntensityModel, q: np.ndarray, t) -> _SpeciesState:
+    # the nodes (q, t), t one time or one per q; g at every atom velocity at
+    # once, sigma and pi by the velocity rule
     x = inverse_characteristic(model, q, t)
     vs = np.array(model.kernel.atom_velocities())[:, None]
     pos = x - vs * t
@@ -257,16 +272,18 @@ class GhdResidual:
         write_csv(path, ("species", "t", "q", "residual"), rows)
 
 
-def _excluded_q(model: IntensityModel, t: float, margin: float):
-    """Rod-coordinate intervals (lo, hi) to skip: images of density jumps.
+def _excluded_q(model: IntensityModel, q, t, margin: float):
+    """Which rod coordinates q lie within margin of an image of a density jump at any time t.
 
     A species' density may jump where rho has a breakpoint or the kernel
-    changes cells; at time t such a jump at e sits at x = e + v t.
+    changes cells; at time t such a jump at e sits at x = e + v t.  Of the
+    sorted images' intervals that start at or below a q, the last reaches furthest.
     """
-    edges = np.array(model.edges)
-    vs = np.array(model.kernel.atom_velocities())
-    q = characteristic_map(model, (edges[:, None] + vs[None, :] * t).ravel(), t)
-    return q - margin, q + margin
+    t = np.asarray(t, dtype=float)[:, None, None]
+    x = np.array(model.edges)[:, None] + np.array(model.kernel.atom_velocities()) * t
+    images = np.sort(characteristic_map(model, x.ravel(), np.broadcast_to(t, x.shape).ravel()))
+    starts_below = np.searchsorted(images - margin, q, side="right")
+    return np.concatenate([[-np.inf], images + margin])[starts_below] >= q
 
 
 def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
@@ -292,31 +309,26 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
         raise ValueError("residual grids must be uniformly spaced")
 
     _require_atoms(model, "the residual grid")
-    vs = np.array(model.kernel.atom_velocities())
-    n_s = len(vs)
-
-    G = np.empty((n_s, len(t_nodes), len(q_nodes)))
+    v_col = np.array(model.kernel.atom_velocities())[:, None]
+    G = np.empty((len(v_col), len(t_nodes), len(q_nodes)))
     F = np.empty_like(G)
-    v_col = vs[:, None]
-    # a breakdown, such as sigma~ rounding to 1, is a FloatingPointError
-    # rather than a NaN norm that reads as a failed convergence test
+    rows = max(1, BLOCK_NODES // len(q_nodes))
+    # blocks of whole t rows; a breakdown, such as sigma~ rounding to 1, is a
+    # FloatingPointError, not a NaN norm that reads as a failed convergence test
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for i, tv in enumerate(t_nodes):
-            st = _species_state(model, q_nodes, float(tv))
+        for i in range(0, len(t_nodes), rows):
+            ts = t_nodes[i:i + rows]
+            st = _species_state(model, np.tile(q_nodes, len(ts)), np.repeat(ts, len(q_nodes)))
             veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
-            G[:, i] = st.g
-            F[:, i] = veff * st.g
+            G[:, i:i + len(ts)] = st.g.reshape(len(v_col), len(ts), -1)
+            F[:, i:i + len(ts)] = (veff * st.g).reshape(len(v_col), len(ts), -1)
 
     dG_dt = (G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
     dF_dq = (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q)
     res = dG_dt + dF_dq
     q_in, t_in = q_nodes[1:-1], t_nodes[1:-1]
 
-    excluded = np.zeros(len(q_in), dtype=bool)
-    margin = 2.0 * h_q
-    for tv in t_in:
-        lo, hi = _excluded_q(model, float(tv), margin)
-        excluded |= ((q_in[:, None] >= lo) & (q_in[:, None] <= hi)).any(axis=1)
+    excluded = _excluded_q(model, q_in, t_in, 2.0 * h_q)
     if excluded.any():
         warnings.warn(
             f"excluding {int(excluded.sum())} q-columns around density jumps",

@@ -538,6 +538,12 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
     ("q_range", [-math.inf, 0.8], "config.experiment.q_range: expected finite lo < hi"),
     ("t_range", [0.45, 0.05], "config.experiment.t_range: expected finite lo < hi"),
     ("t_range", [0.05, math.nan], "config.experiment.t_range: expected finite lo < hi"),
+    # grids past the node cap, which would otherwise be allocated and evaluated
+    ("nq", 1_000_000_000, "config.experiment: grid levels 0 to 0 hold 3000000000 nodes, "
+                          "over the cap of 4194304"),
+    ("nt", 2_000_000, "config.experiment: grid levels 0 to 0 hold 10000000 nodes"),
+    ("refinements", 10, "config.experiment: grid levels 0 to 10 hold 11197101 nodes"),
+    ("refinements", 1_000_000_000, "config.experiment: grid levels 0 to 10 hold 11197101 nodes"),
 ])
 def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
@@ -546,6 +552,26 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
+
+
+def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
+    from hrfl.config import ConfigError, validate_config
+    from hrfl.hydro import GRID_NODE_CAP
+
+    def check(**grid):
+        exp = {k: v for k, v in dict(GHD_EXPERIMENT, **grid).items() if v is not None}
+        return validate_config({"schema_version": 1, "model": BUMP_ATOMS_MODEL,
+                                "experiment": exp}, "ghd-residual")
+
+    # one level of 2048 x 2048 nodes is exactly the cap; one more row is over it
+    assert GRID_NODE_CAP == 2048 * 2048
+    assert check(nq=2048, nt=2048, refinements=0)["nq"] == 2048
+    with pytest.raises(ConfigError, match="levels 0 to 0 hold 4196352 nodes"):
+        check(nq=2048, nt=2049, refinements=0)
+    # 513^2 + 1025^2 nodes fit; the default of 2 refinements adds 2049^2
+    assert check(nq=513, nt=513, refinements=1)["refinements"] == 1
+    with pytest.raises(ConfigError, match="levels 0 to 2 hold 5512195 nodes"):
+        check(nq=513, nt=513, refinements=None)
 
 
 @pytest.mark.parametrize("command,field,value,message", [

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -393,6 +394,15 @@ def test_inverse_array_and_scalar_calls_agree_bitwise(model):
     grid = inverse_characteristic(model, qs.reshape(41, 1), 0.3)
     assert grid.shape == (41, 1)
     assert grid.ravel().tobytes() == inverse_characteristic(model, qs, 0.3).tobytes()
+    # one time per node, zero and negative times among them
+    ts = np.resize([0.0, 0.3, -0.7, 1.1, -0.05, 0.0], len(qs))
+    xs = inverse_characteristic(model, qs, ts)
+    one_by_one = np.array([inverse_characteristic(model, float(q), float(t))
+                           for q, t in zip(qs, ts)])
+    assert xs.shape == qs.shape and xs.tobytes() == one_by_one.tobytes()
+    # one q against many times broadcasts
+    at_times = np.array([inverse_characteristic(model, 0.25, float(t)) for t in ts])
+    assert inverse_characteristic(model, 0.25, ts).tobytes() == at_times.tobytes()
 
 
 @pytest.mark.parametrize("model", _inverse_models())
@@ -457,7 +467,9 @@ def test_continuous_law_array_calls_are_permutation_invariant(name, rng):
 
 
 @pytest.mark.parametrize("q,t", [(math.nan, 0.2), (math.inf, 0.2),
-                                 ([0.0, -math.inf], 0.2), (0.3, math.nan)])
+                                 ([0.0, -math.inf], 0.2), (0.3, math.nan),
+                                 ([0.0, 0.3, 0.6], [0.2, math.nan, 0.1]),
+                                 (0.3, [0.0, -math.inf])])
 def test_inverse_of_non_finite_input_is_value_error(q, t):
     with pytest.raises(ValueError, match="finite"):
         inverse_characteristic(bump_two_velocity(), q, t)
@@ -500,10 +512,87 @@ def test_inverse_step_cap_raises_numerical_error(monkeypatch, tmp_path, capsys):
     assert not list(out.glob("*/report.json"))
 
 
-@pytest.mark.parametrize("model", [
+def test_inverse_errors_of_array_calls_stay_on_one_line(monkeypatch):
+    # thousands of per-node times must not reach the message: it names the
+    # count of failing nodes and the first one
+    from hrfl import hydro
+
+    qs, ts = np.linspace(-1.0, 1.0, 3001), np.linspace(0.0, 0.5, 3001)
+    monkeypatch.setattr(hydro, "MAX_INVERSE_STEPS", 1)
+    with pytest.raises(hydro.CharacteristicInverseError, match="steps") as info:
+        inverse_characteristic(bump_two_velocity(), qs, ts)
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 200
+    assert re.search(r"in 1 steps at \d+ of 3001 nodes, the first at \(q, t\) = \(", message)
+
+    # at rho = 1e308, Z(q) - q overflows for q >= 5 and is 0 at q = 0
+    model = IntensityModel(ConstantDensity(1e308),
+                           DiscreteKernel([(-1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]))
+    qs = np.concatenate([[0.0], np.linspace(5.0, 10.0, 3000)])
+    with np.errstate(over="ignore"), pytest.raises(hydro.CharacteristicInverseError,
+                                                   match="not finite") as info:
+        inverse_characteristic(model, qs, np.full(len(qs), 0.2))
+    assert str(info.value) == ("Z(q, t) - q is not finite at 3000 of 3001 nodes, the first "
+                               "at (q, t) = (5.0, 0.2), so the inverse has no bracket")
+
+
+SPECIES_MODELS = [
     pytest.param(bump_two_velocity(), id="bump_two_velocity"),
     pytest.param(IntensityModel(INVERSE_RHOS["smooth"], _two_cell_atoms()), id="two-cell"),
-])
+]
+
+
+def _per_row_residual(model, q_nodes, t_nodes):
+    # ghd_residual's residual and kept q columns, one scalar-t _species_state
+    # call per t row and the images of the density jumps excluded row by row
+    vs = np.array(model.kernel.atom_velocities())[:, None]
+    G, F = [], []
+    for tv in t_nodes:
+        st = _species_state(model, q_nodes, float(tv))
+        veff = vs + (vs * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
+        G.append(st.g)
+        F.append(veff * st.g)
+    G, F = np.stack(G, axis=1), np.stack(F, axis=1)
+    h_q, h_t = float(q_nodes[1] - q_nodes[0]), float(t_nodes[1] - t_nodes[0])
+    res = ((G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
+           + (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q))
+    q_in = q_nodes[1:-1]
+    keep = np.ones(len(q_in), dtype=bool)
+    for tv in t_nodes[1:-1]:
+        jumps = (np.array(model.edges)[:, None] + vs.T * float(tv)).ravel()
+        images = characteristic_map(model, jumps, float(tv))
+        near = (q_in[:, None] >= images - 2.0 * h_q) & (q_in[:, None] <= images + 2.0 * h_q)
+        keep &= ~near.any(axis=1)
+    return res[:, :, keep], q_in[keep]
+
+
+@pytest.mark.parametrize("model", SPECIES_MODELS + [pytest.param(
+    IntensityModel(INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"]), id="piecewise-rho")])
+def test_ghd_residual_equals_a_per_row_reference_bitwise(model, monkeypatch):
+    from hrfl import hydro
+
+    qs, ts = np.linspace(-1.2, 1.0, 23), np.linspace(-0.2, 0.5, 11)
+    inverses = []
+    inverse = hydro.inverse_characteristic
+    monkeypatch.setattr(hydro, "inverse_characteristic",
+                        lambda *args: inverses.append(args) or inverse(*args))
+    monkeypatch.setattr(hydro, "BLOCK_NODES", 3 * len(qs) + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = ghd_residual(model, qs, ts)
+    # blocks of three whole t rows, the last of two
+    assert [len(q) for _, q, _ in inverses] == [69, 69, 69, 46]
+    inverses.clear()
+    res, q_kept = _per_row_residual(model, qs, ts)
+    assert len(inverses) == len(ts)
+    assert got.residual.tobytes() == res.tobytes()
+    assert got.q.tobytes() == q_kept.tobytes() and got.t.tobytes() == ts[1:-1].tobytes()
+    assert got.max_norm == float(np.abs(res).max(initial=0.0))
+    if model.kernel.cell_edges or len(model.edges) > 2:
+        assert 0 < len(q_kept) < len(qs) - 2      # the jump images take some columns
+
+
+@pytest.mark.parametrize("model", SPECIES_MODELS)
 def test_species_state_matches_the_pointwise_oracles(model):
     # the residual grid's g~, sigma~ and V_eff equal rod_density,
     # squeezed_length_fraction and effective_velocity; both kernels carry
