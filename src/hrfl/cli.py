@@ -115,8 +115,8 @@ def run_hardrod_evolve(kind, model, seed, threads, rundir, engine, epsilon, regi
             state = hardrod.evolve_events(hardrod.dilate(gas, 0.0), t)
         else:
             state = hardrod.full_evolve(hardrod.dilate(gas, 0.0), t)
-        for i in range(state.n):
-            rows.append((t, i, state.y[i], state.v[i], state.r[i]))
+        rows += zip([t] * state.n, range(state.n), state.y.tolist(), state.v.tolist(),
+                    state.r.tolist())
     write_csv(rundir / "trajectories.csv", ("time", "rod", "y", "v", "r"), rows)
     return ExperimentReport(kind, model.summary(), epsilon, 1, seed, [],
                             {"engine": engine, "times": times, "rods": int(gas.n)}, True)

@@ -13,9 +13,11 @@ again.  The two evolution routes implemented here are
 * an event-driven simulation: rods travel ballistically and swap positions
   at contact (the left extreme of the updated slow rod goes to the left
   extreme of the fast rod, the right extreme of the updated fast rod to the
-  right extreme of the slow rod).  Each rod carries its own clock, the
-  position and time of its last collision, so a collision touches only the
-  colliding pair.
+  right extreme of the slow rod).  The rods are kept in position order and
+  each adjacent pair (slot) has one scheduled contact time; each rod
+  carries its own clock, the position and time of its last collision, so a
+  collision touches only the colliding pair and reschedules only the two
+  neighbouring slots.
 
 The mass formula is half-open, counting marks with ``z <= x < x_query``;
 points exactly at a boundary follow the formula literally.  Both routes
@@ -24,7 +26,8 @@ keep per-rod identity, so they can be compared rod by rod.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import math
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +214,19 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
     """Event-driven hard-rod evolution to time t (independent oracle).
 
     Rods advance ballistically between adjacent-pair contacts; at contact
-    the pair swaps positions.  Each rod keeps its own clock (y0, t0) and sits
-    at ``y0 + v (s - t0)`` at time s, so an event restarts the clocks of the
-    colliding pair only and costs O(log n).  Events within [0, t] are kept
-    in a heap and invalidated lazily via per-rod version counters; contact
-    times are computed from the pair's positions at the current event.
-    Two valid collisions closer than TIME_TOL raise
-    SimultaneousCollisionError.  Negative times run the reversed dynamics
-    with flipped velocities.  The returned configuration carries the number
-    of processed events in its ``collisions`` attribute.
+    the pair swaps positions.  The rods are kept in position order, so slot
+    k is the pair of the k-th and (k+1)-th rod from the left and a
+    collision at slot k swaps entries k and k + 1.  Each rod keeps its own
+    clock (y0, t0) and sits at ``y0 + v (s - t0)`` at time s, so an event
+    restarts the clocks of the colliding pair only, reschedules slots k - 1
+    and k + 1 only and costs O(log n).  Each slot has one due time, its
+    contact time within [0, t] or inf; heap entries (tau, k) whose tau is no
+    longer slot k's due time are skipped.  Contact times are computed from
+    the pair's positions at the current event.  Two collisions of distinct
+    slots closer than TIME_TOL raise SimultaneousCollisionError, naming both
+    pairs by input index.  Negative times run the reversed dynamics with
+    flipped velocities.  The returned configuration carries the number of
+    processed events in its ``collisions`` attribute.
     """
     if t == 0.0:
         out = RodConfiguration(rods.y.copy(), rods.v.copy(), rods.r.copy(),
@@ -241,62 +248,68 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
         out.collisions = 0
         return out
 
-    vel, length = rods.v.tolist(), rods.r.tolist()
-    y0, t0 = rods.y.tolist(), [0.0] * n
-    order = np.argsort(rods.y, kind="stable").tolist()
-    rank = np.argsort(order).tolist()
-    version = [0] * n
-    now = 0.0
-    events = 0
-    heap: list[tuple[float, int, int, int, int]] = []
+    order = np.argsort(rods.y, kind="stable")
+    y0, vel, length = rods.y[order], rods.v[order], rods.r[order]
+    dv = vel[:-1] - vel[1:]
+    gap = y0[1:] - (y0[:-1] + length[:-1])
+    tau = np.divide(np.where(gap > 0.0, gap, 0.0), dv, out=np.full(n - 1, np.inf),
+                    where=dv > 0.0)
+    due = np.where(tau <= t, tau, np.inf).tolist()
+    heap = [(s, k) for k, s in enumerate(due) if s <= t]
+    heapify(heap)
+    ids, y0, vel, length = order.tolist(), y0.tolist(), vel.tolist(), length.tolist()
+    t0 = [0.0] * n
 
-    def push_pair(k: int) -> None:
-        if 0 <= k < n - 1:
-            left, right = order[k], order[k + 1]
-            dv = vel[left] - vel[right]
-            if dv <= 0.0:
-                return
-            gap = (y0[right] + vel[right] * (now - t0[right])
-                   - (y0[left] + vel[left] * (now - t0[left]) + length[left]))
-            tau = now + gap / dv if gap > 0.0 else now
-            if tau <= t:
-                heappush(heap, (tau, left, right, version[left], version[right]))
-
-    for k in range(n - 1):
-        push_pair(k)
-
-    def valid(entry) -> bool:
-        tau, left, right, vl, vr = entry
-        return (version[left] == vl and version[right] == vr
-                and rank[left] + 1 == rank[right])
-
+    # a collision at slot k swaps entries k and k + 1 and restarts their clocks
+    # at tau (they sit at yf and yf + lslow); slots k - 1 and k + 1 are
+    # rescheduled inline, as one loop over both took 15% longer on 1.6k rods
+    inf, pop, push = math.inf, heappop, heappush
+    events, last = 0, n - 2
     while heap:
-        entry = heappop(heap)
-        if not valid(entry):
+        tau, k = pop(heap)
+        if due[k] != tau:
             continue
-        tau, left, right, _, _ = entry
         # spec'd guard: ambiguous simultaneous events force a resample
         while heap and heap[0][0] <= tau + TIME_TOL:
-            nxt = heappop(heap)
-            if valid(nxt) and not (nxt[1] == left and nxt[2] == right):
+            other, j = pop(heap)
+            if due[j] == other and j != k:
                 raise SimultaneousCollisionError(
-                    f"collisions at {tau} and {nxt[0]} within {TIME_TOL}")
-        now = tau
-        yf = y0[left] + vel[left] * (tau - t0[left])
-        y0[right] = yf                       # slow rod takes the fast rod's left extreme
-        y0[left] = yf + length[right]        # fast rod lands past the slow rod
-        t0[left] = t0[right] = tau
-        k = rank[left]
-        order[k], order[k + 1] = right, left
-        rank[left], rank[right] = k + 1, k
-        version[left] += 1
-        version[right] += 1
+                    f"collisions at {tau} and {other} within {TIME_TOL}: rods "
+                    f"({ids[k]}, {ids[k + 1]}) and ({ids[j]}, {ids[j + 1]})")
+        k1 = k + 1
+        fast, slow, lslow = vel[k], vel[k1], length[k1]
+        yf = y0[k] + fast * (tau - t0[k])
+        y0[k], y0[k1] = yf, yf + lslow       # slow rod takes the fast rod's left extreme
+        vel[k], vel[k1] = slow, fast         # and the fast rod lands past it
+        length[k], length[k1] = lslow, length[k]
+        t0[k] = t0[k1] = tau
+        ids[k], ids[k1] = ids[k1], ids[k]
+        due[k] = inf                         # the swapped pair separates
         events += 1
-        push_pair(k - 1)
-        push_pair(k + 1)
+        if k:
+            j = k - 1
+            due[j] = inf
+            dv = vel[j] - slow
+            if dv > 0.0:
+                gap = yf - (y0[j] + vel[j] * (tau - t0[j]) + length[j])
+                s = tau + gap / dv if gap > 0.0 else tau
+                if s <= t:
+                    due[j] = s
+                    push(heap, (s, j))
+        if k < last:
+            j = k1 + 1
+            due[k1] = inf
+            dv = fast - vel[j]
+            if dv > 0.0:
+                gap = y0[j] + vel[j] * (tau - t0[j]) - (y0[k1] + length[k1])
+                s = tau + gap / dv if gap > 0.0 else tau
+                if s <= t:
+                    due[k1] = s
+                    push(heap, (s, k1))
 
-    out = RodConfiguration(np.array(y0) + rods.v * (t - np.array(t0)),
-                           rods.v.copy(), rods.r.copy())
+    y = np.empty(n)
+    y[ids] = np.array(y0) + np.array(vel) * (t - np.array(t0))
+    out = RodConfiguration(y, rods.v.copy(), rods.r.copy())
     out.collisions = events
     return out
 

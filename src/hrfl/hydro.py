@@ -264,12 +264,10 @@ class GhdResidual:
 
     def to_csv(self, path) -> None:
         from .reporting import write_csv
-        rows = []
-        for s in range(self.residual.shape[0]):
-            for i, tv in enumerate(self.t):
-                for j, qv in enumerate(self.q):
-                    rows.append((s, tv, qv, self.residual[s, i, j]))
-        write_csv(path, ("species", "t", "q", "residual"), rows)
+        ns, nt, nq = self.residual.shape
+        columns = (np.repeat(np.arange(ns), nt * nq), np.tile(np.repeat(self.t, nq), ns),
+                   np.tile(self.q, ns * nt), self.residual.ravel())
+        write_csv(path, ("species", "t", "q", "residual"), zip(*(c.tolist() for c in columns)))
 
 
 def _excluded_q(model: IntensityModel, q, t, margin: float):
@@ -295,7 +293,7 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     excluded; where rho or the kernel's cells jump, a margin around the
     image of each jump is excluded too (with a warning).  A division by
     zero, overflow or invalid operation while evaluating the nodes raises
-    FloatingPointError.
+    FloatingPointError naming the failing block's t rows and the grid size.
     """
     _require_rod_model(model)
     q_nodes = np.asarray(q_nodes, dtype=float)
@@ -315,13 +313,19 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     rows = max(1, BLOCK_NODES // len(q_nodes))
     # blocks of whole t rows; a breakdown, such as sigma~ rounding to 1, is a
     # FloatingPointError, not a NaN norm that reads as a failed convergence test
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for i in range(0, len(t_nodes), rows):
-            ts = t_nodes[i:i + rows]
-            st = _species_state(model, np.tile(q_nodes, len(ts)), np.repeat(ts, len(q_nodes)))
-            veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
-            G[:, i:i + len(ts)] = st.g.reshape(len(v_col), len(ts), -1)
-            F[:, i:i + len(ts)] = (veff * st.g).reshape(len(v_col), len(ts), -1)
+    for i in range(0, len(t_nodes), rows):
+        ts = t_nodes[i:i + rows]
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                st = _species_state(model, np.tile(q_nodes, len(ts)),
+                                    np.repeat(ts, len(q_nodes)))
+                veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
+                G[:, i:i + len(ts)] = st.g.reshape(len(v_col), len(ts), -1)
+                F[:, i:i + len(ts)] = (veff * st.g).reshape(len(v_col), len(ts), -1)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{exc} in t rows {i}..{i + len(ts) - 1} (t = {ts[0]:g}..{ts[-1]:g}) "
+                f"of the {len(q_nodes)} x {len(t_nodes)} (q x t) grid") from None
 
     dG_dt = (G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
     dF_dq = (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q)
@@ -354,7 +358,10 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
         f = 2 ** level
         qs = np.linspace(q_range[0], q_range[1], (nq - 1) * f + 1)
         ts = np.linspace(t_range[0], t_range[1], (nt - 1) * f + 1)
-        levels.append(ghd_residual(model, qs, ts))
+        try:
+            levels.append(ghd_residual(model, qs, ts))
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"grid level {level}: {exc}") from None
     ratios = [coarse.l2_norm / fine.l2_norm if fine.l2_norm else math.nan
               for coarse, fine in zip(levels, levels[1:])]
     return levels, ratios

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Segment
 from .intensity import IntensityModel
 
 COUNT_CAP = 1e8
@@ -114,32 +113,3 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
                                 float(epsilon), (lo, hi), region,
                                 seed, tuple(stream_key))
 
-
-def crossing_indices(config: SampledConfiguration, seg: Segment):
-    """Index arrays (plus, minus) of sampled lines crossing seg, by orientation.
-
-    A sampled line is Right of a point b iff its position at time b.t is
-    <= b.x (closed-right convention); crossing orientation compares the
-    sides of the two endpoints.
-    """
-    ua = config.x + seg.a.t * config.v <= seg.a.x
-    ub = config.x + seg.b.t * config.v <= seg.b.x
-    plus = np.nonzero(~ua & ub)[0]
-    minus = np.nonzero(ua & ~ub)[0]
-    return plus, minus
-
-
-def empirical_moment(config: SampledConfiguration, k: int, seg: Segment,
-                     sign: str = "both") -> float:
-    """epsilon * sum of r^k over sampled lines crossing seg with orientation."""
-    if sign not in ("plus", "minus", "both"):
-        raise ValueError("sign must be 'plus', 'minus' or 'both'")
-    if seg.is_degenerate:
-        return 0.0
-    plus, minus = crossing_indices(config, seg)
-    total = 0.0
-    if sign in ("plus", "both"):
-        total += float(np.sum(config.r[plus] ** k))
-    if sign in ("minus", "both"):
-        total += float(np.sum(config.r[minus] ** k))
-    return config.epsilon * total

@@ -286,6 +286,32 @@ def test_hardrod_evolve_engines_agree(tmp_path):
         assert abs(ys - ye) < 1e-9 and abs(ys - yt) < 1e-9
 
 
+def test_trajectory_csv_keeps_the_bytes_of_indexed_rows(tmp_path):
+    # the rows are built from tolist() columns; the file must equal rows that
+    # index the numpy arrays element by element (an integer time stays "0")
+    from hrfl import hardrod
+    from hrfl.config import build_model
+    from hrfl.reporting import write_csv
+    from hrfl.sampler import sample
+
+    times = [0, 0.5, 1.0]
+    cfg = write_config(tmp_path, dict(EVOLVE, times=times))
+    out = tmp_path / "runs"
+    assert main(["hardrod-evolve", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
+    sampled = sample(build_model(HOMOGENEOUS_MODEL), 0.2,
+                     ObservationRegion((-5.0, 5.0), (0.0, 1.0)), 4)
+    gas = hardrod.GasConfiguration(sampled.x, sampled.v, sampled.r * 0.2)
+    rows = []
+    for t in times:
+        state = hardrod.evolve_events(hardrod.dilate(gas, 0.0), t)
+        for i in range(state.n):
+            rows.append((t, i, state.y[i], state.v[i], state.r[i]))
+    assert len(rows) > 3 * 20
+    write_csv(tmp_path / "indexed.csv", ("time", "rod", "y", "v", "r"), rows)
+    assert (next(out.glob("*/trajectories.csv")).read_bytes()
+            == (tmp_path / "indexed.csv").read_bytes())
+
+
 def test_reproducible_across_threads_and_runs(tmp_path):
     cfg = write_config(tmp_path, {"kind": "verify-euler-clt", "epsilon": 0.05,
                                   "replicas": 100, "points": [[0, 1], [1, 0]]})
@@ -679,7 +705,9 @@ def test_ghd_breakdown_is_a_numerical_error(tmp_path, capsys):
     cfg = write_config(tmp_path, GHD_EXPERIMENT, model=model)
     out = tmp_path / "runs"
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert capsys.readouterr().err.startswith(
+        "numerical error: grid level 0: divide by zero encountered in divide "
+        "in t rows 0..2 (t = 0.05..0.45) of the 5 x 3 (q x t) grid")
     assert not list(out.glob("*/report.json"))
 
 

@@ -24,10 +24,11 @@ from hrfl.intensity import (
 from hrfl.sampler import (
     ObservationRegion,
     SampledConfiguration,
-    crossing_indices,
     sample,
     stream,
 )
+
+from crossings import crossing_indices
 
 
 def make_config(x, v, r, epsilon=1.0, halfwidth=20.0):

@@ -3,7 +3,9 @@ import pytest
 
 from hrfl.field import limit_field_difference
 from hrfl.geometry import SpaceTimePoint, crossing_interval, segment
-from hrfl.sampler import ObservationRegion, SampledConfiguration, crossing_indices
+from hrfl.sampler import ObservationRegion, SampledConfiguration
+
+from crossings import crossing_indices
 
 
 def lines(x, v):

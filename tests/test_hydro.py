@@ -592,6 +592,49 @@ def test_ghd_residual_equals_a_per_row_reference_bitwise(model, monkeypatch):
         assert 0 < len(q_kept) < len(qs) - 2      # the jump images take some columns
 
 
+@pytest.mark.parametrize("model", [bump_two_velocity(), IntensityModel(
+    INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"])], ids=["bump", "piecewise-rho"])
+def test_residual_csv_keeps_the_bytes_of_indexed_rows(model, tmp_path):
+    # to_csv writes tolist() columns; the file must equal rows that index
+    # the numpy arrays element by element, excluded q columns included
+    from hrfl.reporting import write_csv
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = ghd_residual(model, np.linspace(-1.2, 1.0, 23), np.linspace(-0.2, 0.5, 7))
+    res.to_csv(tmp_path / "columns.csv")
+    rows = [(s, tv, qv, res.residual[s, i, j]) for s in range(res.residual.shape[0])
+            for i, tv in enumerate(res.t) for j, qv in enumerate(res.q)]
+    assert len(rows) >= 2 * 5 * 3
+    write_csv(tmp_path / "indexed.csv", ("species", "t", "q", "residual"), rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "indexed.csv").read_bytes()
+
+
+def test_ghd_breakdown_names_the_grid_level_and_block(monkeypatch):
+    # a division by zero in the second block of level 1 (9 x 5 nodes, blocks
+    # of two t rows) must say where it happened, not only what numpy saw
+    from hrfl import hydro
+
+    species_state = hydro._species_state
+    t_bad = np.linspace(0.05, 0.45, 5)[3]
+
+    def failing(model, q, t):
+        if len(q) == 18 and t_bad in t:
+            np.divide(1.0, np.zeros(1))
+        return species_state(model, q, t)
+
+    monkeypatch.setattr(hydro, "_species_state", failing)
+    monkeypatch.setattr(hydro, "BLOCK_NODES", 18)
+    with pytest.raises(FloatingPointError) as err:
+        hydro.residual_refinement(bump_two_velocity(), (-0.8, 0.8), (0.05, 0.45), 5, 3, 1)
+    msg = str(err.value)
+    assert msg.startswith("grid level 1: divide by zero encountered in divide")
+    assert "t rows 2..3 (t = 0.25..0.35) of the 9 x 5 (q x t) grid" in msg
+    with pytest.raises(FloatingPointError, match=r"^divide by zero .* t rows 2\.\.3 "):
+        hydro.ghd_residual(bump_two_velocity(), np.linspace(-0.8, 0.8, 9),
+                           np.linspace(0.05, 0.45, 5))
+
+
 @pytest.mark.parametrize("model", SPECIES_MODELS)
 def test_species_state_matches_the_pointwise_oracles(model):
     # the residual grid's g~, sigma~ and V_eff equal rod_density,

@@ -16,10 +16,10 @@ from hrfl.intensity import (
 from hrfl.sampler import (
     ObservationRegion,
     SampledConfiguration,
-    crossing_indices,
-    empirical_moment,
     sample,
 )
+
+from crossings import crossing_indices, empirical_moment
 
 UNIT_REGION = ObservationRegion((0.0, 1.0), (0.0, 1.0))
 
