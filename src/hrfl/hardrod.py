@@ -19,9 +19,11 @@ again.  The two evolution routes implemented here are
   collision touches only the colliding pair and reschedules only the two
   neighbouring slots.
 
-The mass formula is half-open, counting marks with ``z <= x < x_query``;
-points exactly at a boundary follow the formula literally.  Both routes
-keep per-rod identity, so they can be compared rod by rod.
+The mass is half-open, counting marks with ``z <= x < x_query``, and the
+flux takes the same rule: a particle at or past a line is on its right.
+So y = x + v t + m + j holds exactly, ties included, and points exactly at
+a boundary follow the formulas literally.  Both routes keep per-rod
+identity, so they can be compared rod by rod.
 """
 
 from __future__ import annotations
@@ -65,14 +67,10 @@ class GasConfiguration:
     def n(self) -> int:
         return len(self.x)
 
-    def require_nonnegative_marks(self) -> None:
-        if self.n and self.r.min() < 0.0:
-            raise ValueError("hard-rod operations require marks r >= 0")
-
 
 @dataclass
 class RodConfiguration:
-    """Hard rods (y, v, r): left endpoint, velocity, length >= 0.
+    """Hard rods (y, v, r): left endpoint, velocity, length >= 0, all finite.
 
     The open intervals (y, y + r) must be pairwise disjoint; rods may touch.
     Zero-length rods (tracers) are admitted everywhere.
@@ -95,6 +93,8 @@ class RodConfiguration:
         return len(self.y)
 
     def validate(self) -> None:
+        if not all(np.isfinite(a).all() for a in (self.y, self.v, self.r)):
+            raise RodOverlapError("rod positions, velocities and lengths must be finite")
         if self.n and self.r.min() < 0.0:
             raise RodOverlapError("rod lengths must be >= 0")
         if self.n < 2:
@@ -137,24 +137,19 @@ def _strict_below_mass(positions: np.ndarray, marks: np.ndarray):
     return S
 
 
-def mass_between(positions, marks, z: float, x) -> float | np.ndarray:
-    """Signed added mark between z and x: half-open count over [z, x).
+def mass(gas: GasConfiguration, z: float, x) -> float | np.ndarray:
+    """Signed added mark between z and x (one x or an array): half-open count over [z, x).
 
     Equals S(x) - S(z) for the strictly-below cumulative S, which makes the
     antisymmetry m_z^x = -m_x^z automatic.
     """
-    S = _strict_below_mass(_as_array(positions), _as_array(marks))
+    S = _strict_below_mass(gas.x, gas.r)
     out = S(x) - S(z)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def mass(gas: GasConfiguration, z: float, x: float) -> float:
-    return mass_between(gas.x, gas.r, z, x)
-
-
 def dilate(gas: GasConfiguration, z: float = 0.0) -> RodConfiguration:
     """Insert rod lengths: (x, v, r) -> (x + m_z^x, v, r); image avoids z."""
-    gas.require_nonnegative_marks()
     S = _strict_below_mass(gas.x, gas.r)
     y = gas.x + (S(gas.x) - S(z))
     return RodConfiguration(y, gas.v, gas.r)
@@ -172,21 +167,20 @@ def contract(rods: RodConfiguration, z: float = 0.0) -> GasConfiguration:
 def flux(gas: GasConfiguration, x: float, v: float, t: float) -> float:
     """Signed mark length crossing the moving line through (x, 0) with slope v.
 
-    Counts particles strictly overtaken by the line (+) and strictly
-    overtaking it (-) during [0, t]; the line's own phase point, if present,
-    never crosses itself.
+    A particle at or past the line is on its right, the mass's half-open
+    rule: the marks that go from the right side at time 0 to the left at
+    time t count +, those going the other way -.  The line's own phase
+    point, if present, stays on the right.
     """
-    s0 = x + v * t
-    pos_t = gas.x + gas.v * t
-    forward = (gas.x > x) & (pos_t < s0)
-    backward = (gas.x < x) & (pos_t > s0)
-    return float(np.sum(gas.r[forward]) - np.sum(gas.r[backward]))
+    right_0 = gas.x >= x
+    right_t = gas.x + gas.v * t >= x + v * t
+    return float(np.sum(gas.r[right_0 & ~right_t]) - np.sum(gas.r[~right_0 & right_t]))
 
 
 def quasiparticle_positions(gas: GasConfiguration, t: float) -> np.ndarray:
     """Positions x + v t + m + j of every tagged rod at time t.
 
-    Combining the mass and flux sums telescopes to
+    Combining the mass and flux sums telescopes exactly to
     ``x + v t + S_t(x + v t) - S_0(0)`` with S_t the strictly-below mark
     cumulative of the time-t positions, so the whole batch costs one sort.
     """
@@ -202,7 +196,6 @@ def evolve_surface(gas: GasConfiguration, t: float) -> RodConfiguration:
     At t = 0 this is dilate(gas, 0).  Per-rod identity follows the gas
     particle order.
     """
-    gas.require_nonnegative_marks()
     return RodConfiguration(quasiparticle_positions(gas, t), gas.v, gas.r)
 
 
@@ -233,23 +226,17 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
                                validate=False)
         out.collisions = 0
         return out
-    if t < 0.0:
-        back = evolve_events(RodConfiguration(rods.y, -rods.v, rods.r,
-                                              validate=False), -t)
-        out = RodConfiguration(back.y, rods.v.copy(), rods.r.copy(),
-                               validate=False)
-        out.collisions = back.collisions
-        return out
+    sign, t = (1.0, t) if t > 0.0 else (-1.0, -t)
     rods.validate()
     n = rods.n
     if n < 2:
-        out = RodConfiguration(rods.y + rods.v * t, rods.v.copy(), rods.r.copy(),
+        out = RodConfiguration(rods.y + sign * rods.v * t, rods.v.copy(), rods.r.copy(),
                                validate=False)
         out.collisions = 0
         return out
 
     order = np.argsort(rods.y, kind="stable")
-    y0, vel, length = rods.y[order], rods.v[order], rods.r[order]
+    y0, vel, length = rods.y[order], sign * rods.v[order], rods.r[order]
     dv = vel[:-1] - vel[1:]
     gap = y0[1:] - (y0[:-1] + length[:-1])
     tau = np.divide(np.where(gap > 0.0, gap, 0.0), dv, out=np.full(n - 1, np.inf),
@@ -319,23 +306,13 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
 # ---------------------------------------------------------------------------
 
 def origin_tracer_displacement(gas: GasConfiguration, t: float) -> float:
-    """Position at time t of a zero-length zero-velocity tracer started at 0."""
-    return flux(gas, 0.0, 0.0, t)
+    """Position at time t of a zero-length zero-velocity tracer started at 0.
 
-
-def _tracer_flux_halfopen(gas: GasConfiguration, t: float) -> float:
-    """Tracer displacement counting an at-zero particle as right-side.
-
-    Matches the half-open mass convention, under which a particle exactly at
-    the tracer belongs to the right; needed so the covering-rod transport
-    (which parks a gas particle exactly at 0) stays consistent.  Away from
-    ties this equals origin_tracer_displacement.
+    A particle exactly at 0 is on the tracer's right, so the covering-rod
+    transport of full_evolve, which parks a gas particle there, stays
+    consistent.
     """
-    pos_t = gas.x + gas.v * t
-    right_0 = gas.x >= 0.0
-    right_t = pos_t >= 0.0
-    return float(np.sum(gas.r[right_0 & ~right_t])
-                 - np.sum(gas.r[~right_0 & right_t]))
+    return flux(gas, 0.0, 0.0, t)
 
 
 def tagged_frame_evolve(rods: RodConfiguration, t: float) -> RodConfiguration:
@@ -358,7 +335,7 @@ def full_evolve(rods: RodConfiguration, t: float) -> RodConfiguration:
         q = float(rods.y[cover])
         return full_evolve(rods.shifted(-q), t).shifted(q)
     gas = contract(rods, 0.0)
-    return tagged_frame_evolve(rods, t).shifted(_tracer_flux_halfopen(gas, t))
+    return tagged_frame_evolve(rods, t).shifted(origin_tracer_displacement(gas, t))
 
 
 def empty_space_position(rods: RodConfiguration, z: float) -> float:

@@ -15,11 +15,8 @@ from pathlib import Path
 
 
 def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if hasattr(v, "item"):
-        return _format_value(v.item())
-    return str(v)
+    # every value is a Python scalar or an np.float64, a float subclass
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def write_csv(path, header, rows) -> None:

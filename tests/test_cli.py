@@ -266,24 +266,63 @@ def test_bad_grid_count_is_config_error(tmp_path, capsys, axis, value, message):
     assert not list(out.glob("*/report.json"))
 
 
+PIECEWISE_ATOMS_MODEL = {
+    "rho": {"kind": "piecewise", "edges": [-5.0, 0.0, 5.0], "values": [1.0, 0.6]},
+    "kernel": {"kind": "piecewise", "cells": [
+        {"x_range": [-5.0, 0.0], "kernel": {"kind": "atoms", "atoms": [
+            {"v": -1.0, "r": 1.0, "weight": 0.5}, {"v": 1.0, "r": 0.5, "weight": 0.5}]}},
+        {"x_range": [0.0, 5.0], "kernel": {"kind": "atoms", "atoms": [
+            {"v": 0.5, "r": 1.0, "weight": 0.7}, {"v": -1.0, "r": 0.25, "weight": 0.3}]}}]},
+}
+
+
 def test_hardrod_evolve_engines_agree(tmp_path):
-    out = {}
-    for engine in ("surface", "events", "tagged"):
-        cfg = write_config(tmp_path, {
-            "kind": "hardrod-evolve", "engine": engine, "epsilon": 0.2,
-            "region": {"x": [-5, 5], "t": [0, 1]}, "times": [0.0, 0.8]},
-            name=f"{engine}.json")
-        outdir = tmp_path / f"runs-{engine}"
-        assert main(["hardrod-evolve", "--config", str(cfg), "--seed", "9",
-                     "--out", str(outdir)]) == 0
-        out[engine] = next(outdir.glob("*/trajectories.csv")).read_text()
-    surface = out["surface"].splitlines()
-    events = out["events"].splitlines()
-    tagged = out["tagged"].splitlines()
-    assert len(surface) == len(events) == len(tagged)
-    for ls, le, lt in zip(surface[1:], events[1:], tagged[1:]):
-        ys, ye, yt = float(ls.split(",")[2]), float(le.split(",")[2]), float(lt.split(",")[2])
-        assert abs(ys - ye) < 1e-9 and abs(ys - yt) < 1e-9
+    # the reference model forward in time, and a piecewise kernel of atom
+    # cells in both time directions
+    for name, model, seed, region_t, times in (
+            ("uniform", None, 9, [0, 1], [0.0, 0.8]),
+            ("piecewise", PIECEWISE_ATOMS_MODEL, 5, [-2, 2], [-2.0, 0.0, 2.0])):
+        ys = {}
+        for engine in ("surface", "events", "tagged"):
+            cfg = write_config(tmp_path, {
+                "kind": "hardrod-evolve", "engine": engine, "epsilon": 0.2,
+                "region": {"x": [-5, 5], "t": region_t}, "times": times},
+                model=model, name=f"{name}-{engine}.json")
+            outdir = tmp_path / f"runs-{name}-{engine}"
+            assert main(["hardrod-evolve", "--config", str(cfg), "--seed", str(seed),
+                         "--out", str(outdir)]) == 0
+            rows = next(outdir.glob("*/trajectories.csv")).read_text().splitlines()[1:]
+            ys[engine] = [float(row.split(",")[2]) for row in rows]
+        assert len(ys["surface"]) == len(ys["events"]) == len(ys["tagged"]) > 20 * len(times)
+        for ys_, ye, yt in zip(ys["surface"], ys["events"], ys["tagged"]):
+            assert abs(ys_ - ye) < 1e-9 and abs(ys_ - yt) < 1e-9, name
+
+
+def test_verify_euler_clt_on_a_two_cell_continuous_kernel(tmp_path):
+    # a uniform cell and a Gaussian cell truncated to v_support: sampling,
+    # breakpoints, truncation and the summary of the piecewise kernel
+    uniform = HOMOGENEOUS_MODEL["kernel"]
+    gaussian = {"kind": "product", "velocity": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+                "mark": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}
+    model = {"rho": {"kind": "piecewise", "edges": [-20.0, 0.0, 20.0], "values": [0.8, 1.0]},
+             "kernel": {"kind": "piecewise", "cells": [
+                 {"x_range": [-20.0, 0.0], "kernel": uniform},
+                 {"x_range": [0.0, 20.0], "kernel": gaussian}]},
+             "v_support": [-2.0, 2.0]}
+    cfg = write_config(tmp_path, {"kind": "verify-euler-clt", "epsilon": 0.05,
+                                  "replicas": 200, "points": [[0, 1], [1, 0]]}, model=model)
+    out = tmp_path / "runs"
+    assert main(["verify-euler-clt", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out)]) in (0, 1)
+    summary = report_of(out)["model"]
+    cells = summary["kernel"]["cells"]
+    assert summary["kernel"]["kind"] == "piecewise"
+    assert [c["x_range"] for c in cells] == [[-20.0, 0.0], [0.0, 20.0]]
+    assert cells[0]["kernel"]["velocity"]["tail_mass_removed"] == 0.0
+    assert cells[1]["kernel"]["velocity"]["support"] == [-2.0, 2.0]
+    # the Gaussian mass beyond |v| = 2
+    assert summary["tail_mass_removed"] == pytest.approx(math.erfc(2.0 / math.sqrt(2.0)),
+                                                         rel=1e-12)
 
 
 def test_trajectory_csv_keeps_the_bytes_of_indexed_rows(tmp_path):

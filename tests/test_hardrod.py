@@ -77,8 +77,11 @@ def test_dilate_empty():
 
 
 def test_dilate_rejects_negative_marks():
-    with pytest.raises(ValueError):
-        dilate(GasConfiguration([0.0], [0.0], [-0.1]), 0.0)
+    # the rod check of both routes: a RodOverlapError, which is a ValueError
+    gas = GasConfiguration([0.0], [0.0], [-0.1])
+    for route in (lambda: dilate(gas, 0.0), lambda: evolve_surface(gas, 1.0)):
+        with pytest.raises(RodOverlapError, match="rod lengths must be >= 0"):
+            route()
 
 
 def test_dilate_avoids_reference_point(rng):
@@ -362,3 +365,73 @@ def test_tracer_rides_collisions(rng):
     out = evolve_events(with_tracer, t)
     want = origin_tracer_displacement(gas, t)
     assert out.y[-1] == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite rods
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("y,v,r", [
+    ([0.0, 0.1, math.inf], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]),
+    ([0.0, 1.0], [math.nan, 0.0], [0.5, 0.5]),
+    ([0.0, 1.0], [0.0, -math.inf], [0.5, 0.5]),
+    ([0.0, 1.0], [0.0, 0.0], [math.nan, 0.5]),
+    ([0.0], [0.0], [math.inf]),
+])
+def test_non_finite_rods_are_rejected(y, v, r):
+    # an infinite position made the overlap tolerance infinite, so the first
+    # two rods of the first case overlapped unnoticed
+    with pytest.raises(RodOverlapError, match="finite"):
+        RodConfiguration(y, v, r)
+    # the event oracle returned a NaN position with no collision
+    with pytest.raises(RodOverlapError, match="finite"):
+        evolve_events(RodConfiguration(y, v, r, validate=False), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# ties on dyadic lattice gases: every position, mark and sum is exact
+# ---------------------------------------------------------------------------
+
+def lattice_cases(seed, count=2000):
+    """(gas, t): 12 particles at distinct integers in [-6, 6], v in {-1, 0, 1},
+    r in {0, 0.5, 1}, and a nonzero integer t in [-4, 4]."""
+    r = np.random.default_rng(seed)
+    for _ in range(count):
+        x = r.permutation(np.arange(-6.0, 7.0))[:12]
+        gas = GasConfiguration(x, r.integers(-1, 2, 12).astype(float),
+                               r.integers(0, 3, 12) * 0.5)
+        yield gas, float(r.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+
+
+def test_flux_is_half_open_on_lattice_gases():
+    # a particle at or past the line is on its right, as in the mass
+    r = np.random.default_rng(41)
+    for gas, t in lattice_cases(40):
+        x, v = float(r.integers(-7, 8)), float(r.integers(-1, 2))
+        want = (np.sum(gas.r[gas.x + gas.v * t < x + v * t])
+                - np.sum(gas.r[gas.x < x]))
+        assert flux(gas, x, v, t) == want
+
+
+def test_quasiparticles_are_position_plus_mass_plus_flux_on_lattice_gases():
+    for gas, t in lattice_cases(42):
+        m = mass(gas, 0.0, gas.x)
+        want = [gas.x[i] + gas.v[i] * t + m[i] + flux(gas, gas.x[i], gas.v[i], t)
+                for i in range(gas.n)]
+        assert quasiparticle_positions(gas, t).tolist() == want
+
+
+def test_origin_tracer_counts_particles_at_zero_on_the_right():
+    # reference: the tracer's two half-open masks written out for the origin
+    def halfopen_tracer_flux(gas, t):
+        right_0, right_t = gas.x >= 0.0, gas.x + gas.v * t >= 0.0
+        return float(np.sum(gas.r[right_0 & ~right_t])
+                     - np.sum(gas.r[~right_0 & right_t]))
+
+    at_0 = at_t = 0
+    for gas, t in lattice_cases(43):
+        at_0 += bool(np.any((gas.x == 0.0) & (gas.r > 0.0)))
+        at_t += bool(np.any((gas.x != 0.0) & (gas.x + gas.v * t == 0.0) & (gas.r > 0.0)))
+        got, want = origin_tracer_displacement(gas, t), halfopen_tracer_flux(gas, t)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+    assert at_0 > 1000 and at_t > 500
