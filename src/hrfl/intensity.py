@@ -35,7 +35,7 @@ the kink locations passed as breakpoints.
 The continuous velocity laws are uniform and a Gaussian truncated to the
 velocity support.  The truncated Gaussian's density and inverse CDF are
 closed forms on :mod:`scipy.special` whose truncation constants are
-computed once, in :meth:`GaussianVelocity.truncated`.
+computed once, when the law is built.
 ``scipy.special`` is imported when the first GaussianVelocity is built;
 nothing else here needs scipy, so importing this module, or building a
 model with atoms, uniform laws and constant, piecewise or smooth
@@ -440,12 +440,12 @@ def _log_add(p: float, q: np.ndarray) -> np.ndarray:
 
 
 class GaussianVelocity:
-    """Gaussian velocity law, hard-truncated to the model's velocity support.
+    """Gaussian velocity law on [lo, hi], hard-truncated to the model's velocity support.
 
     The truncated law is renormalized to a probability; the removed tail
     mass is reported in the model summary so the user can bound the bias.
     With standardized bounds a, b and Gaussian mass m of [a, b], computed
-    once per truncation, the law has the closed forms
+    when the law is built, the law has the closed forms
 
         pdf(v)  = exp(-z**2 / 2) / (sd sqrt(2 pi) m),   z = (v - mean) / sd
         F^-1(u) = Phi^-1(Phi(a) + u m)                  if a < 0
@@ -455,40 +455,31 @@ class GaussianVelocity:
     that it always works in the left tail where Phi keeps its precision.
     """
 
-    def __init__(self, mean: float, sd: float):
-        if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
-            raise ValueError("gaussian velocity needs finite mean and sd > 0")
+    def __init__(self, mean: float, sd: float, lo: float = -math.inf, hi: float = math.inf):
+        if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0 and lo < hi):
+            raise ValueError("gaussian velocity needs finite mean, sd > 0 and lo < hi")
         _import_special()
         self.mean, self.sd = float(mean), float(sd)
-        self.lo = self.hi = None
-        self.tail_mass_removed = None
+        self.lo, self.hi = float(lo), float(hi)
+        # exact on the whole line: a log mass of 0 and no tail removed
+        a, b = (self.lo - self.mean) / self.sd, (self.hi - self.mean) / self.sd
+        self._a, self._b = a, b
+        self._log_mass = _log_gauss_mass(a, b)
+        self._mirrored = a >= 0.0
+        # log Phi of the bound the quantile starts from: a, or -b when mirrored
+        self._log_phi_start = float(special.log_ndtr(-b if self._mirrored else a))
+        self.tail_mass_removed = float(1.0 - (special.ndtr(b) - special.ndtr(a)))
 
     @property
     def support(self):
-        if self.lo is None:
-            return (-math.inf, math.inf)
         return (self.lo, self.hi)
 
     def truncated(self, lo: float, hi: float) -> "GaussianVelocity":
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("gaussian velocities require finite truncation bounds")
-        out = GaussianVelocity(self.mean, self.sd)
-        a, b = (lo - self.mean) / self.sd, (hi - self.mean) / self.sd
-        out.lo, out.hi = float(lo), float(hi)
-        out._a, out._b = a, b
-        out._log_mass = _log_gauss_mass(a, b)
-        out._mirrored = a >= 0.0
-        # log Phi of the bound the quantile starts from: a, or -b when mirrored
-        out._log_phi_start = float(special.log_ndtr(-b if out._mirrored else a))
-        out.tail_mass_removed = float(1.0 - (special.ndtr(b) - special.ndtr(a)))
-        return out
-
-    def _require_truncated(self):
-        if self.lo is None:
-            raise ValueError("gaussian velocity law used without v_support truncation")
+        return GaussianVelocity(self.mean, self.sd, lo, hi)
 
     def pdf(self, v):
-        self._require_truncated()
         z = (np.asarray(v, dtype=float) - self.mean) / self.sd
         # scipy's order of operations, which keeps its truncated-normal pdf bits
         dens = np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - self._log_mass) / self.sd
@@ -496,7 +487,6 @@ class GaussianVelocity:
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int):
-        self._require_truncated()
         u = rng.random(n)
         # the log share of the mass between the start bound and the quantile
         if self._mirrored:
@@ -518,13 +508,12 @@ class GaussianVelocity:
 # ---------------------------------------------------------------------------
 
 class ProductKernel:
-    """kappa = (velocity law) x (mark law), independent of x."""
-
-    cell_edges: tuple[float, ...] = ()
+    """kappa = (velocity law) x (mark law), independent of x: one cell over the whole line."""
 
     def __init__(self, velocity, mark):
         self.velocity = velocity
         self.mark = mark
+        self.cells = ((-math.inf, math.inf, self),)
 
     def truncated(self, lo: float, hi: float) -> "ProductKernel":
         return ProductKernel(self.velocity.truncated(lo, hi), self.mark)
@@ -551,7 +540,7 @@ class ProductKernel:
         return self.velocity.sample(rng, n), self.mark.sample(rng, n)
 
     def tail_mass_removed(self) -> float:
-        return getattr(self.velocity, "tail_mass_removed", 0.0) or 0.0
+        return self.velocity.tail_mass_removed
 
     def summary(self) -> dict:
         return {"kind": "product", "velocity": self.velocity.summary(),
@@ -559,9 +548,7 @@ class ProductKernel:
 
 
 class DiscreteKernel:
-    """Finite set of velocity-mark atoms (v, r, weight), independent of x."""
-
-    cell_edges: tuple[float, ...] = ()
+    """Finite set of velocity-mark atoms (v, r, weight), independent of x: one cell."""
 
     def __init__(self, atoms: Sequence[tuple[float, float, float]]):
         atoms = [(float(v), float(r), float(w)) for v, r, w in atoms]
@@ -573,6 +560,7 @@ class DiscreteKernel:
         if abs(total - 1.0) > 1e-9:
             raise ValueError("atom weights must sum to 1")
         self.atoms = atoms
+        self.cells = ((-math.inf, math.inf, self),)
         self._cum = np.cumsum([w for _, _, w in atoms])
         # sum of w * r**k over the atoms at each distinct velocity, kernel order
         sums: dict[float, list[float]] = {}
@@ -632,10 +620,12 @@ class DiscreteKernel:
 class PiecewiseKernel:
     """Conditional law with piecewise-constant dependence on x.
 
-    Cells are intervals [lo, hi) each carrying its own x-independent kernel.
-    They must be contiguous, each cell's hi the next cell's lo, so that
-    every x between the first lo and the last hi has a kernel; and they must
-    be all atoms or all continuous, so one velocity rule serves every x.
+    Cells are intervals [lo, hi) each carrying its own x-independent kernel,
+    a product or atoms kernel: a piecewise kernel in a cell is rejected, as
+    its own cells would be flattened into the outer one.  Cells must be
+    contiguous, each cell's hi the next cell's lo, so that every x between
+    the first lo and the last hi has a kernel; and they must be all atoms or
+    all continuous, so one velocity rule serves every x.
     """
 
     def __init__(self, cells: Sequence[tuple[float, float, object]]):
@@ -649,6 +639,8 @@ class PiecewiseKernel:
                                  f"and the next begins at {nlo}")
         if any(hi <= lo for lo, hi, _ in cells):
             raise ValueError("kernel cells must have positive width")
+        if any(isinstance(k, PiecewiseKernel) for _, _, k in cells):
+            raise ValueError("kernel cells must hold product or atoms kernels, not piecewise")
         continuous = {k.atom_velocities() is None for _, _, k in cells}
         if len(continuous) != 1:
             raise ValueError("kernel cells must be all atoms or all continuous")
@@ -659,10 +651,6 @@ class PiecewiseKernel:
 
     def truncated(self, lo: float, hi: float) -> "PiecewiseKernel":
         return PiecewiseKernel([(a, b, k.truncated(lo, hi)) for a, b, k in self.cells])
-
-    @property
-    def cell_edges(self) -> tuple[float, ...]:
-        return (*(lo for lo, _, _ in self.cells), self.cells[-1][1])
 
     @property
     def v_support(self):
@@ -754,9 +742,7 @@ def edge_velocities(edges: Sequence[float], x, t):
     An integrand that reads rho or the kernel's cells at a pivot or a
     backtracked position x - v*t kinks or jumps there; t = 0 gives none.
     """
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    if t.ndim == 0:                      # one time for every position
-        return (np.subtract.outer(x, edges) / t).ravel() if t else np.empty(0)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     moving = t != 0.0
     return (np.subtract.outer(x[moving], edges) / t[moving][:, None]).ravel()
 
@@ -847,18 +833,11 @@ class IntensityModel(_CrossingMoments):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("velocity support is unbounded; pass v_support")
         self.v_support = (float(lo), float(hi))
-        self._check_cells_cover_support()
-        # the finite points where rho or the kernel's cells may jump
-        self.edges = tuple(sorted({e for e in (*rho.breakpoints, *kernel.cell_edges)
-                                   if math.isfinite(e)}))
-
-    def _check_cells_cover_support(self) -> None:
-        edges = self.kernel.cell_edges
-        if not edges:
-            return
-        lo, hi = self.rho.support
-        if lo < edges[0] or hi > edges[-1]:
+        if rho.support[0] < kernel.cells[0][0] or rho.support[1] > kernel.cells[-1][1]:
             raise ValueError("kernel cells must cover the support of rho")
+        # the finite points where rho or the kernel's cells may jump
+        ends = {e for a, b, _ in kernel.cells for e in (a, b)}
+        self.edges = tuple(sorted(e for e in ends.union(rho.breakpoints) if math.isfinite(e)))
 
     @property
     def max_speed(self) -> float:
@@ -869,12 +848,9 @@ class IntensityModel(_CrossingMoments):
         return self.kernel.min_mark >= 0.0
 
     def x_mass(self, v, k, lo, hi):
-        # lo and hi may be arrays; each cell of a piecewise kernel weighs the
-        # rho-mass of its part of [lo, hi]
+        # lo and hi may be arrays; each cell of the kernel weighs the rho-mass
+        # of its part of [lo, hi]
         total = 0.0
-        if not self.kernel.cell_edges:
-            total += self.kernel.vk_density(v, k, lo) * self.rho.integral(lo, hi)
-            return total
         for a, b, cell in self.kernel.cells:
             total += cell.vk_density(v, k, a) * self.rho.integral(np.maximum(lo, a),
                                                                   np.minimum(hi, b))
@@ -884,14 +860,6 @@ class IntensityModel(_CrossingMoments):
         # a pivot x - v*t of a segment end crosses an edge
         ends = [p for seg in segs for p in (seg.a, seg.b)]
         return edge_velocities(self.edges, [p.x for p in ends], [p.t for p in ends])
-
-    def window_mass(self, lo: float, hi: float) -> float:
-        return self.rho.integral(lo, hi)
-
-    def sample_phase(self, rng: np.random.Generator, n: int, lo: float, hi: float):
-        xs = self.rho.sample(rng, n, lo, hi)
-        vs, rs = self.kernel.sample(rng, xs)
-        return xs, vs, rs
 
     def summary(self) -> dict:
         return {"rho": self.rho.summary(), "kernel": self.kernel.summary(),

@@ -99,14 +99,15 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
     lo, hi = region.window_x(model.max_speed)
-    mean_count = model.window_mass(lo, hi) / epsilon
+    mean_count = model.rho.integral(lo, hi) / epsilon
     if mean_count > COUNT_CAP:
         raise SampleSizeError(
             f"expected count {mean_count:.3e} exceeds cap {COUNT_CAP:.0e}; "
             "increase epsilon or shrink the observation region")
     rng = stream(seed, *stream_key)
     n = int(rng.poisson(mean_count))
-    xs, vs, rs = model.sample_phase(rng, n, lo, hi)
+    xs = model.rho.sample(rng, n, lo, hi)
+    vs, rs = model.kernel.sample(rng, xs)
     return SampledConfiguration(np.asarray(xs, dtype=float),
                                 np.asarray(vs, dtype=float),
                                 np.asarray(rs, dtype=float),

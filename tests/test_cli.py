@@ -525,6 +525,29 @@ BUMP_ATOMS_MODEL = {
         {"x_range": [-2.0, 0.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
         {"x_range": [1.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
      "model.kernel: kernel cells must be contiguous"),
+    ("kernel", {"kind": "piecewise", "cells": [
+        {"x_range": [-2.0, -2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
+        {"x_range": [-2.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
+     "model.kernel: kernel cells must have positive width"),
+    ("kernel", {"kind": "piecewise", "cells": [
+        {"x_range": [-2.0, 0.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
+        {"x_range": [0.0, 2.0], "kernel": {
+            "kind": "product", "velocity": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+            "mark": {"kind": "constant", "value": 1.0}}}]},
+     "model.kernel: kernel cells must be all atoms or all continuous"),
+    ("kernel", {"kind": "piecewise", "cells": [
+        {"x_range": [-1.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
+     "model: kernel cells must cover the support of rho"),
+    ("kernel", {"kind": "atoms", "atoms": [{"v": -1.0, "r": 0.4, "weight": 0.5},
+                                           {"v": 1.0, "r": 0.6, "weight": 0.4}]},
+     "model.kernel: atom weights must sum to 1"),
+    # a piecewise kernel inside a cell: its own cells were read only at the
+    # outer cell's left edge, so the targets were wrong
+    ("kernel", {"kind": "piecewise", "cells": [{"x_range": [-2.0, 2.0], "kernel": {
+        "kind": "piecewise", "cells": [
+            {"x_range": [-2.0, 0.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
+            {"x_range": [0.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]}}]},
+     "model.kernel: kernel cells must hold product or atoms kernels, not piecewise"),
 ])
 def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
     model = json.loads(json.dumps(BUMP_ATOMS_MODEL))

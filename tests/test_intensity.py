@@ -35,8 +35,9 @@ def mc_crossing_moment(model, k, seg, sign, rng, n=400_000):
     tmax = max(abs(seg.a.t), abs(seg.b.t))
     lo = min(seg.a.x, seg.b.x) - model.max_speed * tmax - 0.1
     hi = max(seg.a.x, seg.b.x) + model.max_speed * tmax + 0.1
-    xs, vs, rs = model.sample_phase(rng, n, lo, hi)
-    mass = model.window_mass(lo, hi)
+    xs = model.rho.sample(rng, n, lo, hi)
+    vs, rs = model.kernel.sample(rng, xs)
+    mass = model.rho.integral(lo, hi)
     pa = xs + seg.a.t * vs <= seg.a.x
     pb = xs + seg.b.t * vs <= seg.b.x
     plus = ~pa & pb
@@ -216,6 +217,22 @@ def test_gaussian_velocity_requires_support():
     # truncated law is a renormalized probability
     total = model.moment_on_crossing(0, segment(0, 0, 1, 0))
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gaussian_velocity_is_complete_when_built():
+    # on the whole line the constants are exact; truncated() builds the same
+    # law as the constructor with bounds, and keeps its finite-bounds check
+    law = GaussianVelocity(0.3, 1.2)
+    assert law.support == (-math.inf, math.inf)
+    assert law._log_mass == 0.0 and law.tail_mass_removed == 0.0
+    assert law.pdf(0.3) == pytest.approx(1.0 / (1.2 * math.sqrt(2.0 * math.pi)), rel=1e-15)
+    cut, built = law.truncated(-1.0, 2.0), GaussianVelocity(0.3, 1.2, -1.0, 2.0)
+    assert vars(cut) == vars(built)
+    for lo, hi in ((-math.inf, 2.0), (-1.0, math.inf), (2.0, -1.0)):
+        with pytest.raises(ValueError, match="finite truncation bounds"):
+            law.truncated(lo, hi)
+    with pytest.raises(ValueError, match="lo < hi"):
+        GaussianVelocity(0.0, 1.0, 1.0, 1.0)
 
 
 def test_uniform_velocity_truncation_reports_tail():
@@ -583,3 +600,24 @@ def test_crossing_moments_are_exact_across_rho_edges():
                        (frozen.moment_on_crossing(0, seg1, "plus"), frozen_plus)):
             want = _piecewise_gauss_legendre(f, breaks)
             assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)
+
+
+@pytest.mark.parametrize("x,t", [
+    (0.7, 0.5),                                     # one position, one time
+    ([0.7, -1.3, 2.0], 0.5),                        # many positions, one time
+    ([0.7, -1.3, 2.0, 0.1], [0.5, 0.0, -2.0, 0.0]),  # a time per position, some zero
+    ([0.7, -1.3], 0.0),                             # t = 0 for every position
+    (0.7, 0.0),
+])
+def test_edge_velocities_solve_x_minus_v_t_on_each_edge(x, t):
+    # v = (x - e) / t for each moving position, in position order and edge
+    # order within a position; a position with t = 0 meets no edge
+    edges = (-1.0, 0.25, 3.0)
+    xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    want = [(xi - e) / ti for xi, ti in zip(xs.ravel().tolist(), ts.ravel().tolist()) if ti
+            for e in edges]
+    got = intensity.edge_velocities(edges, x, t)
+    assert got.dtype == float and got.ndim == 1
+    assert got.tolist() == want
+    if np.ndim(t) == 0 and t:
+        assert got.tolist() == (np.subtract.outer(x, edges) / t).ravel().tolist()

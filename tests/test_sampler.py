@@ -96,7 +96,7 @@ def test_poisson_counts_disjoint_boxes(reference_model):
     for counts, box in ((na, box_a), (nb, box_b)):
         (xlo, xhi), (vlo, vhi) = box
         # v ~ U[-1, 1], so the band [vlo, vhi) has probability (vhi - vlo) / 2
-        mean = reference_model.window_mass(xlo, xhi) * (vhi - vlo) / 2 / eps
+        mean = reference_model.rho.integral(xlo, xhi) * (vhi - vlo) / 2 / eps
         assert counts.mean() == pytest.approx(mean, abs=3 * math.sqrt(mean / M))
     corr = np.corrcoef(na, nb)[0, 1]
     assert abs(corr) < 3 / math.sqrt(M)
