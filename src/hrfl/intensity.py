@@ -33,13 +33,9 @@ subinterval as QAG does), in numpy, one call per panel of 21 nodes, with
 the kink locations passed as breakpoints.
 
 The continuous velocity laws are uniform and a Gaussian truncated to the
-velocity support.  The truncated Gaussian's density and inverse CDF are
-closed forms on :mod:`scipy.special` whose truncation constants are
-computed once, when the law is built.
-``scipy.special`` is imported when the first GaussianVelocity is built;
-nothing else here needs scipy, so importing this module, or building a
-model with atoms, uniform laws and constant, piecewise or smooth
-densities, loads no scipy module.
+velocity support.  Its constants come from ``math.erfc`` and its inverse CDF is
+Wichura's AS241 normal quantile (Applied Statistics 37, 1988) in numpy, so
+importing this module or building any model loads no scipy module.
 """
 
 from __future__ import annotations
@@ -144,7 +140,7 @@ def _quad(f: Callable, lo: float, hi: float, inner_points=()):
     if hi <= lo:
         return 0.0
     inner = np.asarray(inner_points, dtype=float)
-    edges = [lo, *np.unique(inner[(lo < inner) & (inner < hi)]).tolist(), hi]
+    edges = [lo, *sorted(set(inner[(lo < inner) & (inner < hi)].tolist())), hi]
     panels = []               # a heap of (-largest error, a, b, estimate, error)
     new = list(zip(edges, edges[1:]))
     while True:
@@ -404,39 +400,80 @@ class UniformVelocity(_UniformLaw):
                 "tail_mass_removed": self.tail_mass_removed}
 
 
-special = None  # scipy.special, imported when the first GaussianVelocity is built
+_SQRT_HALF, _2_SQRT_PI = math.sqrt(0.5), 2.0 * math.sqrt(math.pi)
+_LOG_TINY = -708.0  # below this log p, p leaves the normal doubles and the range of AS241
+# AS241 (PPND16) numerator, denominator rows by power: |p - 1/2| <= 0.425, then r <= 5, r > 5
+_AS241 = np.array([
+    3.3871328727963665, 133.14166789178438, 1971.5909503065513, 13731.69376550946,
+    45921.95393154987, 67265.7709270087, 33430.57558358813, 2509.0809287301227, 1.0,
+    42.31333070160091, 687.1870074920579, 5394.196021424751, 21213.794301586597, 39307.89580009271,
+    28729.085735721943, 5226.495278852854, 1.4234371107496835, 4.630337846156546, 5.769497221460691,
+    3.6478483247632045, 1.2704582524523684, 0.2417807251774506, 0.022723844989269184,
+    0.0007745450142783414, 1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851,
+    0.14810397642748008, 0.015198666563616457, 0.0005475938084995345, 1.0507500716444169e-09,
+    6.657904643501103, 5.463784911164114, 1.7848265399172913, 0.29656057182850487,
+    0.026532189526576124, 0.0012426609473880784, 2.7115555687434876e-05, 2.0103343992922881e-07,
+    1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615, 0.0007868691311456133,
+    1.8463183175100548e-05, 1.421511758316446e-07, 2.0442631033899397e-15]).reshape(6, 8)
+_ERFCX_SERIES = (-135135.0, 10395.0, -945.0, 105.0, -15.0, 3.0, -1.0, 1.0)  # (-1)**n (2n-1)!!
 
 
-def _import_special() -> None:
-    global special
-    if special is None:
-        from scipy import special
+def _ndtr(x: float) -> float:
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _log_ndtr(x):
+    """log Phi(x) for x <= 0.  An array, or x below -37 where erfc underflows, takes scipy's
+    log(erfcx(-t) / 2) - t**2 with t = x / sqrt(2) and erfcx's asymptotic series (x < -37)."""
+    if np.ndim(x) == 0 and x >= -37.0:
+        return math.log(_ndtr(x))
+    t = x * _SQRT_HALF
+    return np.log(np.polyval(_ERFCX_SERIES, 1.0 / (x * x))) - np.log(-_2_SQRT_PI * t) - t * t
 
 
 def _log_gauss_mass(a: float, b: float) -> float:
-    """log(Phi(b) - Phi(a)) for a < b, accurate in both tails.
-
-    A right-tail interval is mirrored into the left tail, where log_ndtr
-    keeps its precision; a central interval subtracts both tails from 1.
-    """
-    if b <= 0.0:
-        hi, lo = special.log_ndtr(b), special.log_ndtr(a)
-    elif a > 0.0:
-        hi, lo = special.log_ndtr(-a), special.log_ndtr(-b)
-    else:
-        return float(special.log1p(-special.ndtr(a) - special.ndtr(-b)))
-    return float(hi + math.log(-math.expm1(lo - hi)))
+    """log(Phi(b) - Phi(a)) for a < b, from the left tail (a right tail mirrored) or 1 - tails."""
+    if a > 0.0:
+        a, b = -b, -a
+    if b > 0.0:
+        return math.log1p(-_ndtr(a) - _ndtr(-b))
+    hi = _log_ndtr(b)
+    return float(hi + math.log(-math.expm1(_log_ndtr(a) - hi)))
 
 
-def _log_add(p: float, q: np.ndarray) -> np.ndarray:
-    """log(exp(p) + exp(q)), summed as scipy's ``logsumexp`` sums two terms.
+def _polys(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of coef at each x, summed as powers: AS241's terms are all positive."""
+    v = np.empty((8, len(x)))
+    v[0], v[1] = 1.0, x
+    for k in range(2, 8):
+        np.multiply(v[k - 1], x, out=v[k])
+    return coef @ v
 
-    The quantile is ill-conditioned in log Phi far in the upper tail, so
-    the operation order is kept to sample the same values as scipy's
-    truncated normal to rounding.
-    """
-    hi = np.maximum(p, q)
-    return np.log1p(np.exp(np.minimum(p, q) - hi)) + hi
+
+def _ndtri(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal quantile of each p by AS241, to about 1e-16 relative; the lower tail
+    takes ``log_p``, if given, for log p, and past AS241's range two Newton steps on log Phi
+    polish it (to 1e-16 down to log p = -1e7)."""
+    q = p - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or 1 maps to -inf or inf
+        r = np.log(np.minimum(p, 1.0 - p))
+        if log_p is not None:
+            np.copyto(r, log_p, where=q < 0.0)
+        r = np.sqrt(np.negative(r, out=r), out=r)
+        aq = np.abs(q)
+        mid = aq <= 0.425
+        rows = _polys(_AS241[:4], np.where(mid, 0.180625 - aq * aq, r - 1.6))
+        z = np.copysign(np.where(mid, rows[0] * aq / rows[1], rows[2] / rows[3]), q)
+        if r.max(initial=0.0) > 5.0:
+            far = np.flatnonzero(r > 5.0)
+            num, den = _polys(_AS241[4:], r[far] - 5.0)
+            z[far] = np.copysign(np.where(r[far] < np.inf, num / den, np.inf), q[far])
+    if log_p is not None:  # Newton on log Phi(z) = log p, whose slope is phi / Phi
+        deep = np.flatnonzero((log_p < _LOG_TINY) & (log_p > -np.inf))
+        for _ in range(2):
+            log_phi = _log_ndtr(z[deep])
+            z[deep] -= (log_phi - log_p[deep]) * np.exp(log_phi + z[deep] ** 2 / 2 + _LOG_SQRT_2PI)
+    return z
 
 
 class GaussianVelocity:
@@ -445,20 +482,19 @@ class GaussianVelocity:
     The truncated law is renormalized to a probability; the removed tail
     mass is reported in the model summary so the user can bound the bias.
     With standardized bounds a, b and Gaussian mass m of [a, b], computed
-    when the law is built, the law has the closed forms
+    from ``math.erfc`` when the law is built, the law has the closed forms
 
         pdf(v)  = exp(-z**2 / 2) / (sd sqrt(2 pi) m),   z = (v - mean) / sd
         F^-1(u) = Phi^-1(Phi(a) + u m)                  if a < 0
                 = -Phi^-1(Phi(-b) + (1 - u) m)          otherwise
 
-    with the quantile evaluated in log space (``ndtri_exp``), mirrored so
-    that it always works in the left tail where Phi keeps its precision.
+    with Phi^-1 the numpy AS241 quantile, mirrored so that it starts from the
+    left tail, where Phi keeps its precision, and in log space if Phi(a) or m underflows.
     """
 
     def __init__(self, mean: float, sd: float, lo: float = -math.inf, hi: float = math.inf):
         if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0 and lo < hi):
             raise ValueError("gaussian velocity needs finite mean, sd > 0 and lo < hi")
-        _import_special()
         self.mean, self.sd = float(mean), float(sd)
         self.lo, self.hi = float(lo), float(hi)
         # exact on the whole line: a log mass of 0 and no tail removed
@@ -467,8 +503,8 @@ class GaussianVelocity:
         self._log_mass = _log_gauss_mass(a, b)
         self._mirrored = a >= 0.0
         # log Phi of the bound the quantile starts from: a, or -b when mirrored
-        self._log_phi_start = float(special.log_ndtr(-b if self._mirrored else a))
-        self.tail_mass_removed = float(1.0 - (special.ndtr(b) - special.ndtr(a)))
+        self._log_phi_start = float(_log_ndtr(-b if self._mirrored else a))
+        self.tail_mass_removed = 1.0 - (_ndtr(b) - _ndtr(a))
 
     @property
     def support(self):
@@ -477,6 +513,9 @@ class GaussianVelocity:
     def truncated(self, lo: float, hi: float) -> "GaussianVelocity":
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("gaussian velocities require finite truncation bounds")
+        lo, hi = max(self.lo, lo), min(self.hi, hi)
+        if hi <= lo:
+            raise ValueError("velocity support truncation leaves no mass")
         return GaussianVelocity(self.mean, self.sd, lo, hi)
 
     def pdf(self, v):
@@ -488,14 +527,15 @@ class GaussianVelocity:
 
     def sample(self, rng: np.random.Generator, n: int):
         u = rng.random(n)
-        # the log share of the mass between the start bound and the quantile
-        if self._mirrored:
-            log_share, sign = np.log1p(-u), -1.0
+        if self._mirrored:  # the share of the mass between the start bound and the quantile
+            u = 1.0 - u
+        if min(self._log_phi_start, self._log_mass) >= _LOG_TINY:
+            z = _ndtri(math.exp(self._log_phi_start) + u * math.exp(self._log_mass))
         else:
             with np.errstate(divide="ignore"):  # u = 0 maps to the bound a
-                log_share, sign = np.log(u), 1.0
-        z = sign * special.ndtri_exp(_log_add(self._log_phi_start, log_share + self._log_mass))
-        return z * self.sd + self.mean
+                log_p = np.logaddexp(self._log_phi_start, np.log(u) + self._log_mass)
+            z = _ndtri(np.exp(log_p), log_p)
+        return (-z if self._mirrored else z) * self.sd + self.mean
 
     def summary(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean, "sd": self.sd,

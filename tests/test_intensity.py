@@ -284,7 +284,9 @@ def test_smooth_density_rejection_loop_is_bounded(rng):
     assert len(rho.sample(rng, 3, -0.4, 0.9)) == 3
 
 
-GAUSS_TRUNCATIONS = [(-3.0, 3.0), (2.0, 4.0), (-0.5, 40.0), (-9.0, -8.0), (8.0, 9.0)]
+# the last three lie beyond 37 sd, where Phi of the start bound underflows
+GAUSS_TRUNCATIONS = [(-3.0, 3.0), (2.0, 4.0), (-0.5, 40.0), (-9.0, -8.0), (8.0, 9.0),
+                     (40.0, 41.0), (-41.0, -40.0), (-40.0, 3.0)]
 
 
 @pytest.mark.parametrize("a,b", GAUSS_TRUNCATIONS)
@@ -331,10 +333,39 @@ def test_gaussian_velocity_quantile_ends():
         def random(self, n):
             return np.array([0.0, 0.5])
 
-    for lo, hi in [(-1.0, 2.0), (0.5, 2.0)]:
+    for lo, hi in [(-1.0, 2.0), (0.5, 2.0), (-40.0, 3.0)]:
         got = GaussianVelocity(0.0, 1.0).truncated(lo, hi).sample(Ends(), 2)
         assert got[0] == pytest.approx(lo, abs=1e-12)
         assert lo < got[1] < hi
+    # an empty draw, as a window without lines asks for, in both sampling paths
+    for lo, hi in [(-1.0, 2.0), (40.0, 41.0)]:
+        assert GaussianVelocity(0.0, 1.0, lo, hi).sample(np.random.default_rng(0), 0).shape == (0,)
+
+
+def test_gaussian_truncation_intersects_the_law_bounds():
+    law = GaussianVelocity(0.0, 1.0, -1.0, 1.0)
+    assert law.truncated(-2.0, 2.0).support == (-1.0, 1.0)
+    assert law.truncated(-0.5, 2.0).support == (-0.5, 1.0)
+    with pytest.raises(ValueError, match="truncation leaves no mass"):
+        law.truncated(1.0, 2.0)
+
+
+def test_ndtri_matches_scipy_across_the_as241_regions():
+    # the region edges |p - 1/2| = 0.425 and p = exp(-25) with their neighbours,
+    # both tails down to p = 1e-300 and 1 - p = 1e-13, and the ends 0 and 1
+    from scipy import special
+
+    edges = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 4000), np.linspace(0.01, 0.99, 2001),
+                        1.0 - np.geomspace(1e-13, 0.5, 2000), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    z, want = intensity._ndtri(p), special.ndtri(p)
+    assert np.all(np.abs(z - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
+    assert intensity._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+    # the lower tail from log p, past the underflow of p itself
+    log_p = -np.geomspace(3.0, 2e3, 2000)
+    z, want = intensity._ndtri(np.exp(log_p), log_p), special.ndtri_exp(log_p)
+    assert np.all(np.abs(z - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("rho", [
