@@ -37,6 +37,7 @@ from .config import (
     load_config,
     validate_config,
 )
+from .geometry import SpaceTimePoint
 from .intensity import QuadratureError
 from .reporting import write_csv, write_json
 from .sampler import SampleSizeError, sample
@@ -96,8 +97,8 @@ def _require_rod_marks(model):
 def run_sample_field(kind, model, seed, threads, rundir, epsilon, region, grid):
     cfg = sample(model, epsilon, region, seed)
     xs, ts = (np.linspace(*grid[axis]) for axis in ("x", "t"))
-    values = field.walk_field_grid(cfg, xs, ts)
-    rows = [(x, t, values[i, j]) for i, t in enumerate(ts) for j, x in enumerate(xs)]
+    rows = [(x, t, field.walk_field(cfg, SpaceTimePoint(float(x), float(t))))
+            for t in ts for x in xs]
     write_csv(rundir / "surface.csv", ("x", "t", "H"), rows)
     return ExperimentReport(kind, model.summary(), epsilon, 1, seed, [],
                             {"points_sampled": cfg.n, "grid": grid}, True)

@@ -13,7 +13,7 @@ fluctuation fields are the centered differences of the two, rescaled; the
 batteries of :mod:`hrfl.stats` form them from these functions.
 
 Each empirical surface value or mass is one :func:`signed_mark_sum` of two
-side masks of the sampled lines; a grid is a loop over :func:`walk_field`.
+side masks of the sampled lines; a grid is one :func:`walk_field` per node.
 """
 
 from __future__ import annotations
@@ -56,15 +56,6 @@ def walk_field_difference(config: SampledConfiguration, a: SpaceTimePoint,
     return config.epsilon * signed_mark_sum(config.r, x + b.t * v <= b.x, x + a.t * v <= a.x)
 
 
-def walk_field_grid(config: SampledConfiguration, xs, ts) -> np.ndarray:
-    """H on the grid xs x ts by walk_field; shape (len(ts), len(xs))."""
-    out = np.empty((len(ts), len(xs)))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            out[i, j] = walk_field(config, SpaceTimePoint(float(x), float(t)))
-    return out
-
-
 def limit_field(model, b: SpaceTimePoint) -> float:
     """Deterministic limit surface: mu_1(ob+) - mu_1(ob-)."""
     return limit_field_difference(model, ORIGIN, b)
@@ -82,7 +73,3 @@ def frame_surface(config: SampledConfiguration, frame: SpaceTimePoint,
                   offset: SpaceTimePoint) -> float:
     """Empirical surface seen from the frame point: H(frame+offset) - H(frame)."""
     return walk_field_difference(config, frame, frame.translated(offset.x, offset.t))
-
-
-def limit_frame_surface(model, frame: SpaceTimePoint, offset: SpaceTimePoint) -> float:
-    return limit_field_difference(model, frame, frame.translated(offset.x, offset.t))

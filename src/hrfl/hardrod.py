@@ -335,7 +335,7 @@ def full_evolve(rods: RodConfiguration, t: float) -> RodConfiguration:
         q = float(rods.y[cover])
         return full_evolve(rods.shifted(-q), t).shifted(q)
     gas = contract(rods, 0.0)
-    return tagged_frame_evolve(rods, t).shifted(origin_tracer_displacement(gas, t))
+    return dilate(ideal_gas_evolve(gas, t), 0.0).shifted(origin_tracer_displacement(gas, t))
 
 
 def empty_space_position(rods: RodConfiguration, z: float) -> float:
@@ -343,8 +343,8 @@ def empty_space_position(rods: RodConfiguration, z: float) -> float:
 
     Requires no rod covering 0.  Walks gap by gap in the direction of z;
     beyond the last rod all space is empty, so a solution always exists for
-    finite configurations.  When z lands exactly at a rod edge the smallest
-    solution is returned.
+    finite configurations.  When |z| of empty space ends exactly at a rod
+    edge the smallest solution, a rod's left end, is returned.
     """
     if rods.covering_rod(0.0) is not None:
         raise ValueError("empty-space walk needs 0 in empty space")
@@ -367,7 +367,7 @@ def empty_space_position(rods: RodConfiguration, z: float) -> float:
     sel = rights <= 0
     for yi, ei in zip(lefts[sel], rights[sel]):
         gap = max(cur - ei, 0.0)
-        if remaining <= gap:
+        if remaining < gap:
             return cur - remaining
         remaining -= gap
         cur = yi
@@ -381,7 +381,7 @@ def empty_space_shift(rods: RodConfiguration, z: float,
     Positive z walks right: the configuration shifts left by the walked
     distance b(z).  The "gaps" route shifts by -b(z) directly; the
     "contraction" route computes dilate(shift(contract(Y), -z)); the two
-    agree except at measure-zero edge ties.
+    agree up to rounding, edge ties included.
     """
     if via == "gaps":
         return rods.shifted(-empty_space_position(rods, z))

@@ -18,8 +18,10 @@ and the conservation law d_t g~ + d_q(V_eff g~) = 0, whose residual is
 measured by second-order central differences on a rectangular grid.
 
 Velocity integrals go through the rule of :mod:`hrfl.intensity`, so sigma,
-the phase moments, Z and V_eff serve atoms and continuous laws alike.  The
-pointwise rod density and the residual grid are implemented for velocity
+the phase moments, Z and V_eff serve atoms and continuous laws alike.
+``_species_state`` derives sigma~, pi~, V_eff and the atoms' g~ at (q, t)
+nodes from one Z^-1; the pointwise rod density, its oracle, keeps its own.
+The pointwise rod density and the residual grid are implemented for velocity
 atoms only and raise NotImplementedError otherwise.
 
 sigma, Z and Z^-1 accept a scalar or an array of positions; the rule's
@@ -176,12 +178,6 @@ def _at_nodes(q, t, failing) -> str:
             f"({float(q[i])}, {float(t[i])})")
 
 
-def squeezed_length_fraction(model: IntensityModel, q: float, t: float) -> float:
-    """sigma~ at the rod coordinate q: sigma / (1 + sigma) at Z^-1(q)."""
-    s = sigma(model, inverse_characteristic(model, q, t), t)
-    return s / (1.0 + s)
-
-
 def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -> float:
     """Macroscopic hard-rod phase density at rod coordinate q.
 
@@ -204,32 +200,38 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -
 
 @dataclass
 class _SpeciesState:
-    """Rod-phase quantities of the atom velocities at a set of (q, t) nodes."""
+    """The rod-phase state at a set of (q, t) nodes, read at the pre-image Z^-1(q)."""
 
-    g: np.ndarray            # (atom velocity, node) rod-frame x-densities
-    sigma_tilde: np.ndarray  # (node,)
-    pi_tilde: np.ndarray     # (node,)
+    sigma_tilde: np.ndarray    # (node,)
+    pi_tilde: np.ndarray       # (node,)
+    g: np.ndarray | None       # (atom velocity, node) rod-frame x-densities; None without atoms
+
+    def effective_velocity(self, v):
+        """V_eff = v + (v sigma~ - pi~) / (1 - sigma~) at every node; v a scalar or a column."""
+        return v + (v * self.sigma_tilde - self.pi_tilde) / (1.0 - self.sigma_tilde)
 
 
-def _species_state(model: IntensityModel, q: np.ndarray, t) -> _SpeciesState:
-    # the nodes (q, t), t one time or one per q; g at every atom velocity at
-    # once, sigma and pi by the velocity rule
+def _species_state(model: IntensityModel, q, t) -> _SpeciesState:
+    """Z^-1 once at the nodes (q, t), q a scalar or an array and t one time or one per q;
+    sigma~ and pi~ for any velocity law, g~ at every atom velocity when there are atoms."""
     x = inverse_characteristic(model, q, t)
-    vs = np.array(model.kernel.atom_velocities())[:, None]
-    pos = x - vs * t
-    g = model.kernel.vk_density(vs, 0, pos) * model.rho.value(pos)
     s, p = sigma(model, x, t), phase_moment(model, x, t, 1)
-    return _SpeciesState(g / (1.0 + s), s / (1.0 + s), p / (1.0 + s))
+    g, vs = None, model.kernel.atom_velocities()
+    if vs is not None:
+        v_col = np.array(vs)[:, None]
+        pos = x - v_col * t
+        g = model.kernel.vk_density(v_col, 0, pos) * model.rho.value(pos) / (1.0 + s)
+    return _SpeciesState(s / (1.0 + s), p / (1.0 + s), g)
+
+
+def squeezed_length_fraction(model: IntensityModel, q: float, t: float) -> float:
+    """sigma~ at the rod coordinate q: sigma / (1 + sigma) at Z^-1(q)."""
+    return _species_state(model, q, t).sigma_tilde
 
 
 def effective_velocity(model: IntensityModel, q: float, v: float, t: float) -> float:
-    """V_eff(q, v, t) = v + (v sigma~ - pi~) / (1 - sigma~)."""
-    _require_rod_model(model)
-    x = inverse_characteristic(model, q, t)
-    s = sigma(model, x, t)
-    st = s / (1.0 + s)
-    pt = phase_moment(model, x, t, 1) / (1.0 + s)
-    return v + (v * st - pt) / (1.0 - st)
+    """V_eff(q, v, t) of the rod-phase state at q."""
+    return _species_state(model, q, t).effective_velocity(v)
 
 
 def limit_mass(model: IntensityModel, z: float, t: float) -> float:
@@ -319,9 +321,9 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 st = _species_state(model, np.tile(q_nodes, len(ts)),
                                     np.repeat(ts, len(q_nodes)))
-                veff = v_col + (v_col * st.sigma_tilde - st.pi_tilde) / (1.0 - st.sigma_tilde)
                 G[:, i:i + len(ts)] = st.g.reshape(len(v_col), len(ts), -1)
-                F[:, i:i + len(ts)] = (veff * st.g).reshape(len(v_col), len(ts), -1)
+                F[:, i:i + len(ts)] = (st.effective_velocity(v_col) * st.g).reshape(
+                    len(v_col), len(ts), -1)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{exc} in t rows {i}..{i + len(ts) - 1} (t = {ts[0]:g}..{ts[-1]:g}) "

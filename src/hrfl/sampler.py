@@ -16,7 +16,7 @@ regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class ObservationRegion:
 
 @dataclass
 class SampledConfiguration:
-    """One Poisson sample: phase points, scale, window and provenance."""
+    """One Poisson sample: phase points, scale, sampling window and observation region."""
 
     x: np.ndarray
     v: np.ndarray
@@ -76,8 +76,6 @@ class SampledConfiguration:
     epsilon: float
     window_x: tuple[float, float]
     region: ObservationRegion
-    seed: int
-    stream_key: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         for arr in (self.x, self.v, self.r):
@@ -111,6 +109,5 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
     return SampledConfiguration(np.asarray(xs, dtype=float),
                                 np.asarray(vs, dtype=float),
                                 np.asarray(rs, dtype=float),
-                                float(epsilon), (lo, hi), region,
-                                seed, tuple(stream_key))
+                                float(epsilon), (lo, hi), region)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hardrod, hydro
-from .field import frame_surface, limit_field, limit_frame_surface, walk_field
+from .field import frame_surface, limit_field, limit_field_difference, walk_field
 from .gaussian import covariance_matrix, distance
 from .geometry import ORIGIN, Segment, SpaceTimePoint
 from .intensity import FrozenModel
@@ -305,17 +305,16 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     frame_pt = SpaceTimePoint(fz, fs)
     hat_offsets = [SpaceTimePoint(a, 0.0) for a, _ in independence_offsets]
     tilde_offsets = [SpaceTimePoint(b, 0.0) for _, b in independence_offsets]
+    small_offsets = [SpaceTimePoint(eps * o.x, eps * o.t) for o in hat_offsets]
     tilde_pts = [frame_pt.translated(o.x, o.t) for o in tilde_offsets]
-    pts2 = ([frame_pt] + tilde_pts
-            + [frame_pt.translated(eps * o.x, eps * o.t) for o in hat_offsets])
-    region2 = _region_for_points(pts2)
+    hat_pts = [frame_pt.translated(o.x, o.t) for o in small_offsets]
+    region2 = _region_for_points([frame_pt] + tilde_pts + hat_pts)
     frozen = FrozenModel(model, fz, fs)
     hat_var_targets = [distance(frozen, ORIGIN, o) for o in hat_offsets]
     # the translated frame's masses are the base masses on translated segments
     tilde_var_targets = [distance(model, frame_pt, p) for p in tilde_pts]
-    small_offsets = [SpaceTimePoint(eps * o.x, eps * o.t) for o in hat_offsets]
-    lim_hat = [limit_frame_surface(model, frame_pt, o) for o in small_offsets]
-    lim_tilde = [limit_frame_surface(model, frame_pt, o) for o in tilde_offsets]
+    lim_hat = [limit_field_difference(model, frame_pt, p) for p in hat_pts]
+    lim_tilde = [limit_field_difference(model, frame_pt, p) for p in tilde_pts]
 
     def run_fields(i):
         cfg = sample(model, eps * eps, region2, seed, stream_key=(1, i))

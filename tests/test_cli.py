@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 import hrfl
 from hrfl.cli import main
-from hrfl.sampler import ObservationRegion
+from hrfl.config import build_model
+from hrfl.field import walk_field
+from hrfl.geometry import SpaceTimePoint
+from hrfl.sampler import ObservationRegion, sample
 
 HOMOGENEOUS_MODEL = {
     "rho": {"kind": "constant", "value": 1.0},
@@ -163,7 +166,14 @@ def test_sample_field_csv(tmp_path):
     csv = next(out.glob("*/surface.csv")).read_bytes()
     assert csv.startswith(b"x,t,H\n")
     assert b"\r" not in csv
-    assert len(csv.decode().strip().split("\n")) == 1 + 6
+    rows = csv.decode().strip().split("\n")[1:]
+    assert len(rows) == 6
+    # every node is walk_field on the same sample, drawn again from the seed
+    sampled = sample(build_model(HOMOGENEOUS_MODEL), 0.1,
+                     ObservationRegion((0.0, 1.0), (0.0, 1.0)), 1)
+    for row in rows:
+        x, t, h = map(float, row.split(","))
+        assert h == walk_field(sampled, SpaceTimePoint(x, t))
 
 
 def test_sample_field_away_from_the_origin_counts_the_lines_in_between(tmp_path):

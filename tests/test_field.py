@@ -6,10 +6,9 @@ import pytest
 from hrfl.field import (
     frame_surface,
     limit_field,
-    limit_frame_surface,
+    limit_field_difference,
     walk_field,
     walk_field_difference,
-    walk_field_grid,
 )
 from hrfl.gaussian import distance
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint
@@ -37,7 +36,7 @@ def make_config(x, v, r, epsilon=1.0, halfwidth=20.0):
     window = (-3 * halfwidth, 3 * halfwidth)
     return SampledConfiguration(x, np.asarray(v, dtype=float),
                                 np.asarray(r, dtype=float), epsilon, window,
-                                region, 0)
+                                region)
 
 
 def random_config(rng, n=60, halfwidth=20.0, signed_marks=False):
@@ -182,15 +181,22 @@ def test_mandelbrot_variant_not_translation_covariant():
     assert h0 == h1
 
 
-def test_grid_dump_shape(rng):
-    cfg = random_config(rng)
+def test_grid_dump_shape(reference_model, tmp_path):
+    from hrfl.cli import run_sample_field
+    region = ObservationRegion((-5.0, 5.0), (-2.0, 2.0))
+    grid = {"x": [-5.0, 5.0, 7], "t": [-2.0, 2.0, 5]}
+    run_sample_field("sample-field", reference_model, 4, 1, tmp_path, 0.5,
+                     region, grid)
+    rows = np.loadtxt(tmp_path / "surface.csv", delimiter=",", skiprows=1)
+    grid_values = rows[:, 2].reshape(5, 7)
+    assert grid_values.shape == (5, 7)
+    cfg = sample(reference_model, 0.5, region, 4)
     xs = np.linspace(-5, 5, 7)
     ts = np.linspace(-2, 2, 5)
-    grid = walk_field_grid(cfg, xs, ts)
-    assert grid.shape == (5, 7)
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
-            assert grid[i, j] == walk_field(cfg, SpaceTimePoint(float(x), float(t)))
+            assert rows[i * 7 + j, 0] == x and rows[i * 7 + j, 1] == t
+            assert grid_values[i, j] == walk_field(cfg, SpaceTimePoint(float(x), float(t)))
 
 
 def test_marginal_generator_jumps(rng):
@@ -252,7 +258,7 @@ def test_diffusive_fluctuations_vanish_at_frame(reference_model):
     cfg = sample(reference_model, 1e-2, region, 2)
     frame = SpaceTimePoint(0.3, 0.2)
     assert frame_surface(cfg, frame, ORIGIN) == 0.0
-    assert limit_frame_surface(reference_model, frame, ORIGIN) == 0.0
+    assert limit_field_difference(reference_model, frame, frame) == 0.0
 
 
 def test_diffusive_hat_variance(reference_model):
@@ -262,7 +268,7 @@ def test_diffusive_hat_variance(reference_model):
     frame = SpaceTimePoint(0.0, 0.25)
     # eta_hat: the centered frame surface at the eps-scaled offset, over eps^(3/2)
     small = SpaceTimePoint(eps * x, 0.0)
-    limit = limit_frame_surface(reference_model, frame, small)
+    limit = limit_field_difference(reference_model, frame, frame.translated(small.x, small.t))
     vals = np.array([
         (frame_surface(sample(reference_model, eps**2, region, 21, (i,)), frame, small)
          - limit) / eps ** 1.5

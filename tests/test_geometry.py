@@ -13,7 +13,7 @@ def lines(x, v):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.full(x.shape, v, dtype=float)
     return SampledConfiguration(x, v, np.ones_like(x), 1.0, (-100.0, 100.0),
-                                ObservationRegion((-10, 10), (-10, 10)), 0)
+                                ObservationRegion((-10, 10), (-10, 10)))
 
 
 def orientation(x, v, seg):

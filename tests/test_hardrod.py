@@ -435,3 +435,14 @@ def test_origin_tracer_counts_particles_at_zero_on_the_right():
         got, want = origin_tracer_displacement(gas, t), halfopen_tracer_flux(gas, t)
         assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
     assert at_0 > 1000 and at_t > 500
+
+
+def test_empty_space_routes_agree_at_edge_ties_on_lattice_gases():
+    # an integer z lands |z| of empty space exactly on a rod edge in many
+    # cases; both routes must then take the smallest solution
+    r = np.random.default_rng(44)
+    for gas, _ in lattice_cases(44):
+        rods, z = dilate(gas, 0.0), float(r.integers(-4, 5))
+        a = empty_space_shift(rods, z, via="gaps")
+        b = empty_space_shift(rods, z, via="contraction")
+        assert np.array_equal(a.y, b.y), (gas.x.tolist(), gas.r.tolist(), z)

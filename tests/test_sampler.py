@@ -66,7 +66,7 @@ def test_count_cap(reference_model):
 def test_empirical_moment_single_plus_crossing():
     cfg = SampledConfiguration(np.array([0.0]), np.array([0.0]), np.array([2.0]),
                                1.0, (-2.0, 2.0),
-                               ObservationRegion((-1, 1), (0, 0)), 0)
+                               ObservationRegion((-1, 1), (0, 0)))
     assert empirical_moment(cfg, 1, segment(-1, 0, 1, 0), "plus") == 2.0
     assert empirical_moment(cfg, 1, segment(-1, 0, 1, 0), "minus") == 0.0
 
