@@ -75,12 +75,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _resolve_threads(args, cfg) -> int:
-    if args.threads is not None and args.threads < 0:
-        raise ConfigError(f"--threads: expected an integer >= 0, got {args.threads}")
-    return args.threads if args.threads is not None else cfg.get("threads", 1)
-
-
 def _require_rod_marks(model):
     if not model.marks_nonnegative:
         raise ConfigError(
@@ -89,12 +83,11 @@ def _require_rod_marks(model):
 
 # ---------------------------------------------------------------------------
 # experiment runners: SCHEMA names one for each experiment kind.  A runner
-# takes the kind, the model, the seed, the thread count (which has no
-# effect: replicas run in order on the calling thread), the run directory
-# and the parsed experiment fields, and returns the report.
+# takes the kind, the model, the seed, the run directory and the parsed
+# experiment fields, and returns the report.
 # ---------------------------------------------------------------------------
 
-def run_sample_field(kind, model, seed, threads, rundir, epsilon, region, grid):
+def run_sample_field(kind, model, seed, rundir, epsilon, region, grid):
     cfg = sample(model, epsilon, region, seed)
     xs, ts = (np.linspace(*grid[axis]) for axis in ("x", "t"))
     rows = [(x, t, field.walk_field(cfg, SpaceTimePoint(float(x), float(t))))
@@ -104,7 +97,7 @@ def run_sample_field(kind, model, seed, threads, rundir, epsilon, region, grid):
                             {"points_sampled": cfg.n, "grid": grid}, True)
 
 
-def run_hardrod_evolve(kind, model, seed, threads, rundir, engine, epsilon, region, times):
+def run_hardrod_evolve(kind, model, seed, rundir, engine, epsilon, region, times):
     _require_rod_marks(model)
     cfg = sample(model, epsilon, region, seed)
     gas = hardrod.GasConfiguration(cfg.x, cfg.v, cfg.r * epsilon)
@@ -123,7 +116,7 @@ def run_hardrod_evolve(kind, model, seed, threads, rundir, engine, epsilon, regi
                             {"engine": engine, "times": times, "rods": int(gas.n)}, True)
 
 
-def run_ghd_residual(kind, model, seed, threads, rundir, **grid):
+def run_ghd_residual(kind, model, seed, rundir, **grid):
     _require_rod_marks(model)
     if model.kernel.atom_velocities() is None:
         raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
@@ -154,26 +147,24 @@ def run_ghd_residual(kind, model, seed, threads, rundir, **grid):
                             statistics, extra, verdict)
 
 
-def run_stationarity(kind, model, seed, threads, rundir, replicas,
-                     expect_reject=False, **fields):
+def run_stationarity(kind, model, seed, rundir, replicas, expect_reject=False, **fields):
     _require_rod_marks(model)
-    report = stats.stationarity_smoke_test(model, M=replicas, seed=seed,
-                                           threads=threads, **fields)
+    report = stats.stationarity_smoke_test(model, M=replicas, seed=seed, **fields)
     if expect_reject:
         report.verdict = not report.verdict
         report.extra["expect_reject"] = True
     return report
 
 
-def _run(kind, model, seed, threads, rundir, fields):
+def _run(kind, model, seed, rundir, fields):
     """Run the experiment that SCHEMA names for kind."""
     name = SCHEMA["experiment"][kind][0]
     try:
         if name in globals():
-            return globals()[name](kind, model, seed, threads, rundir, **fields)
+            return globals()[name](kind, model, seed, rundir, **fields)
         # a battery, looked up on stats when it runs
         replicas = fields.pop("replicas")
-        return getattr(stats, name)(model, M=replicas, seed=seed, threads=threads, **fields)
+        return getattr(stats, name)(model, M=replicas, seed=seed, **fields)
     except SampleSizeError as exc:       # epsilon too small for the region
         raise ConfigError(f"config.experiment: {exc}") from exc
 
@@ -188,12 +179,14 @@ def main(argv=None) -> int:
         cfg = apply_overrides(load_config(args.config), args.override)
         fields = validate_config(cfg, args.command)
         seed = _resolve_seed(args)
-        threads = _resolve_threads(args, cfg)
+        # --threads, like the config's threads, is validated and unused
+        if args.threads is not None and args.threads < 0:
+            raise ConfigError(f"--threads: expected an integer >= 0, got {args.threads}")
         model = build_model(cfg["model"])
         rundir = Path(args.out) / f"{config_hash(cfg)}-s{seed}"
         rundir.mkdir(parents=True, exist_ok=True)
         write_json(rundir / "resolved-config.json", cfg)
-        report = _run(args.command, model, seed, threads, rundir, fields)
+        report = _run(args.command, model, seed, rundir, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

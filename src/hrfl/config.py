@@ -175,10 +175,10 @@ def _vector(n, item=_finite):
 
 
 def _interval(v, path):
-    """A pair of finite numbers lo < hi."""
+    """A pair of numbers lo < hi whose width hi - lo is finite."""
     lo, hi = _vector(2, _number)(v, path)
-    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{path}: expected finite lo < hi, got {v!r}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"{path}: expected finite lo < hi with a finite width, got {v!r}")
     return lo, hi
 
 

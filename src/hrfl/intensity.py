@@ -197,8 +197,8 @@ class PiecewiseConstantDensity:
         self.values = np.asarray(values, dtype=float)
         if self.edges.ndim != 1 or len(self.edges) != len(self.values) + 1:
             raise ValueError("need len(edges) == len(values) + 1")
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
+        if not (np.all(np.isfinite(self.edges)) and np.all(np.diff(self.edges) > 0)):
+            raise ValueError("edges must be finite and strictly increasing")
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite and >= 0")
         self._cum = np.concatenate([[0.0], np.cumsum(self.values * np.diff(self.edges))])
@@ -677,7 +677,7 @@ class PiecewiseKernel:
             if hi != nlo:
                 raise ValueError(f"kernel cells must be contiguous: a cell ends at {hi} "
                                  f"and the next begins at {nlo}")
-        if any(hi <= lo for lo, hi, _ in cells):
+        if any(not lo < hi for lo, hi, _ in cells):
             raise ValueError("kernel cells must have positive width")
         if any(isinstance(k, PiecewiseKernel) for _, _, k in cells):
             raise ValueError("kernel cells must hold product or atoms kernels, not piecewise")

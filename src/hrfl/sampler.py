@@ -68,13 +68,12 @@ class ObservationRegion:
 
 @dataclass
 class SampledConfiguration:
-    """One Poisson sample: phase points, scale, sampling window and observation region."""
+    """One Poisson sample: phase points, scale and observation region."""
 
     x: np.ndarray
     v: np.ndarray
     r: np.ndarray
     epsilon: float
-    window_x: tuple[float, float]
     region: ObservationRegion
 
     def __post_init__(self) -> None:
@@ -109,5 +108,5 @@ def sample(model: IntensityModel, epsilon: float, region: ObservationRegion,
     return SampledConfiguration(np.asarray(xs, dtype=float),
                                 np.asarray(vs, dtype=float),
                                 np.asarray(rs, dtype=float),
-                                float(epsilon), (lo, hi), region)
+                                float(epsilon), region)
 

@@ -87,9 +87,9 @@ def _max_abs_z(statistics) -> float:
 def _map_ordered(fn, M: int, threads: int):
     """[fn(0), ..., fn(M - 1)], called in that order on the calling thread.
 
-    threads is accepted and has no effect.  A replica is a few dozen short
-    numpy calls, and threads contending for the GIL ran them slower than
-    one thread does.
+    threads has no effect: threads contending for the GIL ran replicas
+    slower than one thread does.  It stays because batterybench/tracer.py
+    swaps this function by name for traced_map(fn, M, threads).
     """
     return [fn(i) for i in range(M)]
 
@@ -144,7 +144,6 @@ def _region_for_points(points) -> ObservationRegion:
 # ---------------------------------------------------------------------------
 
 def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
-                           threads: int = 1,
                            quasiparticle: tuple[float, float, float] | None = None,
                            mass_point: tuple[float, float] | None = None,
                            epsilons: tuple[float, ...] | None = None) -> ExperimentReport:
@@ -198,7 +197,7 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
                 vals.append((hydro.empirical_mass(cfg, mx, mt) - m_lim) / sqeps)
             return vals
 
-        matrix = np.asarray(_map_ordered(run, M, threads), dtype=float)
+        matrix = np.asarray(_map_ordered(run, M, threads=1), dtype=float)
 
         tag = f"eps={eps:g}/" if len(eps_list) > 1 else ""
         npts = len(points)
@@ -246,8 +245,7 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
                    distinct_velocities: tuple[float, float] = (0.0, 1.0),
                    independence_offsets=((1.0, -1.0), (1.5, -1.5),
                                          (-1.0, 1.0), (-1.5, 1.5)),
-                   zo1_start: tuple[float, float] = (0.3, 0.0),
-                   threads: int = 1) -> ExperimentReport:
+                   zo1_start: tuple[float, float] = (0.3, 0.0)) -> ExperimentReport:
     """Diffusive-regime battery: tagged-rod covariances and field independence.
 
     Part one samples at scale epsilon and runs tagged rods to the long
@@ -290,7 +288,7 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
         z_stat = ys[4] - zv * horizon - j_limit_zo1
         return d[0], d[1], d[2], d[3], z_stat
 
-    rows = _map_ordered(run_quasi, M, threads)
+    rows = _map_ordered(run_quasi, M, threads=1)
     q = np.asarray(rows, dtype=float)
     stats = [
         covariance_statistic("same_velocity_cov", q[:, 0], q[:, 1], target_same),
@@ -325,7 +323,7 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
             vals.extend([eh, et])
         return vals
 
-    rows2 = _map_ordered(run_fields, M, threads)
+    rows2 = _map_ordered(run_fields, M, threads=1)
     f = np.asarray(rows2, dtype=float)
     for k in range(len(independence_offsets)):
         eh, et = f[:, 2 * k], f[:, 2 * k + 1]
@@ -349,8 +347,7 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
 
 def lln_test(model, epsilons, M: int, seed: int,
              point: tuple[float, float] = (0.0, 1.0),
-             mass_point: tuple[float, float] = (1.0, 0.5),
-             threads: int = 1) -> ExperimentReport:
+             mass_point: tuple[float, float] = (1.0, 0.5)) -> ExperimentReport:
     """Replicate RMS of the surface and mass deviations must shrink like sqrt(eps)."""
     epsilons = sorted(float(e) for e in epsilons)
     if len(epsilons) < 2:
@@ -368,7 +365,7 @@ def lln_test(model, epsilons, M: int, seed: int,
             return (walk_field(cfg, b) - h_lim,
                     hydro.empirical_mass(cfg, mz, mt) - m_lim)
 
-        rows = np.asarray(_map_ordered(run, M, threads), dtype=float)
+        rows = np.asarray(_map_ordered(run, M, threads=1), dtype=float)
         rms_h.append(float(np.sqrt(np.mean(rows[:, 0] ** 2))))
         rms_m.append(float(np.sqrt(np.mean(rows[:, 1] ** 2))))
 
@@ -393,8 +390,7 @@ def lln_test(model, epsilons, M: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def stationarity_smoke_test(model, t_values, M: int, seed: int,
-                            core_halfwidth: float = 8.0,
-                            threads: int = 1) -> ExperimentReport:
+                            core_halfwidth: float = 8.0) -> ExperimentReport:
     """Distributional invariance of dilated gas under the tagged-frame flow.
 
     For each t, gap lengths and rod lengths collected in a core window are
@@ -431,7 +427,7 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
     stats: list[StatisticResult] = []
     pvals = {}
     for t_idx, t in enumerate(t_values):
-        rows = _map_ordered(lambda i: replica(t_idx, t, i), M, threads)
+        rows = _map_ordered(lambda i: replica(t_idx, t, i), M, threads=1)
         gaps_ev, lens_ev, gaps_ref, lens_ref = (
             np.concatenate([row[which][col] for row in rows])
             for which in (0, 1) for col in (0, 1))

@@ -571,6 +571,17 @@ BUMP_ATOMS_MODEL = {
             {"x_range": [-2.0, 0.0], "kernel": BUMP_ATOMS_MODEL["kernel"]},
             {"x_range": [0.0, 2.0], "kernel": BUMP_ATOMS_MODEL["kernel"]}]}}]},
      "model.kernel: kernel cells must hold product or atoms kernels, not piecewise"),
+    # non-finite edges and cell ends, which passed a "<= 0" width test and
+    # ended in a quadrature error (exit 3) or an unplaced sample (exit 4)
+    ("rho", {"kind": "piecewise", "edges": [-5, math.nan, 5], "values": [0.5, 0.5]},
+     "model.rho: edges must be finite and strictly increasing"),
+    ("rho", {"kind": "piecewise", "edges": [-math.inf, 0, 5], "values": [0.5, 0.5]},
+     "model.rho: edges must be finite and strictly increasing"),
+    ("rho", {"kind": "piecewise", "edges": [-5, 5, math.nan], "values": [0.5, 0.5]},
+     "model.rho: edges must be finite and strictly increasing"),
+    ("kernel", {"kind": "piecewise", "cells": [
+        {"x_range": [-5.0, math.nan], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
+     "model.kernel: kernel cells must have positive width"),
 ])
 def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
     model = json.loads(json.dumps(BUMP_ATOMS_MODEL))
@@ -645,6 +656,9 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
     ("q_range", [-math.inf, 0.8], "config.experiment.q_range: expected finite lo < hi"),
     ("t_range", [0.45, 0.05], "config.experiment.t_range: expected finite lo < hi"),
     ("t_range", [0.05, math.nan], "config.experiment.t_range: expected finite lo < hi"),
+    # finite ends whose width overflows to inf
+    ("q_range", [-1e308, 1e308], "config.experiment.q_range: expected finite lo < hi"),
+    ("t_range", [-1e308, 1e308], "config.experiment.t_range: expected finite lo < hi"),
     # grids past the node cap, which would otherwise be allocated and evaluated
     ("nq", 1_000_000_000, "config.experiment: grid levels 0 to 0 hold 3000000000 nodes, "
                           "over the cap of 4194304"),
@@ -731,6 +745,9 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
      "config.experiment.independence_offsets[0][1]: expected a finite number != 0, got 0"),
     ("verify-euler-clt", "epsilons", [0.1, 0.02],
      "config.experiment.epsilon: expected one of epsilons [0.1, 0.02], got 0.05"),
+    # an integer beyond the float range
+    pytest.param("verify-euler-clt", "epsilon", 10 ** 400,
+                 "config.experiment.epsilon: expected a number", id="epsilon-401-digits"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))
@@ -738,6 +755,55 @@ def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, val
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
+
+
+LLN_CONFIG = {"schema_version": 1, "model": HOMOGENEOUS_MODEL,
+              "experiment": FIELD_EXPERIMENTS["verify-lln"]}
+
+
+@pytest.mark.parametrize("cfg,argv,env,message", [
+    (dict(LLN_CONFIG, model=dict(HOMOGENEOUS_MODEL,
+                                 velocity=HOMOGENEOUS_MODEL["kernel"]["velocity"],
+                                 mark=HOMOGENEOUS_MODEL["kernel"]["mark"])), [], {},
+     "config error: model: give either kernel or velocity+mark, not both"),
+    (dict(LLN_CONFIG, model={"rho": HOMOGENEOUS_MODEL["rho"]}), [], {},
+     "config error: model: needs either kernel or velocity+mark"),
+    (dict(LLN_CONFIG, model={"rho": HOMOGENEOUS_MODEL["rho"],
+                             "kernel": BUMP_ATOMS_MODEL["kernel"], "v_support": [-0.5, 0.5]}),
+     [], {},
+     "config error: model: discrete kernel has atoms outside v_support"),
+    (dict(LLN_CONFIG, schema_version=2), [], {}, "config error: config.schema_version: expected 1"),
+    (dict(LLN_CONFIG, threads=-1), [], {},
+     "config error: config.threads: expected an integer >= 0, got -1"),
+    ([LLN_CONFIG], [], {}, "top level must be an object"),
+    (LLN_CONFIG, ["--override", "foo"], {},
+     "config error: override 'foo' must look like key.path=value"),
+    (LLN_CONFIG, [], {"HRFL_SEED": "abc"}, "config error: HRFL_SEED='abc' is not an integer"),
+    (LLN_CONFIG, ["--bogus"], {}, "unrecognized arguments: --bogus"),
+], ids=["kernel-and-flat", "no-kernel", "atoms-outside-v_support", "schema_version",
+        "negative-config-threads", "top-level-list", "override-without-value",
+        "non-integer-seed-env", "unknown-flag"])
+def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv, env, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "runs"
+    assert main(["verify-lln", "--config", str(path), "--out", str(out), *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/report.json"))
+
+
+def test_config_threads_leaves_the_report_unchanged(tmp_path):
+    # the config's threads is validated and read by nothing, so the run keeps every bit
+    blobs = []
+    for i, top in enumerate(({}, {"threads": 4})):
+        cfg = write_config(tmp_path, FIELD_EXPERIMENTS["verify-lln"], name=f"cfg{i}.json", **top)
+        out = tmp_path / f"runs{i}"
+        assert main(["verify-lln", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) in (0, 1)
+        blobs.append(next(out.glob("*/report.json")).read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def _strict_json(path):

@@ -33,10 +33,8 @@ from crossings import crossing_indices
 def make_config(x, v, r, epsilon=1.0, halfwidth=20.0):
     x = np.asarray(x, dtype=float)
     region = ObservationRegion((-halfwidth, halfwidth), (-halfwidth, halfwidth))
-    window = (-3 * halfwidth, 3 * halfwidth)
     return SampledConfiguration(x, np.asarray(v, dtype=float),
-                                np.asarray(r, dtype=float), epsilon, window,
-                                region)
+                                np.asarray(r, dtype=float), epsilon, region)
 
 
 def random_config(rng, n=60, halfwidth=20.0, signed_marks=False):
@@ -185,7 +183,7 @@ def test_grid_dump_shape(reference_model, tmp_path):
     from hrfl.cli import run_sample_field
     region = ObservationRegion((-5.0, 5.0), (-2.0, 2.0))
     grid = {"x": [-5.0, 5.0, 7], "t": [-2.0, 2.0, 5]}
-    run_sample_field("sample-field", reference_model, 4, 1, tmp_path, 0.5,
+    run_sample_field("sample-field", reference_model, 4, tmp_path, 0.5,
                      region, grid)
     rows = np.loadtxt(tmp_path / "surface.csv", delimiter=",", skiprows=1)
     grid_values = rows[:, 2].reshape(5, 7)

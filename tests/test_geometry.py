@@ -12,7 +12,7 @@ def lines(x, v):
     """A configuration of unit-mark lines (x, v) for the crossing rule."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.full(x.shape, v, dtype=float)
-    return SampledConfiguration(x, v, np.ones_like(x), 1.0, (-100.0, 100.0),
+    return SampledConfiguration(x, v, np.ones_like(x), 1.0,
                                 ObservationRegion((-10, 10), (-10, 10)))
 
 

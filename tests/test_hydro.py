@@ -178,6 +178,13 @@ def test_rod_density_integrates_to_squeezed_fraction(rng):
                                       abs=1e-10)
 
 
+def test_pointwise_density_and_residual_grid_need_velocity_atoms(reference_model):
+    with pytest.raises(NotImplementedError, match="the pointwise rod density is implemented"):
+        rod_density(reference_model, 0.1, 0.5, 1.0, 0.3)
+    with pytest.raises(NotImplementedError, match="the residual grid is implemented"):
+        ghd_residual(reference_model, [-0.1, 0.0, 0.1], [0.1, 0.2, 0.3])
+
+
 def test_effective_velocity_single_species(single_velocity_bump):
     assert effective_velocity(single_velocity_bump, 0.7, 1.0, 0.3) == pytest.approx(
         1.0, abs=1e-12)

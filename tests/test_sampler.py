@@ -34,8 +34,7 @@ def test_zero_density_gives_empty_configuration():
 
 def test_window_and_expected_count(reference_model):
     # window x-extent [-1, 2]: expected count (1 + 2) / epsilon = 3
-    cfg = sample(reference_model, 1.0, UNIT_REGION, 0)
-    lo, hi = cfg.window_x
+    lo, hi = UNIT_REGION.window_x(reference_model.max_speed)
     assert lo == pytest.approx(-1.0, abs=1e-6)
     assert hi == pytest.approx(2.0, abs=1e-6)
     counts = [sample(reference_model, 1.0, UNIT_REGION, 123, (i,)).n
@@ -65,8 +64,7 @@ def test_count_cap(reference_model):
 
 def test_empirical_moment_single_plus_crossing():
     cfg = SampledConfiguration(np.array([0.0]), np.array([0.0]), np.array([2.0]),
-                               1.0, (-2.0, 2.0),
-                               ObservationRegion((-1, 1), (0, 0)))
+                               1.0, ObservationRegion((-1, 1), (0, 0)))
     assert empirical_moment(cfg, 1, segment(-1, 0, 1, 0), "plus") == 2.0
     assert empirical_moment(cfg, 1, segment(-1, 0, 1, 0), "minus") == 0.0
 
@@ -121,7 +119,7 @@ def test_windowing_soundness(reference_model, rng):
     # every sampled line that crosses a segment of the region sits strictly
     # inside the window interior
     cfg = sample(reference_model, 0.005, UNIT_REGION, 13)
-    lo, hi = cfg.window_x
+    lo, hi = UNIT_REGION.window_x(reference_model.max_speed)
     for _ in range(20):
         pts = rng.uniform(0, 1, size=4)
         seg = segment(*pts)
