@@ -165,7 +165,7 @@ def _run(kind, model, seed, rundir, fields):
         # a battery, looked up on stats when it runs
         replicas = fields.pop("replicas")
         return getattr(stats, name)(model, M=replicas, seed=seed, **fields)
-    except SampleSizeError as exc:       # epsilon too small for the region
+    except (SampleSizeError, stats.HorizonError) as exc:  # a scale the run cannot reach
         raise ConfigError(f"config.experiment: {exc}") from exc
 
 

@@ -188,7 +188,7 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -
     """
     _require_rod_model(model)
     _require_atoms(model, "the pointwise rod density")
-    if not model.kernel.has_atom(v, r):
+    if not any(cell.atom_weight(v, r, a) for a, _, cell in model.kernel.cells):
         raise ValueError(f"(v, r) = ({v}, {r}) is not an atom of the kernel")
     x = inverse_characteristic(model, q, t)
     pos = x - v * t

@@ -323,15 +323,25 @@ class SmoothDensity:
 # mark laws
 # ---------------------------------------------------------------------------
 
+def _finite_moments(moment: Callable) -> list:
+    """[moment(k) for k in _MOMENT_ORDERS], each a float or a list of them; a
+    ValueError unless every one is finite."""
+    try:
+        out = [moment(k) for k in _MOMENT_ORDERS]
+    except OverflowError:
+        out = [math.inf]
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the mark moments r**k, k in {_MOMENT_ORDERS}, must be finite")
+    return out
+
+
 class ConstantMark:
     def __init__(self, value: float):
         if not math.isfinite(value):
             raise ValueError("mark must be finite")
         self.r = float(value)
         self.min_mark = self.r
-
-    def moment(self, k: int) -> float:
-        return self.r ** k
+        self.moments = _finite_moments(lambda k: self.r ** k)
 
     def sample(self, rng: np.random.Generator, n: int):
         return np.full(n, self.r)
@@ -350,17 +360,17 @@ class _UniformLaw:
             raise ValueError(f"uniform {self.law} needs lo < hi")
         self.lo, self.hi = float(lo), float(hi)
 
-    def moment(self, k: int) -> float:
-        if k == 0:
-            return 1.0
-        return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
-
     def sample(self, rng: np.random.Generator, n: int):
         return rng.uniform(self.lo, self.hi, size=n)
 
 
 class UniformMark(_UniformLaw):
     law = "mark"
+
+    def __init__(self, lo: float, hi: float):
+        super().__init__(lo, hi)
+        self.moments = _finite_moments(lambda k: 1.0 if k == 0 else (
+            (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))))
 
     @property
     def min_mark(self) -> float:
@@ -566,11 +576,8 @@ class ProductKernel:
     def min_mark(self) -> float:
         return self.mark.min_mark
 
-    def v_breakpoints(self) -> tuple[float, ...]:
-        return self.velocity.support
-
     def vk_density(self, v, k: int, x):
-        return self.velocity.pdf(v) * self.mark.moment(k)
+        return self.velocity.pdf(v) * self.mark.moments[k]
 
     def atom_velocities(self):
         return None
@@ -602,14 +609,10 @@ class DiscreteKernel:
         self.atoms = atoms
         self.cells = ((-math.inf, math.inf, self),)
         self._cum = np.cumsum([w for _, _, w in atoms])
-        # sum of w * r**k over the atoms at each distinct velocity, kernel order
-        sums: dict[float, list[float]] = {}
-        for v, r, w in atoms:
-            m = sums.setdefault(v, [0.0] * len(_MOMENT_ORDERS))
-            for k in _MOMENT_ORDERS:
-                m[k] += w * r ** k
-        self._velocities = tuple(sums)
-        self._moment_sums = tuple(zip(*sums.values()))      # [k][velocity]
+        self._velocities = tuple(dict.fromkeys(v for v, _, _ in atoms))
+        # [k][velocity]: the sum of w * r**k over the atoms at each distinct velocity
+        self._moment_sums = _finite_moments(lambda k: [
+            sum((w * r ** k for u, r, w in atoms if u == v), 0.0) for v in self._velocities])
 
     def truncated(self, lo: float, hi: float) -> "DiscreteKernel":
         if any(not (lo <= v <= hi) for v, _, _ in self.atoms):
@@ -627,9 +630,6 @@ class DiscreteKernel:
 
     def atom_velocities(self):
         return self._velocities
-
-    def has_atom(self, v: float, r: float) -> bool:
-        return any(u == v and s == r for u, s, _ in self.atoms)
 
     def vk_density(self, v, k: int, x):
         # an exact lookup, elementwise over v; 0 at a velocity that is no atom
@@ -692,31 +692,13 @@ class PiecewiseKernel:
     def truncated(self, lo: float, hi: float) -> "PiecewiseKernel":
         return PiecewiseKernel([(a, b, k.truncated(lo, hi)) for a, b, k in self.cells])
 
-    @property
-    def v_support(self):
-        los, his = zip(*(k.v_support for _, _, k in self.cells))
-        return (min(los), max(his))
-
-    @property
-    def min_mark(self) -> float:
-        return min(k.min_mark for _, _, k in self.cells)
-
     def atom_velocities(self):
         return self._velocities
-
-    def has_atom(self, v: float, r: float) -> bool:
-        return any(k.has_atom(v, r) for _, _, k in self.cells)
 
     def vk_density(self, v, k: int, x):
         # cells do not overlap, so at most one term is nonzero at each x
         return sum(np.where((lo <= x) & (x < hi), kern.vk_density(v, k, x), 0.0)
                    for lo, hi, kern in self.cells)
-
-    def v_breakpoints(self) -> tuple[float, ...]:
-        pts = set()
-        for _, _, k in self.cells:
-            pts.update(k.v_breakpoints())
-        return tuple(sorted(pts))
 
     def sample(self, rng: np.random.Generator, xs):
         xs = np.asarray(xs, dtype=float)
@@ -739,9 +721,6 @@ class PiecewiseKernel:
                 return kern.atom_weight(v, r, x)
         return 0.0
 
-    def tail_mass_removed(self) -> float:
-        return max(k.tail_mass_removed() for _, _, k in self.cells)
-
     def summary(self) -> dict:
         return {"kind": "piecewise",
                 "cells": [{"x_range": [lo, hi], "kernel": k.summary()}
@@ -763,12 +742,13 @@ def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
     alone or among many; with no atom in [lo, hi] it is 0.0 and f is not
     called.  For a
     continuous law it is the quadrature of :func:`_quad`, one call of f per
-    panel, with the law's breakpoints and the given kinks as break points;
-    the atom rule ignores the kinks.
+    panel, with the ends of each cell's velocity support and the given kinks
+    as break points; the atom rule ignores the kinks.
     """
     vs = kernel.atom_velocities()
     if vs is None:
-        return _quad(f, lo, hi, np.concatenate([kernel.v_breakpoints(), kinks]))
+        ends = [e for _, _, cell in kernel.cells for e in cell.v_support]
+        return _quad(f, lo, hi, np.concatenate([ends, kinks]))
     vs = np.array([v for v in vs if lo <= v <= hi])
     total = 0.0
     for row in (f(vs) if len(vs) else ()):
@@ -869,7 +849,9 @@ class IntensityModel(_CrossingMoments):
                 raise ValueError("v_support must be a finite interval (lo, hi)")
             kernel = kernel.truncated(lo, hi)
         self.kernel = kernel
-        lo, hi = self.kernel.v_support
+        # the hull of the cells' velocity supports
+        los, his = zip(*(cell.v_support for _, _, cell in kernel.cells))
+        lo, hi = min(los), max(his)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("velocity support is unbounded; pass v_support")
         self.v_support = (float(lo), float(hi))
@@ -885,7 +867,7 @@ class IntensityModel(_CrossingMoments):
 
     @property
     def marks_nonnegative(self) -> bool:
-        return self.kernel.min_mark >= 0.0
+        return all(cell.min_mark >= 0.0 for _, _, cell in self.kernel.cells)
 
     def x_mass(self, v, k, lo, hi):
         # lo and hi may be arrays; each cell of the kernel weighs the rho-mass
@@ -904,7 +886,8 @@ class IntensityModel(_CrossingMoments):
     def summary(self) -> dict:
         return {"rho": self.rho.summary(), "kernel": self.kernel.summary(),
                 "v_support": list(self.v_support),
-                "tail_mass_removed": self.kernel.tail_mass_removed(),
+                "tail_mass_removed": max(cell.tail_mass_removed()
+                                         for _, _, cell in self.kernel.cells),
                 "marks_nonnegative": self.marks_nonnegative}
 
 

@@ -34,6 +34,10 @@ LLN_SLOPE_BAND = (0.4, 0.6)
 GHD_RATIO_BAND = (3.2, 4.8)
 
 
+class HorizonError(ValueError):
+    """The diffusive horizon t/epsilon, or a tagged rod's place, is not finite."""
+
+
 @dataclass
 class StatisticResult:
     name: str
@@ -120,19 +124,6 @@ def covariance_statistic(name: str, a: np.ndarray, b: np.ndarray,
     return StatisticResult(name, cov, se, target, z)
 
 
-def covariance_battery(prefix: str, matrix: np.ndarray,
-                       targets: np.ndarray) -> list[StatisticResult]:
-    """One statistic per (i <= j) pair of columns against the target matrix."""
-    out = []
-    n = matrix.shape[1]
-    for i in range(n):
-        for j in range(i, n):
-            out.append(covariance_statistic(
-                f"{prefix}[{i},{j}]", matrix[:, i], matrix[:, j],
-                float(targets[i, j])))
-    return out
-
-
 def _region_for_points(points) -> ObservationRegion:
     xs = [p.x for p in points] + [0.0]
     ts = [p.t for p in points] + [0.0]
@@ -164,22 +155,19 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
     eps_list = tuple(sorted(epsilons, reverse=True)) if epsilons else (epsilon,)
     targets = covariance_matrix(model, points)
 
-    eval_pts = list(points)
+    # the surface points, then the tagged rod's ends b_t and b_0
+    field_pts = list(points)
     if quasiparticle is not None:
         qx, qv, qt = quasiparticle
-        b_t = SpaceTimePoint(qx + qv * qt, qt)
-        b_0 = SpaceTimePoint(qx, 0.0)
-        eval_pts += [b_t, b_0]
+        b_t, b_0 = SpaceTimePoint(qx + qv * qt, qt), SpaceTimePoint(qx, 0.0)
+        field_pts += [b_t, b_0]
+    limits = [limit_field(model, p) for p in field_pts]
+    mass_pts = []
     if mass_point is not None:
         mx, mt = mass_point
-        eval_pts += [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)]
-    region = _region_for_points(eval_pts)
-
-    limits = [limit_field(model, p) for p in points]
-    if quasiparticle is not None:
-        lim_t, lim_0 = limit_field(model, b_t), limit_field(model, b_0)
-    if mass_point is not None:
+        mass_pts = [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)]
         m_lim = hydro.limit_mass(model, mx, mt)
+    region = _region_for_points(field_pts + mass_pts)
     all_stats: list[StatisticResult] = []
     max_z_by_eps = []
     for e_idx, eps in enumerate(eps_list):
@@ -187,12 +175,7 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
 
         def run(i):
             cfg = sample(model, eps, region, seed, stream_key=(e_idx, i))
-            vals = [(walk_field(cfg, p) - limits[k]) / sqeps
-                    for k, p in enumerate(points)]
-            if quasiparticle is not None:
-                eta_t = (walk_field(cfg, b_t) - lim_t) / sqeps
-                eta_0 = (walk_field(cfg, b_0) - lim_0) / sqeps
-                vals += [eta_t, eta_t - eta_0]
+            vals = [(walk_field(cfg, p) - lim) / sqeps for p, lim in zip(field_pts, limits)]
             if mass_point is not None:
                 vals.append((hydro.empirical_mass(cfg, mx, mt) - m_lim) / sqeps)
             return vals
@@ -201,9 +184,13 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
 
         tag = f"eps={eps:g}/" if len(eps_list) > 1 else ""
         npts = len(points)
-        stats = covariance_battery(f"{tag}cov", matrix[:, :npts], targets)
+        stats = [covariance_statistic(f"{tag}cov[{i},{j}]", matrix[:, i], matrix[:, j],
+                                      float(targets[i, j]))
+                 for i in range(npts) for j in range(i, npts)]
         col = npts
         if quasiparticle is not None:
+            # the increment eta(b_t) - eta(b_0) takes the place of eta(b_0)
+            matrix[:, col + 1] = matrix[:, col] - matrix[:, col + 1]
             var_abs = distance(model, ORIGIN, b_t)
             var_inc = distance(model, b_0, b_t)
             stats.append(covariance_statistic(
@@ -264,6 +251,11 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     v_same, x1, x2 = same_velocity
     v_a, v_b = distinct_velocities
     zx, zv = zo1_start
+    starts = [(x1, v_same), (x2, v_same), (zx, v_a), (zx, v_b), (zx, zv)]
+    ends = [x + v * horizon for x, v in starts]
+    if not all(map(math.isfinite, [horizon, *ends, *(v * t for _, v in starts)])):
+        raise HorizonError(f"the horizon t/epsilon = {horizon!r} and each tagged rod's "
+                           "x + v t/epsilon and v t must be finite")
     b_same = SpaceTimePoint(v_same * t, t)
     b_a, b_b = SpaceTimePoint(v_a * t, t), SpaceTimePoint(v_b * t, t)
     target_same = distance(model, ORIGIN, b_same)
@@ -272,18 +264,15 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     zo1_mean_target = zx + hydro.limit_mass(model, zx, 0.0)
     zo1_var_target = distance(model, ORIGIN, SpaceTimePoint(zv * t, t))
 
-    starts = [(x1, v_same), (x2, v_same), (zx, v_a), (zx, v_b), (zx, zv)]
-    eval_pts = [SpaceTimePoint(x + v * horizon, horizon) for x, v in starts]
+    eval_pts = [SpaceTimePoint(y, horizon) for y in ends]
     region = _region_for_points(eval_pts + [SpaceTimePoint(x, 0.0) for x, _ in starts])
-    y_limits = [x + v * horizon + limit_field(model, b)
-                for (x, v), b in zip(starts, eval_pts)]
+    y_limits = [y + limit_field(model, b) for y, b in zip(ends, eval_pts)]
     j_limit_zo1 = (limit_field(model, eval_pts[4])
                    - limit_field(model, SpaceTimePoint(zx, 0.0)))
 
     def run_quasi(i):
         cfg = sample(model, eps, region, seed, stream_key=(0, i))
-        ys = [x + v * horizon + walk_field(cfg, b)
-              for (x, v), b in zip(starts, eval_pts)]
+        ys = [y + walk_field(cfg, b) for y, b in zip(ends, eval_pts)]
         d = [y - yl for y, yl in zip(ys, y_limits)]
         z_stat = ys[4] - zv * horizon - j_limit_zo1
         return d[0], d[1], d[2], d[3], z_stat

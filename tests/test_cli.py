@@ -244,6 +244,27 @@ def test_evolution_times_at_both_ends_of_the_region_run(tmp_path):
     assert report_of(out)["extra"]["times"] == [0.0, 1.0]
 
 
+def test_one_cell_of_negative_marks_is_rejected_for_hardrod(tmp_path, capsys):
+    # two continuous cells with different velocity supports and no v_support:
+    # the model reads the hull and the sign of the marks off its cells
+    cell = lambda lo, hi, mark: {"kind": "product", "mark": mark,
+                                 "velocity": {"kind": "uniform", "lo": lo, "hi": hi}}
+    model = {"rho": {"kind": "piecewise", "edges": [-5.0, 0.0, 5.0], "values": [1.0, 0.6]},
+             "kernel": {"kind": "piecewise", "cells": [
+                 {"x_range": [-5.0, 0.0], "kernel": cell(-1.0, 0.5, {"kind": "constant",
+                                                                    "value": 0.5})},
+                 {"x_range": [0.0, 5.0], "kernel": cell(-0.5, 2.0, {"kind": "uniform",
+                                                                   "lo": -0.2, "hi": 0.5})}]}}
+    built = build_model(model)
+    assert built.v_support == (-1.0, 2.0) and not built.marks_nonnegative
+    cfg = write_config(tmp_path, dict(EVOLVE, epsilon=1.0), model=model)
+    out = tmp_path / "runs"
+    assert main(["hardrod-evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("config error: model.kernel: hard-rod experiments require nonnegative marks"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*/report.json"))
+
+
 def test_negative_thread_count_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["verify-lln"], replicas=5))
     out = tmp_path / "runs"
@@ -582,6 +603,9 @@ BUMP_ATOMS_MODEL = {
     ("kernel", {"kind": "piecewise", "cells": [
         {"x_range": [-5.0, math.nan], "kernel": BUMP_ATOMS_MODEL["kernel"]}]},
      "model.kernel: kernel cells must have positive width"),
+    # an atom whose r**2 overflows: the message was only Python's OverflowError
+    ("kernel", {"kind": "atoms", "atoms": [{"v": -1.0, "r": 1e200, "weight": 1.0}]},
+     "model.kernel: the mark moments r**k, k in (0, 1, 2), must be finite"),
 ])
 def test_bad_bump_field_is_config_error(tmp_path, capsys, field, value, message):
     model = json.loads(json.dumps(BUMP_ATOMS_MODEL))
@@ -748,6 +772,11 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     # an integer beyond the float range
     pytest.param("verify-euler-clt", "epsilon", 10 ** 400,
                  "config.experiment.epsilon: expected a number", id="epsilon-401-digits"),
+    # a horizon t/epsilon, or a tagged rod's place x + v t/epsilon at it, that
+    # overflows: a non-finite SpaceTimePoint ended the run with exit 4
+    ("verify-diffusive", "t", 1e307, "config error: config.experiment: the horizon t/epsilon"),
+    ("verify-diffusive", "same_velocity", [1e308, 0, 0.5],
+     "config error: config.experiment: the horizon t/epsilon"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))
@@ -759,6 +788,9 @@ def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, val
 
 LLN_CONFIG = {"schema_version": 1, "model": HOMOGENEOUS_MODEL,
               "experiment": FIELD_EXPERIMENTS["verify-lln"]}
+OVERFLOW_MARK_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"],
+                       "velocity": HOMOGENEOUS_MODEL["kernel"]["velocity"],
+                       "mark": {"kind": "constant", "value": 1e308}}
 
 
 @pytest.mark.parametrize("cfg,argv,env,message", [
@@ -780,9 +812,15 @@ LLN_CONFIG = {"schema_version": 1, "model": HOMOGENEOUS_MODEL,
      "config error: override 'foo' must look like key.path=value"),
     (LLN_CONFIG, [], {"HRFL_SEED": "abc"}, "config error: HRFL_SEED='abc' is not an integer"),
     (LLN_CONFIG, ["--bogus"], {}, "unrecognized arguments: --bogus"),
+    # mark laws whose moments overflow, which ended the run with exit 4
+    (dict(LLN_CONFIG, model=OVERFLOW_MARK_MODEL), [], {},
+     "config error: model.mark: the mark moments r**k, k in (0, 1, 2), must be finite"),
+    (dict(LLN_CONFIG, model=dict(OVERFLOW_MARK_MODEL, mark={
+        "kind": "uniform", "lo": -1e308, "hi": 1e308})), [], {},
+     "config error: model.mark: the mark moments r**k, k in (0, 1, 2), must be finite"),
 ], ids=["kernel-and-flat", "no-kernel", "atoms-outside-v_support", "schema_version",
         "negative-config-threads", "top-level-list", "override-without-value",
-        "non-integer-seed-env", "unknown-flag"])
+        "non-integer-seed-env", "unknown-flag", "constant-mark-1e308", "uniform-mark-1e308"])
 def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv, env, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

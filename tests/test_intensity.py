@@ -255,6 +255,37 @@ def test_piecewise_kernel_moments_match_manual_split():
     assert model.moment_on_crossing(2, seg) == pytest.approx(want, abs=1e-10)
 
 
+def test_two_continuous_cells_give_the_model_its_hull_signs_and_moments():
+    # cells with different velocity supports and no v_support override: the
+    # model reads the hull, the sign of the marks and the breakpoints off them
+    a1, b1, r1, rho1 = -1.0, 0.5, 0.8, 1.0
+    a2, b2, lo2, hi2, rho2 = -0.5, 2.0, 0.5, 1.5, 0.6
+
+    def model(mark_lo):
+        return IntensityModel(PiecewiseConstantDensity([-5, 0, 5], [rho1, rho2]), PiecewiseKernel([
+            (-5.0, 0.0, ProductKernel(UniformVelocity(a1, b1), ConstantMark(r1))),
+            (0.0, 5.0, ProductKernel(UniformVelocity(a2, b2), UniformMark(mark_lo, hi2)))]))
+
+    m = model(lo2)
+    assert m.v_support == (a1, b2) and m.marks_nonnegative
+    assert m.summary()["tail_mass_removed"] == 0.0
+    assert not model(-0.2).marks_nonnegative
+    # the vertical segment {x0} x [0, 1] is crossed by the line (x, v) when x
+    # lies in [x0 - v, x0]; each cell weighs the length of that interval in it
+    x0 = 0.3
+    seg = segment(x0, 0, x0, 1)
+    for k in (0, 1, 2):
+        m2 = 1.0 if k == 0 else (hi2 ** (k + 1) - lo2 ** (k + 1)) / ((k + 1) * (hi2 - lo2))
+        w1, w2 = rho1 * r1 ** k / (b1 - a1), rho2 * m2 / (b2 - a2)
+        # v < 0 crosses Plus, all in cell 2; v > 0 crosses Minus, x0 of it in
+        # cell 2 once v > x0 and v - x0 in cell 1
+        plus = w2 * a2 ** 2 / 2
+        minus = w1 * (b1 - x0) ** 2 / 2 + w2 * (x0 ** 2 / 2 + x0 * (b2 - x0))
+        for sign, want in (("plus", plus), ("minus", minus), ("both", plus + minus)):
+            got = m.moment_on_crossing(k, seg, sign)
+            assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want), (k, sign)
+
+
 def test_discrete_kernel_weight_validation():
     with pytest.raises(ValueError):
         DiscreteKernel([(0.0, 1.0, 0.4), (1.0, 1.0, 0.4)])

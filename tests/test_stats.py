@@ -4,6 +4,8 @@ import threading
 import numpy as np
 import pytest
 
+from hrfl import hydro
+from hrfl.field import limit_field, walk_field
 from hrfl.geometry import SpaceTimePoint
 from hrfl.intensity import (
     ConstantDensity,
@@ -18,6 +20,7 @@ from hrfl.stats import (
     ExperimentReport,
     StatisticResult,
     _map_ordered,
+    _region_for_points,
     covariance_statistic,
     diffusive_test,
     euler_fluctuation_test,
@@ -121,6 +124,38 @@ def test_euler_battery_passes_small(reference_model):
     d = rep.to_dict()
     assert d["experiment"] == "euler-clt"
     assert {"name", "mean", "se", "target", "z"} <= set(d["statistics"][0])
+
+
+def test_euler_battery_columns_are_the_direct_field_and_mass_values(reference_model):
+    # each statistic's mean, recomputed from walk_field and empirical_mass
+    # calls on the battery's own samples, keeps every bit
+    pts = [SpaceTimePoint(0, 1), SpaceTimePoint(1, 0)]
+    (qx, qv, qt), (mx, mt) = (0.5, 0.5, 1.0), (1.0, 0.5)
+    eps, M, seed = 0.05, 5, 4
+    rep = euler_fluctuation_test(reference_model, pts, eps, M, seed,
+                                 quasiparticle=(qx, qv, qt), mass_point=(mx, mt))
+    b_t, b_0 = SpaceTimePoint(qx + qv * qt, qt), SpaceTimePoint(qx, 0.0)
+    field_pts = pts + [b_t, b_0]
+    region = _region_for_points(field_pts + [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)])
+    limits = [limit_field(reference_model, p) for p in field_pts]
+    m_lim = hydro.limit_mass(reference_model, mx, mt)
+    cols, mass = [], []
+    for i in range(M):
+        cfg = sample(reference_model, eps, region, seed, stream_key=(0, i))
+        cols.append([(walk_field(cfg, p) - lim) / math.sqrt(eps)
+                     for p, lim in zip(field_pts, limits)])
+        mass.append((hydro.empirical_mass(cfg, mx, mt) - m_lim) / math.sqrt(eps))
+    h0, h1, eta_t, eta_0 = np.array(cols).T
+    mass = np.array(mass)
+    cov = lambda a, b: covariance_statistic("", a, b, 0.0).mean
+    mean = lambda a: mean_statistic("", a, 0.0).mean
+    inc = eta_t - eta_0
+    want = [cov(h0, h0), cov(h0, h1), cov(h1, h1), cov(eta_t, eta_t), cov(inc, inc),
+            mean(eta_t), cov(mass, mass), mean(mass)]
+    assert [s.name for s in rep.statistics] == [
+        "cov[0,0]", "cov[0,1]", "cov[1,1]", "quasiparticle_var", "quasiparticle_increment_var",
+        "quasiparticle_mean", "mass_var", "mass_mean"]
+    assert [s.mean for s in rep.statistics] == want
 
 
 def test_euler_battery_two_epsilon_guard(reference_model):
