@@ -7,10 +7,10 @@ Usage::
 
 Subcommands: sample-field, hardrod-evolve, verify-lln, verify-euler-clt,
 verify-diffusive, ghd-residual, stationarity (the experiment kinds of
-config.SCHEMA).  The seed falls back to the HRFL_SEED environment variable,
-then 0.  All outputs land in a run directory named by the (post-override)
-config hash and the seed, so a rerun with identical inputs overwrites
-byte-identical files.
+config.SCHEMA).  The seed, an integer >= 0, falls back to the HRFL_SEED
+environment variable, then 0.  All outputs land in a run directory named
+by the (post-override) config hash and the seed, so a rerun with identical
+inputs overwrites byte-identical files.
 
 Exit codes: 0 pass, 1 statistical failure, 2 usage or config error,
 3 numerical error, 4 internal error (any other exception, reported on one
@@ -64,15 +64,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HRFL_SEED")
-    if env is not None:
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, env = "HRFL_SEED", os.environ.get("HRFL_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"HRFL_SEED={env!r} is not an integer") from exc
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{name}: expected an integer >= 0, got {seed}")
+    return seed
 
 
 def _require_rod_marks(model):

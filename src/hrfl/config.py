@@ -140,7 +140,7 @@ def _choice(*options):
 
 
 def _version(v, path):
-    if v != SCHEMA_VERSION:
+    if isinstance(v, bool) or v != SCHEMA_VERSION:
         raise ConfigError(f"{path}: expected {SCHEMA_VERSION}, got {v!r}")
     return v
 
@@ -402,8 +402,9 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
                           f"{expected_kind!r} subcommand")
     fields = _walk(body, path, dict, SCHEMA["experiment"][kind][1])
     # the cross-field checks: epsilon is one of the epsilons that run, times
-    # and grid axes lie inside the region, and the residual grid levels (2
-    # refinements by default) hold at most GRID_NODE_CAP nodes together
+    # and grid axes lie inside the region, and the sample-field grid and the
+    # residual grid levels (2 refinements by default, together) hold at most
+    # GRID_NODE_CAP nodes
     epsilon, epsilons = fields.get("epsilon"), fields.get("epsilons")
     if epsilon is not None and epsilons is not None and epsilon not in epsilons:
         raise ConfigError(f"{path}.epsilon: expected one of epsilons {epsilons}, "
@@ -421,6 +422,10 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         if not lo <= min(a, b) <= max(a, b) <= hi:
             raise ConfigError(f"{path}.grid.{axis}: expected [lo, hi, n] inside "
                               f"region.{axis} [{lo}, {hi}]")
+    grid_nodes = math.prod(n for _, _, n in fields.get("grid", {}).values())
+    if grid_nodes > GRID_NODE_CAP:
+        raise ConfigError(f"{path}.grid: the x and t axes hold {grid_nodes} nodes, over "
+                          f"the cap of {GRID_NODE_CAP}; lower n")
     nodes = 0
     for k in range(fields.get("refinements", 2) + 1) if kind == "ghd-residual" else ():
         nodes += ((fields["nq"] - 1) * 2 ** k + 1) * ((fields["nt"] - 1) * 2 ** k + 1)

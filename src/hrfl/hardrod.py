@@ -229,17 +229,11 @@ def evolve_events(rods: RodConfiguration, t: float) -> RodConfiguration:
     sign, t = (1.0, t) if t > 0.0 else (-1.0, -t)
     rods.validate()
     n = rods.n
-    if n < 2:
-        out = RodConfiguration(rods.y + sign * rods.v * t, rods.v.copy(), rods.r.copy(),
-                               validate=False)
-        out.collisions = 0
-        return out
-
     order = np.argsort(rods.y, kind="stable")
     y0, vel, length = rods.y[order], sign * rods.v[order], rods.r[order]
     dv = vel[:-1] - vel[1:]
     gap = y0[1:] - (y0[:-1] + length[:-1])
-    tau = np.divide(np.where(gap > 0.0, gap, 0.0), dv, out=np.full(n - 1, np.inf),
+    tau = np.divide(np.where(gap > 0.0, gap, 0.0), dv, out=np.full_like(dv, np.inf),
                     where=dv > 0.0)
     due = np.where(tau <= t, tau, np.inf).tolist()
     heap = [(s, k) for k, s in enumerate(due) if s <= t]

@@ -141,7 +141,6 @@ def inverse_characteristic(model: IntensityModel, q, t):
     returns the same bits as one call per element, and for a continuous
     law the two agree within the quadrature tolerance.
     """
-    _require_rod_model(model)
     q_in, t_in = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(t, dtype=float))
     if not (np.all(np.isfinite(q_in)) and np.all(np.isfinite(t_in))):
         raise ValueError("the characteristic inverse needs finite q and t")
@@ -186,7 +185,6 @@ def rod_density(model: IntensityModel, q: float, v: float, r: float, t: float) -
     velocity and mark count, and a pair that is no atom of the kernel is a
     ValueError.
     """
-    _require_rod_model(model)
     _require_atoms(model, "the pointwise rod density")
     if not any(cell.atom_weight(v, r, a) for a, _, cell in model.kernel.cells):
         raise ValueError(f"(v, r) = ({v}, {r}) is not an atom of the kernel")
@@ -297,7 +295,6 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
     zero, overflow or invalid operation while evaluating the nodes raises
     FloatingPointError naming the failing block's t rows and the grid size.
     """
-    _require_rod_model(model)
     q_nodes = np.asarray(q_nodes, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
     if len(q_nodes) < 3 or len(t_nodes) < 3:

@@ -35,7 +35,7 @@ GHD_RATIO_BAND = (3.2, 4.8)
 
 
 class HorizonError(ValueError):
-    """The diffusive horizon t/epsilon, or a tagged rod's place, is not finite."""
+    """A horizon t/epsilon, a point or the sampling window around the points is not finite."""
 
 
 @dataclass
@@ -124,10 +124,35 @@ def covariance_statistic(name: str, a: np.ndarray, b: np.ndarray,
     return StatisticResult(name, cov, se, target, z)
 
 
-def _region_for_points(points) -> ObservationRegion:
+def _region_for_points(model, points) -> ObservationRegion:
+    """The box around the points and the origin, whose sampling window and its width are finite."""
     xs = [p.x for p in points] + [0.0]
     ts = [p.t for p in points] + [0.0]
-    return ObservationRegion((min(xs), max(xs)), (min(ts), max(ts)))
+    region = ObservationRegion((min(xs), max(xs)), (min(ts), max(ts)))
+    lo, hi = region.window_x(model.max_speed)
+    if not math.isfinite(hi - lo):
+        raise HorizonError(f"the sampling window [{lo!r}, {hi!r}] around the points "
+                           "and its width must be finite")
+    return region
+
+
+def _deviations(model, field_pts, mass_point, eps_list, M: int, seed: int) -> list:
+    """Per epsilon, the M x k replica matrix of H(b) - H_limit(b) at each field point b,
+    then of the empirical minus the limit mass at mass_point (z, t) if one is given.
+    Replica i at the e-th epsilon samples stream (e, i) of one region, built first."""
+    mass = [] if mass_point is None else [mass_point]
+    ends = [SpaceTimePoint(x, t) for z, t in mass for x in (z, 0.0)]
+    region = _region_for_points(model, [*field_pts, *ends])
+    limits = ([limit_field(model, p) for p in field_pts]
+              + [hydro.limit_mass(model, *m) for m in mass])
+
+    def run(e_idx, eps, i):
+        cfg = sample(model, eps, region, seed, stream_key=(e_idx, i))
+        return ([walk_field(cfg, p) for p in field_pts]
+                + [hydro.empirical_mass(cfg, *m) for m in mass])
+
+    return [np.asarray(_map_ordered(lambda i: run(e_idx, eps, i), M, threads=1)) - limits
+            for e_idx, eps in enumerate(eps_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +178,18 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
     """
     points = tuple(points)
     eps_list = tuple(sorted(epsilons, reverse=True)) if epsilons else (epsilon,)
-    targets = covariance_matrix(model, points)
-
     # the surface points, then the tagged rod's ends b_t and b_0
     field_pts = list(points)
     if quasiparticle is not None:
         qx, qv, qt = quasiparticle
         b_t, b_0 = SpaceTimePoint(qx + qv * qt, qt), SpaceTimePoint(qx, 0.0)
         field_pts += [b_t, b_0]
-    limits = [limit_field(model, p) for p in field_pts]
-    mass_pts = []
-    if mass_point is not None:
-        mx, mt = mass_point
-        mass_pts = [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)]
-        m_lim = hydro.limit_mass(model, mx, mt)
-    region = _region_for_points(field_pts + mass_pts)
+    deviations = _deviations(model, field_pts, mass_point, eps_list, M, seed)
+    targets = covariance_matrix(model, points)
     all_stats: list[StatisticResult] = []
     max_z_by_eps = []
-    for e_idx, eps in enumerate(eps_list):
-        sqeps = math.sqrt(eps)
-
-        def run(i):
-            cfg = sample(model, eps, region, seed, stream_key=(e_idx, i))
-            vals = [(walk_field(cfg, p) - lim) / sqeps for p, lim in zip(field_pts, limits)]
-            if mass_point is not None:
-                vals.append((hydro.empirical_mass(cfg, mx, mt) - m_lim) / sqeps)
-            return vals
-
-        matrix = np.asarray(_map_ordered(run, M, threads=1), dtype=float)
-
+    for eps, dev in zip(eps_list, deviations):
+        matrix = dev / math.sqrt(eps)
         tag = f"eps={eps:g}/" if len(eps_list) > 1 else ""
         npts = len(points)
         stats = [covariance_statistic(f"{tag}cov[{i},{j}]", matrix[:, i], matrix[:, j],
@@ -202,7 +210,8 @@ def euler_fluctuation_test(model, points, epsilon: float, M: int, seed: int,
                 f"{tag}quasiparticle_mean", matrix[:, col], 0.0))
             col += 2
         if mass_point is not None:
-            var_mass = distance(model, SpaceTimePoint(0.0, mt), SpaceTimePoint(mx, mt))
+            var_mass = distance(model, SpaceTimePoint(0.0, mass_point[1]),
+                                SpaceTimePoint(*mass_point))
             stats.append(covariance_statistic(
                 f"{tag}mass_var", matrix[:, col], matrix[:, col], var_mass))
             stats.append(mean_statistic(f"{tag}mass_mean", matrix[:, col], 0.0))
@@ -253,9 +262,23 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     zx, zv = zo1_start
     starts = [(x1, v_same), (x2, v_same), (zx, v_a), (zx, v_b), (zx, zv)]
     ends = [x + v * horizon for x, v in starts]
-    if not all(map(math.isfinite, [horizon, *ends, *(v * t for _, v in starts)])):
-        raise HorizonError(f"the horizon t/epsilon = {horizon!r} and each tagged rod's "
-                           "x + v t/epsilon and v t must be finite")
+    fz, fs = frame
+    # part two's hat points z + epsilon a and tilde points z + b
+    shifted = [fz + s for a, b in independence_offsets for s in (eps * a, b)]
+    if not all(map(math.isfinite, [horizon, *ends, *(v * t for _, v in starts), *shifted])):
+        raise HorizonError(f"the horizon t/epsilon = {horizon!r}, each tagged rod's "
+                           "x + v t/epsilon and v t, and each frame point z + epsilon a "
+                           "and z + b must be finite")
+    # both parts' regions, before any target or replica
+    eval_pts = [SpaceTimePoint(y, horizon) for y in ends]
+    region = _region_for_points(model, eval_pts + [SpaceTimePoint(x, 0.0) for x, _ in starts])
+    frame_pt = SpaceTimePoint(fz, fs)
+    hat_offsets = [SpaceTimePoint(a, 0.0) for a, _ in independence_offsets]
+    tilde_offsets = [SpaceTimePoint(b, 0.0) for _, b in independence_offsets]
+    small_offsets = [SpaceTimePoint(eps * o.x, eps * o.t) for o in hat_offsets]
+    tilde_pts = [frame_pt.translated(o.x, o.t) for o in tilde_offsets]
+    hat_pts = [frame_pt.translated(o.x, o.t) for o in small_offsets]
+    region2 = _region_for_points(model, [frame_pt] + tilde_pts + hat_pts)
     b_same = SpaceTimePoint(v_same * t, t)
     b_a, b_b = SpaceTimePoint(v_a * t, t), SpaceTimePoint(v_b * t, t)
     target_same = distance(model, ORIGIN, b_same)
@@ -264,8 +287,6 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     zo1_mean_target = zx + hydro.limit_mass(model, zx, 0.0)
     zo1_var_target = distance(model, ORIGIN, SpaceTimePoint(zv * t, t))
 
-    eval_pts = [SpaceTimePoint(y, horizon) for y in ends]
-    region = _region_for_points(eval_pts + [SpaceTimePoint(x, 0.0) for x, _ in starts])
     y_limits = [y + limit_field(model, b) for y, b in zip(ends, eval_pts)]
     j_limit_zo1 = (limit_field(model, eval_pts[4])
                    - limit_field(model, SpaceTimePoint(zx, 0.0)))
@@ -288,14 +309,6 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     ]
 
     # --- part two: joint field fluctuations at scale eps^2 ---------------
-    fz, fs = frame
-    frame_pt = SpaceTimePoint(fz, fs)
-    hat_offsets = [SpaceTimePoint(a, 0.0) for a, _ in independence_offsets]
-    tilde_offsets = [SpaceTimePoint(b, 0.0) for _, b in independence_offsets]
-    small_offsets = [SpaceTimePoint(eps * o.x, eps * o.t) for o in hat_offsets]
-    tilde_pts = [frame_pt.translated(o.x, o.t) for o in tilde_offsets]
-    hat_pts = [frame_pt.translated(o.x, o.t) for o in small_offsets]
-    region2 = _region_for_points([frame_pt] + tilde_pts + hat_pts)
     frozen = FrozenModel(model, fz, fs)
     hat_var_targets = [distance(frozen, ORIGIN, o) for o in hat_offsets]
     # the translated frame's masses are the base masses on translated segments
@@ -342,21 +355,9 @@ def lln_test(model, epsilons, M: int, seed: int,
     if len(epsilons) < 2:
         raise ValueError("the scaling-slope fit needs at least two epsilon values")
     b = SpaceTimePoint(*point)
-    mz, mt = mass_point
-    region = _region_for_points([b, SpaceTimePoint(mz, mt), SpaceTimePoint(0.0, mt)])
-    h_lim = limit_field(model, b)
-    m_lim = hydro.limit_mass(model, mz, mt)
-
-    rms_h, rms_m = [], []
-    for e_idx, eps in enumerate(epsilons):
-        def run(i):
-            cfg = sample(model, eps, region, seed, stream_key=(e_idx, i))
-            return (walk_field(cfg, b) - h_lim,
-                    hydro.empirical_mass(cfg, mz, mt) - m_lim)
-
-        rows = np.asarray(_map_ordered(run, M, threads=1), dtype=float)
-        rms_h.append(float(np.sqrt(np.mean(rows[:, 0] ** 2))))
-        rms_m.append(float(np.sqrt(np.mean(rows[:, 1] ** 2))))
+    deviations = _deviations(model, [b], mass_point, epsilons, M, seed)
+    rms_h, rms_m = ([float(np.sqrt(np.mean(dev[:, j] ** 2))) for dev in deviations]
+                    for j in (0, 1))
 
     log_eps = np.log(epsilons)
     slope_h = float(np.polyfit(log_eps, np.log(rms_h), 1)[0])
@@ -369,7 +370,7 @@ def lln_test(model, epsilons, M: int, seed: int,
     verdict = lo <= slope_h <= hi and lo <= slope_m <= hi
     extra = {"epsilons": list(epsilons), "surface_rms": rms_h, "mass_rms": rms_m,
              "slope_band": [lo, hi], "point": [b.x, b.t],
-             "mass_point": [mz, mt]}
+             "mass_point": list(mass_point)}
     return ExperimentReport("lln", model.summary(), list(epsilons), M, seed,
                             stats, extra, verdict)
 

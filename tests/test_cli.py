@@ -699,6 +699,20 @@ def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     assert not list(out.glob("*/report.json"))
 
 
+def test_sample_field_node_cap_admits_its_bound():
+    from hrfl.config import ConfigError, validate_config
+
+    def check(nx, nt):
+        exp = dict(SAMPLE_FIELD, grid={"x": [0, 1, nx], "t": [0, 1, nt]})
+        return validate_config({"schema_version": 1, "model": HOMOGENEOUS_MODEL,
+                                "experiment": exp}, "sample-field")
+
+    # 2048 x 2048 nodes are exactly GRID_NODE_CAP; one more t row is over it
+    assert check(2048, 2048)["grid"]["x"][2] == 2048
+    with pytest.raises(ConfigError, match=r"grid: the x and t axes hold 4196352 nodes"):
+        check(2048, 2049)
+
+
 def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     from hrfl.config import ConfigError, validate_config
     from hrfl.hydro import GRID_NODE_CAP
@@ -777,9 +791,31 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     ("verify-diffusive", "t", 1e307, "config error: config.experiment: the horizon t/epsilon"),
     ("verify-diffusive", "same_velocity", [1e308, 0, 0.5],
      "config error: config.experiment: the horizon t/epsilon"),
+    # part two's hat point z + epsilon a that overflows also ended the run with
+    # exit 4; a row without a field replaces each field of its value
+    pytest.param("verify-diffusive", None,
+                 {"frame": [1.5e308, 0], "independence_offsets": [[1e308, 1]], "epsilon": 0.5},
+                 "config.experiment: the horizon t/epsilon = 2.0, each tagged rod's",
+                 id="diffusive-hat-point-overflow"),
+    # a point whose sampling window overflows: the targets' quadrature met it
+    # first and ended the run with exit 3
+    ("verify-lln", "point", [1e308, 1e308], "config error: config.experiment: the sampling window"),
+    ("verify-lln", "mass_point", [1e308, 1e308],
+     "config error: config.experiment: the sampling window"),
+    ("verify-euler-clt", "points", [[1e308, 1e308]],
+     "config error: config.experiment: the sampling window"),
+    ("verify-euler-clt", "mass_point", [1.7e308, 1e308],
+     "config error: config.experiment: the sampling window"),
+    # part two's window overflows: found before part one's replicas, not after
+    ("verify-diffusive", "frame", [1e308, 1e308],
+     "config error: config.experiment: the sampling window"),
+    # a grid of 2e13 nodes ended the run with exit 4 (MemoryError)
+    ("sample-field", "grid", {"x": [0, 1, 10 ** 13], "t": [0, 1, 2]},
+     "config error: config.experiment.grid: the x and t axes hold 20000000000000 nodes"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
-    cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **{field: value}))
+    fields = value if field is None else {field: value}
+    cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **fields))
     out = tmp_path / "runs"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -818,9 +854,17 @@ OVERFLOW_MARK_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"],
     (dict(LLN_CONFIG, model=dict(OVERFLOW_MARK_MODEL, mark={
         "kind": "uniform", "lo": -1e308, "hi": 1e308})), [], {},
      "config error: model.mark: the mark moments r**k, k in (0, 1, 2), must be finite"),
+    # a negative seed ended the run with exit 4 (SeedSequence's ValueError), and
+    # a boolean version passed as version 1
+    (LLN_CONFIG, ["--seed", "-1"], {}, "config error: --seed: expected an integer >= 0, got -1"),
+    (LLN_CONFIG, [], {"HRFL_SEED": "-3"},
+     "config error: HRFL_SEED: expected an integer >= 0, got -3"),
+    (dict(LLN_CONFIG, schema_version=True), [], {},
+     "config error: config.schema_version: expected 1, got True"),
 ], ids=["kernel-and-flat", "no-kernel", "atoms-outside-v_support", "schema_version",
         "negative-config-threads", "top-level-list", "override-without-value",
-        "non-integer-seed-env", "unknown-flag", "constant-mark-1e308", "uniform-mark-1e308"])
+        "non-integer-seed-env", "unknown-flag", "constant-mark-1e308", "uniform-mark-1e308",
+        "negative-seed", "negative-seed-env", "boolean-schema_version"])
 def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv, env, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

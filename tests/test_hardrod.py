@@ -187,6 +187,17 @@ def test_equal_velocities_never_collide():
     assert out.y == pytest.approx([10.0, 10.5])
 
 
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_zero_and_one_rod_run_ballistically(n):
+    # no pair, so no contact: every time direction is free flight
+    rods = RodConfiguration([0.3, 4.0][:n], [-0.7, 1.0][:n], [0.5, 1.0][:n])
+    for t in (-2.0, 0.0, 1.5):
+        out = evolve_events(rods, t)
+        assert out.y.tolist() == (rods.y + rods.v * t).tolist()
+        assert out.v.tolist() == rods.v.tolist() and out.r.tolist() == rods.r.tolist()
+        assert out.collisions == 0
+
 def test_overlap_detected():
     with pytest.raises(RodOverlapError):
         evolve_events(RodConfiguration([0.0, 0.1], [0, 0], [0.5, 0.5],

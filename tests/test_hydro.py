@@ -339,6 +339,25 @@ def test_negative_marks_rejected():
         characteristic_map(model, 0.0, 0.0)
 
 
+NEGATIVE_MARK_ATOMS = IntensityModel(ConstantDensity(1.0),
+                                     DiscreteKernel([(-1.0, -0.4, 0.5), (1.0, 0.6, 0.5)]))
+
+
+@pytest.mark.parametrize("entry,args", [
+    (sigma, (0.0, 0.5)),
+    (characteristic_map, (0.0, 0.5)),
+    (inverse_characteristic, (0.0, 0.5)),
+    (rod_density, (0.0, 1.0, 0.6, 0.5)),
+    (squeezed_length_fraction, (0.0, 0.5)),
+    (effective_velocity, (0.0, 1.0, 0.5)),
+    (ghd_residual, (np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.5, 3))),
+], ids=lambda v: getattr(v, "__name__", "args"))
+def test_every_public_entry_rejects_negative_marks(entry, args):
+    # sigma and characteristic_map check the marks; every other entry reaches one of them
+    with pytest.raises(ValueError, match="r >= 0"):
+        entry(NEGATIVE_MARK_ATOMS, *args)
+
+
 # ---------------------------------------------------------------------------
 # the characteristic inverse over arrays
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ def test_euler_battery_columns_are_the_direct_field_and_mass_values(reference_mo
                                  quasiparticle=(qx, qv, qt), mass_point=(mx, mt))
     b_t, b_0 = SpaceTimePoint(qx + qv * qt, qt), SpaceTimePoint(qx, 0.0)
     field_pts = pts + [b_t, b_0]
-    region = _region_for_points(field_pts + [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)])
+    region = _region_for_points(reference_model,
+                                field_pts + [SpaceTimePoint(mx, mt), SpaceTimePoint(0.0, mt)])
     limits = [limit_field(reference_model, p) for p in field_pts]
     m_lim = hydro.limit_mass(reference_model, mx, mt)
     cols, mass = [], []
@@ -157,6 +158,25 @@ def test_euler_battery_columns_are_the_direct_field_and_mass_values(reference_mo
         "quasiparticle_mean", "mass_var", "mass_mean"]
     assert [s.mean for s in rep.statistics] == want
 
+
+
+def test_lln_rms_are_the_direct_field_and_mass_values(reference_model):
+    # each epsilon's surface and mass RMS, recomputed from walk_field and
+    # empirical_mass calls on the battery's own samples, keeps every bit
+    b, (mz, mt) = SpaceTimePoint(0.5, 1.0), (1.0, 0.5)
+    epsilons, M, seed = [0.1, 0.02], 5, 6
+    rep = lln_test(reference_model, epsilons, M, seed, point=(b.x, b.t), mass_point=(mz, mt))
+    region = _region_for_points(reference_model,
+                                [b, SpaceTimePoint(mz, mt), SpaceTimePoint(0.0, mt)])
+    h_lim, m_lim = limit_field(reference_model, b), hydro.limit_mass(reference_model, mz, mt)
+    rms = lambda d: float(np.sqrt(np.mean(np.array(d) ** 2)))
+    want_h, want_m = [], []
+    for e, eps in enumerate(sorted(epsilons)):
+        cfgs = [sample(reference_model, eps, region, seed, stream_key=(e, i)) for i in range(M)]
+        want_h.append(rms([walk_field(cfg, b) - h_lim for cfg in cfgs]))
+        want_m.append(rms([hydro.empirical_mass(cfg, mz, mt) - m_lim for cfg in cfgs]))
+    assert rep.extra["surface_rms"] == want_h
+    assert rep.extra["mass_rms"] == want_m
 
 def test_euler_battery_two_epsilon_guard(reference_model):
     pts = [SpaceTimePoint(0, 1)]
