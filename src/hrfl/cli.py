@@ -122,7 +122,12 @@ def run_ghd_residual(kind, model, seed, rundir, **grid):
     if model.kernel.atom_velocities() is None:
         raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
                           "the residual of a continuous kernel is not implemented")
-    levels, ratios = hydro.residual_refinement(model, **grid)
+    try:
+        levels, ratios = hydro.residual_refinement(model, **grid)
+    except hydro.GridSpacingError as exc:
+        # linspace spacing below the ulp of a narrow range far from 0
+        raise ConfigError(f"config.experiment.{exc.axis}_range: {exc} (the range is "
+                          "too narrow for its distance from 0)") from exc
     wiped = [i for i, level in enumerate(levels) if not len(level.q)]
     if wiped:
         raise ConfigError(f"config.experiment.q_range: the margins around density-jump "

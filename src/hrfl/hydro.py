@@ -250,6 +250,14 @@ def empirical_mass(config: SampledConfiguration, z: float, t: float) -> float:
 # the conservation-law residual
 # ---------------------------------------------------------------------------
 
+class GridSpacingError(ValueError):
+    """The nodes of one residual grid axis ("q" or "t") are not uniformly spaced."""
+
+    def __init__(self, axis: str):
+        super().__init__(f"residual grids must be uniformly spaced, and the {axis} nodes are not")
+        self.axis = axis
+
+
 @dataclass
 class GhdResidual:
     """Residual of d_t g~ + d_q (V_eff g~) on the interior of a grid."""
@@ -301,9 +309,9 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
         raise ValueError("need at least 3 nodes per axis for central differences")
     h_q = float(q_nodes[1] - q_nodes[0])
     h_t = float(t_nodes[1] - t_nodes[0])
-    if (np.abs(np.diff(q_nodes) - h_q).max() > 1e-9 * abs(h_q)
-            or np.abs(np.diff(t_nodes) - h_t).max() > 1e-9 * abs(h_t)):
-        raise ValueError("residual grids must be uniformly spaced")
+    for axis, nodes, h in (("q", q_nodes, h_q), ("t", t_nodes, h_t)):
+        if np.abs(np.diff(nodes) - h).max() > 1e-9 * abs(h):
+            raise GridSpacingError(axis)
 
     _require_atoms(model, "the residual grid")
     v_col = np.array(model.kernel.atom_velocities())[:, None]

@@ -1,9 +1,11 @@
 """Monte Carlo experiment harness and the limit-theorem test batteries.
 
-Replicas run on disjoint counter-based streams keyed by (seed, replica) and
-one after another, in replica order, on the calling thread; reductions run
-in that order on the collected matrix, so a battery is a pure function of
-its seed.
+Replicas run on disjoint counter-based streams keyed by (seed, run, replica),
+where a run is one epsilon of the Euler or LLN battery or one part of the
+diffusive battery (the stationarity battery keys (seed, t index, replica,
+evolved or fresh)).  They run one after another, in replica order, on the
+calling thread; reductions run in that order on the collected matrix, so a
+battery is a pure function of its seed.
 
 Pass/fail uses |z| < 4 rather than 3: the batteries check many statistics
 at once and the wider gate keeps the aggregate false-failure rate of a
@@ -136,23 +138,29 @@ def _region_for_points(model, points) -> ObservationRegion:
     return region
 
 
+def _replica_deviations(model, runs, M: int, seed: int) -> list:
+    """Per run (eps, region, values, limits), the M x k matrix of values(cfg) - limits,
+    where cfg is replica i of the e-th run, sampled at eps on stream (e, i)."""
+    def matrix(e_idx, eps, region, values, limits):
+        rows = _map_ordered(lambda i: values(sample(model, eps, region, seed,
+                                                    stream_key=(e_idx, i))), M, threads=1)
+        return np.asarray(rows) - limits
+
+    return [matrix(e_idx, *run) for e_idx, run in enumerate(runs)]
+
+
 def _deviations(model, field_pts, mass_point, eps_list, M: int, seed: int) -> list:
     """Per epsilon, the M x k replica matrix of H(b) - H_limit(b) at each field point b,
-    then of the empirical minus the limit mass at mass_point (z, t) if one is given.
-    Replica i at the e-th epsilon samples stream (e, i) of one region, built first."""
+    then of the empirical minus the limit mass at mass_point (z, t) if one is given."""
     mass = [] if mass_point is None else [mass_point]
     ends = [SpaceTimePoint(x, t) for z, t in mass for x in (z, 0.0)]
     region = _region_for_points(model, [*field_pts, *ends])
     limits = ([limit_field(model, p) for p in field_pts]
               + [hydro.limit_mass(model, *m) for m in mass])
-
-    def run(e_idx, eps, i):
-        cfg = sample(model, eps, region, seed, stream_key=(e_idx, i))
-        return ([walk_field(cfg, p) for p in field_pts]
-                + [hydro.empirical_mass(cfg, *m) for m in mass])
-
-    return [np.asarray(_map_ordered(lambda i: run(e_idx, eps, i), M, threads=1)) - limits
-            for e_idx, eps in enumerate(eps_list)]
+    values = lambda cfg: ([walk_field(cfg, p) for p in field_pts]
+                          + [hydro.empirical_mass(cfg, *m) for m in mass])
+    return _replica_deviations(model, [(eps, region, values, limits) for eps in eps_list],
+                               M, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +264,27 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     eps = float(epsilon)
     horizon = t / eps
 
-    # --- part one: quasi-particles over the long horizon -----------------
+    # part one: quasi-particles over the long horizon
     v_same, x1, x2 = same_velocity
     v_a, v_b = distinct_velocities
     zx, zv = zo1_start
     starts = [(x1, v_same), (x2, v_same), (zx, v_a), (zx, v_b), (zx, zv)]
     ends = [x + v * horizon for x, v in starts]
     fz, fs = frame
-    # part two's hat points z + epsilon a and tilde points z + b
-    shifted = [fz + s for a, b in independence_offsets for s in (eps * a, b)]
-    if not all(map(math.isfinite, [horizon, *ends, *(v * t for _, v in starts), *shifted])):
+    # part two's offsets, hat epsilon a then tilde b for each pair
+    shifts = [s for a, b in independence_offsets for s in (eps * a, b)]
+    if not all(map(math.isfinite, [horizon, *ends, *(v * t for _, v in starts),
+                                   *(fz + s for s in shifts)])):
         raise HorizonError(f"the horizon t/epsilon = {horizon!r}, each tagged rod's "
                            "x + v t/epsilon and v t, and each frame point z + epsilon a "
                            "and z + b must be finite")
-    # both parts' regions, before any target or replica
+    # both parts' regions, limits and targets, before any replica
     eval_pts = [SpaceTimePoint(y, horizon) for y in ends]
     region = _region_for_points(model, eval_pts + [SpaceTimePoint(x, 0.0) for x, _ in starts])
     frame_pt = SpaceTimePoint(fz, fs)
-    hat_offsets = [SpaceTimePoint(a, 0.0) for a, _ in independence_offsets]
-    tilde_offsets = [SpaceTimePoint(b, 0.0) for _, b in independence_offsets]
-    small_offsets = [SpaceTimePoint(eps * o.x, eps * o.t) for o in hat_offsets]
-    tilde_pts = [frame_pt.translated(o.x, o.t) for o in tilde_offsets]
-    hat_pts = [frame_pt.translated(o.x, o.t) for o in small_offsets]
-    region2 = _region_for_points(model, [frame_pt] + tilde_pts + hat_pts)
+    offsets = [SpaceTimePoint(s, 0.0) for s in shifts]
+    frame_pts = [frame_pt.translated(o.x, o.t) for o in offsets]
+    region2 = _region_for_points(model, [frame_pt] + frame_pts)
     b_same = SpaceTimePoint(v_same * t, t)
     b_a, b_b = SpaceTimePoint(v_a * t, t), SpaceTimePoint(v_b * t, t)
     target_same = distance(model, ORIGIN, b_same)
@@ -286,20 +292,28 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
         2, Segment(ORIGIN, b_a), Segment(ORIGIN, b_b))
     zo1_mean_target = zx + hydro.limit_mass(model, zx, 0.0)
     zo1_var_target = distance(model, ORIGIN, SpaceTimePoint(zv * t, t))
+    # the limits of the four rods' places y + H and of the tracer's y + H - zv t/epsilon
+    limits = [y + limit_field(model, b) for y, b in zip(ends[:4], eval_pts)]
+    limits.append(limit_field(model, eval_pts[4])
+                  - limit_field(model, SpaceTimePoint(zx, 0.0)))
 
-    y_limits = [y + limit_field(model, b) for y, b in zip(ends, eval_pts)]
-    j_limit_zo1 = (limit_field(model, eval_pts[4])
-                   - limit_field(model, SpaceTimePoint(zx, 0.0)))
-
-    def run_quasi(i):
-        cfg = sample(model, eps, region, seed, stream_key=(0, i))
+    def quasi(cfg):
         ys = [y + walk_field(cfg, b) for y, b in zip(ends, eval_pts)]
-        d = [y - yl for y, yl in zip(ys, y_limits)]
-        z_stat = ys[4] - zv * horizon - j_limit_zo1
-        return d[0], d[1], d[2], d[3], z_stat
+        return ys[:4] + [ys[4] - zv * horizon]
 
-    rows = _map_ordered(run_quasi, M, threads=1)
-    q = np.asarray(rows, dtype=float)
+    # part two: joint field fluctuations at scale eps^2
+    frozen = FrozenModel(model, fz, fs)
+    hat_var_targets = [distance(frozen, ORIGIN, SpaceTimePoint(a, 0.0))
+                       for a, _ in independence_offsets]
+    # the translated frame's masses are the base masses on translated segments
+    tilde_var_targets = [distance(model, frame_pt, p) for p in frame_pts[1::2]]
+    limits2 = [limit_field_difference(model, frame_pt, p) for p in frame_pts]
+    fields = lambda cfg: [frame_surface(cfg, frame_pt, o) for o in offsets]
+
+    q, f = _replica_deviations(model, [(eps, region, quasi, limits),
+                                       (eps * eps, region2, fields, limits2)], M, seed)
+    f[:, 0::2] /= eps ** 1.5
+    f[:, 1::2] /= eps
     stats = [
         covariance_statistic("same_velocity_cov", q[:, 0], q[:, 1], target_same),
         covariance_statistic("distinct_velocity_cov", q[:, 2], q[:, 3],
@@ -307,26 +321,6 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
         mean_statistic("tracer_mean", q[:, 4], zo1_mean_target),
         covariance_statistic("tracer_var", q[:, 4], q[:, 4], zo1_var_target),
     ]
-
-    # --- part two: joint field fluctuations at scale eps^2 ---------------
-    frozen = FrozenModel(model, fz, fs)
-    hat_var_targets = [distance(frozen, ORIGIN, o) for o in hat_offsets]
-    # the translated frame's masses are the base masses on translated segments
-    tilde_var_targets = [distance(model, frame_pt, p) for p in tilde_pts]
-    lim_hat = [limit_field_difference(model, frame_pt, p) for p in hat_pts]
-    lim_tilde = [limit_field_difference(model, frame_pt, p) for p in tilde_pts]
-
-    def run_fields(i):
-        cfg = sample(model, eps * eps, region2, seed, stream_key=(1, i))
-        vals = []
-        for k, (o_small, o_til) in enumerate(zip(small_offsets, tilde_offsets)):
-            eh = (frame_surface(cfg, frame_pt, o_small) - lim_hat[k]) / eps ** 1.5
-            et = (frame_surface(cfg, frame_pt, o_til) - lim_tilde[k]) / eps
-            vals.extend([eh, et])
-        return vals
-
-    rows2 = _map_ordered(run_fields, M, threads=1)
-    f = np.asarray(rows2, dtype=float)
     for k in range(len(independence_offsets)):
         eh, et = f[:, 2 * k], f[:, 2 * k + 1]
         stats.append(covariance_statistic(f"independence_cross_cov[{k}]",
@@ -394,7 +388,10 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
     t_values = [float(t) for t in t_values]
     tmax = max(abs(t) for t in t_values) if t_values else 0.0
     W = core_halfwidth + V * tmax + 4.0
-    region = ObservationRegion((-W, W), (0.0, 0.0))
+    if not math.isfinite(W):
+        raise HorizonError(f"the window half-width core_halfwidth + V max|t| + 4 = {W!r} "
+                           "must be finite")
+    region = _region_for_points(model, [SpaceTimePoint(-W, 0.0), SpaceTimePoint(W, 0.0)])
     core = core_halfwidth
 
     def collect(rods: hardrod.RodConfiguration):

@@ -689,6 +689,12 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
     ("nt", 2_000_000, "config.experiment: grid levels 0 to 0 hold 10000000 nodes"),
     ("refinements", 10, "config.experiment: grid levels 0 to 10 hold 11197101 nodes"),
     ("refinements", 1_000_000_000, "config.experiment: grid levels 0 to 10 hold 11197101 nodes"),
+    # a narrow range far from 0, whose linspace spacing falls below the ulp,
+    # ended the run with exit 4
+    ("q_range", [1e8, 1.000000001e8],
+     "config.experiment.q_range: residual grids must be uniformly spaced"),
+    ("t_range", [1e300, 1.0000000001e300],
+     "config.experiment.t_range: residual grids must be uniformly spaced"),
 ])
 def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
@@ -731,6 +737,10 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     assert check(nq=513, nt=513, refinements=1)["refinements"] == 1
     with pytest.raises(ConfigError, match="levels 0 to 2 hold 5512195 nodes"):
         check(nq=513, nt=513, refinements=None)
+
+
+SPEED_2_KERNEL = dict(HOMOGENEOUS_MODEL["kernel"],
+                      velocity={"kind": "uniform", "lo": -2.0, "hi": 2.0})
 
 
 @pytest.mark.parametrize("command,field,value,message", [
@@ -812,10 +822,23 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     # a grid of 2e13 nodes ended the run with exit 4 (MemoryError)
     ("sample-field", "grid", {"x": [0, 1, 10 ** 13], "t": [0, 1, 2]},
      "config error: config.experiment.grid: the x and t axes hold 20000000000000 nodes"),
+    # a stationarity window half-width W = core + V max|t| + 4 that overflows
+    # ended the run with exit 4; a finite W whose window width overflows ran on
+    # to a false statistical FAIL (exit 1).  A "model" entry replaces the model.
+    pytest.param("stationarity", None,
+                 {"model": dict(HOMOGENEOUS_MODEL, kernel=SPEED_2_KERNEL), "t_values": [1.7e308]},
+                 "config error: config.experiment: the window half-width",
+                 id="stationarity-half-width-overflow"),
+    pytest.param("stationarity", None,
+                 {"model": {"rho": {"kind": "piecewise", "edges": [-5, 5], "values": [1.0]},
+                            "kernel": SPEED_2_KERNEL}, "t_values": [8e307]},
+                 "config error: config.experiment: the sampling window",
+                 id="stationarity-window-width-overflow"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
-    fields = value if field is None else {field: value}
-    cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **fields))
+    fields = dict(value) if field is None else {field: value}
+    model = fields.pop("model", None)
+    cfg = write_config(tmp_path, dict(FIELD_EXPERIMENTS[command], **fields), model)
     out = tmp_path / "runs"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

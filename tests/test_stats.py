@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hrfl import hydro
-from hrfl.field import limit_field, walk_field
+from hrfl.field import frame_surface, limit_field, limit_field_difference, walk_field
 from hrfl.geometry import SpaceTimePoint
 from hrfl.intensity import (
     ConstantDensity,
@@ -177,6 +177,56 @@ def test_lln_rms_are_the_direct_field_and_mass_values(reference_model):
         want_m.append(rms([hydro.empirical_mass(cfg, mz, mt) - m_lim for cfg in cfgs]))
     assert rep.extra["surface_rms"] == want_h
     assert rep.extra["mass_rms"] == want_m
+
+def test_diffusive_battery_columns_are_the_direct_field_values(reference_model):
+    # each statistic's mean, recomputed from walk_field and frame_surface calls
+    # on the battery's own samples at streams (0, i) and (1, i), keeps every bit
+    eps, M, seed, t = 0.1, 5, 3, 1.0
+    frame, offsets = SpaceTimePoint(0.3, 0.2), [(1.0, -1.0), (-1.5, 1.5)]
+    (v_s, x1, x2), (v_a, v_b), (zx, zv) = (0.5, -0.4, -0.2), (0.3, 0.8), (-0.5, 0.4)
+    rep = diffusive_test(reference_model, eps, M, seed, t=t, frame=(frame.x, frame.t),
+                         same_velocity=(v_s, x1, x2), distinct_velocities=(v_a, v_b),
+                         independence_offsets=offsets, zo1_start=(zx, zv))
+    h = t / eps
+    starts = [(x1, v_s), (x2, v_s), (zx, v_a), (zx, v_b), (zx, zv)]
+    ys = [x + v * h for x, v in starts]
+    ends = [SpaceTimePoint(y, h) for y in ys]
+    region = _region_for_points(reference_model,
+                                ends + [SpaceTimePoint(x, 0.0) for x, _ in starts])
+    assert region.x_range[0] == zx          # the t = 0 starts widen part one's region
+    lims = [y + limit_field(reference_model, b) for y, b in zip(ys, ends)]
+    j_lim = (limit_field(reference_model, ends[4])
+             - limit_field(reference_model, SpaceTimePoint(zx, 0.0)))
+    quasi = []
+    for i in range(M):
+        cfg = sample(reference_model, eps, region, seed, stream_key=(0, i))
+        y_h = [y + walk_field(cfg, b) for y, b in zip(ys, ends)]
+        quasi.append([yh - lim for yh, lim in zip(y_h[:4], lims)]
+                     + [y_h[4] - zv * h - j_lim])
+    q = np.array(quasi)
+    pairs = [(SpaceTimePoint(eps * a, 0.0), SpaceTimePoint(b, 0.0)) for a, b in offsets]
+    region2 = _region_for_points(reference_model, [frame] + [frame.translated(o.x, o.t)
+                                                             for pair in pairs for o in pair])
+    lim2 = lambda o: limit_field_difference(reference_model, frame, frame.translated(o.x, o.t))
+    fields = []
+    for i in range(M):
+        cfg = sample(reference_model, eps * eps, region2, seed, stream_key=(1, i))
+        fields.append([v for hat, til in pairs for v in (
+            (frame_surface(cfg, frame, hat) - lim2(hat)) / eps ** 1.5,
+            (frame_surface(cfg, frame, til) - lim2(til)) / eps)])
+    f = np.array(fields)
+    cov = lambda a, b: covariance_statistic("", a, b, 0.0).mean
+    want = [cov(q[:, 0], q[:, 1]), cov(q[:, 2], q[:, 3]),
+            mean_statistic("", q[:, 4], 0.0).mean, cov(q[:, 4], q[:, 4])]
+    for k in range(len(offsets)):
+        eh, et = f[:, 2 * k], f[:, 2 * k + 1]
+        want += [cov(eh, et), cov(eh, eh), cov(et, et)]
+    assert [s.name for s in rep.statistics] == [
+        "same_velocity_cov", "distinct_velocity_cov", "tracer_mean", "tracer_var",
+        "independence_cross_cov[0]", "hat_var[0]", "tilde_var[0]",
+        "independence_cross_cov[1]", "hat_var[1]", "tilde_var[1]"]
+    assert [s.mean for s in rep.statistics] == want
+
 
 def test_euler_battery_two_epsilon_guard(reference_model):
     pts = [SpaceTimePoint(0, 1)]
