@@ -37,7 +37,7 @@ GHD_RATIO_BAND = (3.2, 4.8)
 
 
 class HorizonError(ValueError):
-    """A horizon t/epsilon, a point or the sampling window around the points is not finite."""
+    """A horizon t/epsilon, a point or a sampling window is not finite, or a core holds no rod."""
 
 
 @dataclass
@@ -418,6 +418,11 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
         gaps_ev, lens_ev, gaps_ref, lens_ref = (
             np.concatenate([row[which][col] for row in rows])
             for which in (0, 1) for col in (0, 1))
+        for name, pooled in zip(("evolved gap", "evolved length", "fresh gap", "fresh length"),
+                                (gaps_ev, lens_ev, gaps_ref, lens_ref)):
+            if not len(pooled):
+                raise HorizonError(f"at t = {t:g} the core [-{core:g}, {core:g}] holds no "
+                                   f"{name} in {M} replicas; lower |t| or raise core_halfwidth")
         p_gap = float(ks_2samp(gaps_ev, gaps_ref).pvalue)
         p_len = float(ks_2samp(lens_ev, lens_ref).pvalue)
         pvals[f"t={t:g}"] = {"gaps": p_gap, "lengths": p_len}

@@ -35,6 +35,13 @@ def write_config(tmp_path, experiment, model=None, name="cfg.json", **top):
     return path
 
 
+def child_env(**extra) -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a child python."""
+    src = str(Path(hrfl.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def report_of(out_dir: Path) -> dict:
     reports = sorted(out_dir.glob("*/report.json"))
     assert len(reports) == 1
@@ -66,11 +73,15 @@ def test_empty_model_zero_report(tmp_path):
         assert s["mean"] == 0.0 and s["target"] == 0.0
 
 
+# at epsilon 1e6 the region holds no line
+NO_LINE_EULER = {"kind": "verify-euler-clt", "epsilon": 1e6, "replicas": 50,
+                 "points": [[0, 1], [1, 0]]}
+
+
 def test_empty_samples_against_nonzero_targets_fail(tmp_path):
-    # at epsilon 1e6 the region holds no line: every covariance is 0 with
-    # se 0 against targets 0.5, 0.25 and 1.0, an infinite z that must fail
-    cfg = write_config(tmp_path, {"kind": "verify-euler-clt", "epsilon": 1e6,
-                                  "replicas": 50, "points": [[0, 1], [1, 0]]})
+    # every covariance is 0 with se 0 against targets 0.5, 0.25 and 1.0, an
+    # infinite z that must fail
+    cfg = write_config(tmp_path, NO_LINE_EULER)
     code = main(["verify-euler-clt", "--config", str(cfg),
                  "--out", str(tmp_path / "runs")])
     assert code == 1
@@ -418,15 +429,13 @@ def test_report_independent_of_blas_threads(tmp_path):
     # part two samples the window of frame +- 1.5 at t in [0, 0.2] at scale eps^2
     lo, hi = ObservationRegion((-1.2, 1.8), (0.0, 0.2)).window_x(1.0)
     assert (hi - lo) / 0.01 ** 2 > 30_000
-    src = str(Path(hrfl.__file__).resolve().parent.parent)
     blobs = []
     for blas_threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = tmp_path / f"runs{blas_threads}"
         proc = subprocess.run([sys.executable, "-m", "hrfl.cli", "verify-diffusive",
                                "--config", str(cfg), "--seed", "3", "--out", str(out)],
-                              env=env, capture_output=True, text=True)
+                              env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
+                              capture_output=True, text=True)
         assert proc.returncode in (0, 1), proc.stderr
         blobs.append(next(out.glob("*/report.json")).read_bytes())
     assert blobs[0] == blobs[1]
@@ -640,9 +649,6 @@ PROBE_MODELS = {
 def test_cli_import_and_models_leave_scipy_unloaded(tmp_path):
     # scipy costs every run most of its start-up: no model needs it, and only
     # the stationarity battery imports scipy.stats, when it runs
-    src = str(Path(hrfl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import json, sys, hrfl.cli\n"
              "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
              "seen = {'import': scipy()}\n"
@@ -650,7 +656,7 @@ def test_cli_import_and_models_leave_scipy_unloaded(tmp_path):
              "    hrfl.cli.build_model(rec)\n"
              "    seen[name] = scipy()\n"
              "print(json.dumps(seen))\n")
-    out = subprocess.run([sys.executable, "-c", probe, json.dumps(PROBE_MODELS)], env=env,
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(PROBE_MODELS)], env=child_env(),
                          check=True, capture_output=True, text=True)
     seen = json.loads(out.stdout)
     assert list(seen) == ["import", *PROBE_MODELS]
@@ -695,6 +701,8 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
      "config.experiment.q_range: residual grids must be uniformly spaced"),
     ("t_range", [1e300, 1.0000000001e300],
      "config.experiment.t_range: residual grids must be uniformly spaced"),
+    # one level has no L2 ratio to check, and the empty ratio list passed
+    ("refinements", 0, "config error: config.experiment.refinements: one grid level has no"),
 ])
 def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
@@ -741,6 +749,9 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
 
 SPEED_2_KERNEL = dict(HOMOGENEOUS_MODEL["kernel"],
                       velocity={"kind": "uniform", "lo": -2.0, "hi": 2.0})
+# rods on [-5, 5] that leave the core [-6, 6] by t = 100
+EMPTY_CORE = {"model": {"rho": {"kind": "piecewise", "edges": [-5, 5], "values": [1.0]},
+                        "kernel": HOMOGENEOUS_MODEL["kernel"]}, "t_values": [100]}
 
 
 @pytest.mark.parametrize("command,field,value,message", [
@@ -834,6 +845,16 @@ SPEED_2_KERNEL = dict(HOMOGENEOUS_MODEL["kernel"],
                             "kernel": SPEED_2_KERNEL}, "t_values": [8e307]},
                  "config error: config.experiment: the sampling window",
                  id="stationarity-window-width-overflow"),
+    # an empty pooled sample in the core gave NaN p-values: a false pass with
+    # expect_reject, a false FAIL without it
+    pytest.param("stationarity", None, EMPTY_CORE,
+                 "config error: config.experiment: at t = 100 the core [-6, 6] holds no "
+                 "evolved gap",
+                 id="stationarity-empty-core"),
+    pytest.param("stationarity", None, dict(EMPTY_CORE, expect_reject=True),
+                 "config error: config.experiment: at t = 100 the core [-6, 6] holds no "
+                 "evolved gap",
+                 id="stationarity-empty-core-expect-reject"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     fields = dict(value) if field is None else {field: value}
@@ -1004,6 +1025,25 @@ def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["verify-lln", "--config", str(cfg), "--out", str(out)]) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
     assert not list(out.glob("*/report.json"))
+
+
+@pytest.mark.parametrize("experiment,model,env,code,stderr", [
+    (NO_LINE_EULER, None, {}, 1, ""),
+    (NO_LINE_EULER, None, {"HRFL_SEED": "-1"}, 2,
+     re.escape("config error: HRFL_SEED: expected an integer >= 0, got -1\n")),
+    (GHD_EXPERIMENT, dict(BUMP_ATOMS_MODEL, rho={"kind": "constant", "value": 1e17}), {}, 3,
+     "numerical error: grid level 0: [^\n]*\n"),
+], ids=["euler-empty-fail", "negative-seed-env", "ghd-breakdown"])
+def test_module_entry_point_exit_codes(tmp_path, experiment, model, env, code, stderr):
+    # python -m hrfl.cli turns main()'s return value into the exit status, with
+    # no warning filter of the test run and no traceback
+    cfg = write_config(tmp_path, experiment, model)
+    proc = subprocess.run([sys.executable, "-m", "hrfl.cli", experiment["kind"], "--config",
+                           str(cfg), "--out", str(tmp_path / "runs")],
+                          env=child_env(**env), capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
 
 # every optional experiment field present, so that each one can be replaced
