@@ -13,7 +13,6 @@ from .intensity import (
     ConstantDensity,
     ConstantMark,
     DiscreteKernel,
-    FrozenModel,
     GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
@@ -37,7 +36,6 @@ __all__ = [
     "ConstantDensity",
     "ConstantMark",
     "DiscreteKernel",
-    "FrozenModel",
     "GaussianVelocity",
     "IntensityModel",
     "PiecewiseConstantDensity",

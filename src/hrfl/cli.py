@@ -122,9 +122,6 @@ def run_ghd_residual(kind, model, seed, rundir, **grid):
     if model.kernel.atom_velocities() is None:
         raise ConfigError(f"model.kernel: {kind} needs velocity atoms; "
                           "the residual of a continuous kernel is not implemented")
-    if grid.get("refinements") == 0:
-        raise ConfigError("config.experiment.refinements: one grid level has no L2 ratio, "
-                          "so the residual checks nothing; set refinements >= 1")
     try:
         levels, ratios = hydro.residual_refinement(model, **grid)
     except hydro.GridSpacingError as exc:

@@ -40,6 +40,8 @@ from .intensity import (
 from .sampler import ObservationRegion
 
 SCHEMA_VERSION = 1
+# the most replicas a battery may ask for: a run of 10**20 would never end
+REPLICA_CAP = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -117,11 +119,12 @@ _positive = _number_where(lambda x: math.isfinite(x) and x > 0.0, "a finite numb
 _nonzero = _number_where(lambda x: math.isfinite(x) and x != 0.0, "a finite number != 0")
 
 
-def _integer(minimum):
+def _integer(minimum, maximum=math.inf):
     def parse(v, path):
-        if isinstance(v, int) and not isinstance(v, bool) and v >= minimum:
+        if isinstance(v, int) and not isinstance(v, bool) and minimum <= v <= maximum:
             return v
-        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {v!r}")
+        most = f" and <= {maximum}" if maximum < math.inf else ""
+        raise ConfigError(f"{path}: expected an integer >= {minimum}{most}, got {v!r}")
     return parse
 
 
@@ -294,6 +297,7 @@ _REGION = _record(lambda x, t: ObservationRegion(x, t),
                   {"x": (_vector(2), True), "t": (_vector(2), True)})
 _AXIS = _tuple("[lo, hi, n]", _finite, _finite, _integer(2))
 _NUMBERS = _list(_number, "numbers")
+_REPLICAS, _COVARIANCE_REPLICAS = _integer(1, REPLICA_CAP), _integer(3, REPLICA_CAP)
 
 SCHEMA = {
     # experiment kind: (runner, fields).  The runner is named, not bound: a
@@ -310,20 +314,20 @@ SCHEMA = {
             "times": (_list(_any, "numbers"), True)}),
         "verify-lln": ("lln_test", {
             "epsilons": (_list(_positive, "finite numbers > 0", 2, distinct=True), True),
-            "replicas": (_integer(1), True),
+            "replicas": (_REPLICAS, True),
             "point": (_point, False),
             "mass_point": (_tuple("[number, number]", _nonzero, _finite), False)}),
         # covariance batteries need M >= 3: with fewer the standard errors vanish
         "verify-euler-clt": ("euler_fluctuation_test", {
             "epsilon": (_positive, True),
-            "replicas": (_integer(3), True),
+            "replicas": (_COVARIANCE_REPLICAS, True),
             "points": (_points, True),
             "quasiparticle": (_quasiparticle, False),
             "mass_point": (_tuple("[number, number]", _nonzero, _finite), False),
             "epsilons": (_list(_positive, "finite numbers > 0", 1, distinct=True), False)}),
         "verify-diffusive": ("diffusive_test", {
             "epsilon": (_positive, True),
-            "replicas": (_integer(3), True),
+            "replicas": (_COVARIANCE_REPLICAS, True),
             "t": (_nonzero, False),
             "frame": (_vector(2), False),
             "same_velocity": (_vector(3), False),
@@ -335,10 +339,10 @@ SCHEMA = {
             "t_range": (_interval, True),
             "nq": (_integer(3), True),
             "nt": (_integer(3), True),
-            "refinements": (_integer(0), False)}),
+            "refinements": (_integer(1), False)}),  # one level has no L2 ratio
         "stationarity": ("run_stationarity", {
             "t_values": (_list(_finite, "finite numbers", 1), True),
-            "replicas": (_integer(1), True),
+            "replicas": (_REPLICAS, True),
             "core_halfwidth": (_positive, False),
             "expect_reject": (_bool, False)}),
     },

@@ -5,9 +5,9 @@ from the crossing-moment distance d(a, b) = mu_2(ab):
 
     Cov(eta(p_i), eta(p_j)) = (d(o,p_i) + d(o,p_j) - d(p_i,p_j)) / 2.
 
-Distances are taken in the model passed in, a base model or its frozen
-frame (:class:`hrfl.intensity.FrozenModel`); the translated frame's
-distances are the base model's between translated points.  The batteries
+Distances are taken in the model passed in; the translated frame's are the
+base model's between translated points, the frozen frame's over an offset a
+are |a| times :func:`hrfl.hydro.phase_moment` with mark_power 2.  The batteries
 compare empirical covariances with this matrix, so it is checked to be
 positive semidefinite within EIG_FLOOR_REL of its trace.
 """

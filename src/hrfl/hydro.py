@@ -89,13 +89,14 @@ def _over_positions(model: IntensityModel, integrand, x, t):
     return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
-def phase_moment(model: IntensityModel, x, t, v_power: int = 0):
-    """Integral of r * v^j against the time-t phase density at x (x and t as in _over_positions).
+def phase_moment(model: IntensityModel, x, t, v_power: int = 0, mark_power: int = 1):
+    """Integral of r^k * v^j against the time-t phase density at x (x and t as in _over_positions).
 
-    The time-t density at (x, v) is the time-0 density at x - v t.
+    The time-t density at (x, v) is the time-0 density at x - v t.  k = 1 gives sigma
+    and pi; k = 2 the frozen frame's hat variance at (x, t) per unit horizontal offset.
     """
     def f(v, pos):
-        return model.kernel.vk_density(v, 1, pos) * model.rho.value(pos) * v ** v_power
+        return model.kernel.vk_density(v, mark_power, pos) * model.rho.value(pos) * v ** v_power
 
     return _over_positions(model, f, x, t)
 

@@ -16,9 +16,9 @@ is negative, so each orientation lives on one side of ``v* = dx/dt``.  A
 Plus or Minus mass integrates over its side of ``v*`` an integrand that is
 0 unless the sign matches, and ``both`` is their sum, so the sign split is
 exact by construction; an atom at ``v*`` itself crosses in neither
-direction.  A frame of the diffusive limits at a space-time point (z, s)
-is either the :class:`FrozenModel` or, for the translated frame, the base
-model on the segment translated by (z, s).
+direction.  The translated frame of the diffusive limits at a space-time
+point (z, s) is the base model on the segment translated by (z, s); the
+frozen frame enters only through the phase moment of :mod:`hrfl.hydro`.
 
 Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
 rule, :func:`velocity_integral`.  The integrand maps an array of velocities
@@ -835,7 +835,7 @@ class _CrossingMoments:
 
 
 # ---------------------------------------------------------------------------
-# the intensity model and its frozen frame
+# the intensity model
 # ---------------------------------------------------------------------------
 
 class IntensityModel(_CrossingMoments):
@@ -889,27 +889,3 @@ class IntensityModel(_CrossingMoments):
                 "tail_mass_removed": max(cell.tail_mass_removed()
                                          for _, _, cell in self.kernel.cells),
                 "marks_nonnegative": self.marks_nonnegative}
-
-
-class FrozenModel(_CrossingMoments):
-    """Space-homogeneous freeze of a base model at the frame point (z, s).
-
-    At velocity v the x-density is the base phase density evaluated at the
-    backtracked position z - v*s, constant in x; for a homogeneous base
-    model it coincides with the base.
-    """
-
-    def __init__(self, base: IntensityModel, z: float, s: float):
-        self.base = base
-        self.z, self.s = float(z), float(s)
-        self.v_support = base.v_support
-        self.kernel = base.kernel
-
-    def x_mass(self, v, k, lo, hi):
-        pos = self.z - v * self.s
-        mass = (hi - lo) * self.base.rho.value(pos) * self.kernel.vk_density(v, k, pos)
-        return np.where(hi > lo, mass, 0.0)
-
-    def _kinks(self, *segs):
-        # the backtracked position z - v*s crosses an edge of the base model
-        return edge_velocities(self.base.edges, self.z, self.s)

@@ -26,7 +26,6 @@ from . import hardrod, hydro
 from .field import frame_surface, limit_field, limit_field_difference, walk_field
 from .gaussian import covariance_matrix, distance
 from .geometry import ORIGIN, Segment, SpaceTimePoint
-from .intensity import FrozenModel
 from .sampler import ObservationRegion, sample
 
 Z_THRESHOLD = 4.0
@@ -37,7 +36,8 @@ GHD_RATIO_BAND = (3.2, 4.8)
 
 
 class HorizonError(ValueError):
-    """A horizon t/epsilon, a point or a sampling window is not finite, or a core holds no rod."""
+    """A horizon t/epsilon, a point or a sampling window is not finite, epsilon^2 is not
+    finite and > 0, or a core holds no rod."""
 
 
 @dataclass
@@ -262,6 +262,8 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     where the limiting independence is exact at finite scale.
     """
     eps = float(epsilon)
+    if not 0.0 < eps * eps < math.inf:
+        raise HorizonError(f"part two's scale epsilon^2 = {eps * eps!r} must be finite and > 0")
     horizon = t / eps
 
     # part one: quasi-particles over the long horizon
@@ -301,10 +303,10 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
         ys = [y + walk_field(cfg, b) for y, b in zip(ends, eval_pts)]
         return ys[:4] + [ys[4] - zv * horizon]
 
-    # part two: joint field fluctuations at scale eps^2
-    frozen = FrozenModel(model, fz, fs)
-    hat_var_targets = [distance(frozen, ORIGIN, SpaceTimePoint(a, 0.0))
-                       for a, _ in independence_offsets]
+    # part two: joint field fluctuations at scale eps^2; the frozen frame's
+    # distance over a horizontal offset a is |a| times its m_2 phase moment
+    rate = hydro.phase_moment(model, fz, fs, mark_power=2)
+    hat_var_targets = [abs(a) * rate for a, _ in independence_offsets]
     # the translated frame's masses are the base masses on translated segments
     tilde_var_targets = [distance(model, frame_pt, p) for p in frame_pts[1::2]]
     limits2 = [limit_field_difference(model, frame_pt, p) for p in frame_pts]

@@ -531,6 +531,24 @@ def test_too_few_replicas_is_config_error(tmp_path, capsys, command, replicas):
     assert not list(out.glob("*/report.json"))
 
 
+@pytest.mark.parametrize("command", sorted(REPLICA_EXPERIMENTS))
+def test_replica_cap_admits_its_bound(command):
+    # validation only: a run of 10**20 replicas would never end
+    from hrfl.config import REPLICA_CAP, ConfigError, validate_config
+
+    def check(replicas):
+        return validate_config({"schema_version": 1, "model": HOMOGENEOUS_MODEL,
+                                "experiment": dict(REPLICA_EXPERIMENTS[command],
+                                                   replicas=replicas)}, command)
+
+    assert REPLICA_CAP == 10 ** 6
+    assert check(REPLICA_CAP)["replicas"] == REPLICA_CAP
+    for replicas in (REPLICA_CAP + 1, 10 ** 20):
+        with pytest.raises(ConfigError, match=r"^config\.experiment\.replicas: expected an "
+                                              r"integer >= \d and <= 1000000, got"):
+            check(replicas)
+
+
 def test_three_replicas_write_a_report(tmp_path):
     cfg = write_config(tmp_path, dict(REPLICA_EXPERIMENTS["verify-euler-clt"],
                                       replicas=3))
@@ -702,7 +720,8 @@ GHD_EXPERIMENT = {"kind": "ghd-residual", "q_range": [-0.8, 0.8],
     ("t_range", [1e300, 1.0000000001e300],
      "config.experiment.t_range: residual grids must be uniformly spaced"),
     # one level has no L2 ratio to check, and the empty ratio list passed
-    ("refinements", 0, "config error: config.experiment.refinements: one grid level has no"),
+    ("refinements", 0,
+     "config error: config.experiment.refinements: expected an integer >= 1, got 0"),
 ])
 def test_bad_ghd_field_is_config_error(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, **{field: value}),
@@ -736,11 +755,12 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
         return validate_config({"schema_version": 1, "model": BUMP_ATOMS_MODEL,
                                 "experiment": exp}, "ghd-residual")
 
-    # one level of 2048 x 2048 nodes is exactly the cap; one more row is over it
+    # two levels of 916^2 + 1831^2 nodes fit under the cap; 917^2 + 1833^2 do not
     assert GRID_NODE_CAP == 2048 * 2048
-    assert check(nq=2048, nt=2048, refinements=0)["nq"] == 2048
-    with pytest.raises(ConfigError, match="levels 0 to 0 hold 4196352 nodes"):
-        check(nq=2048, nt=2049, refinements=0)
+    assert 916 ** 2 + 1831 ** 2 == 4191617 <= GRID_NODE_CAP
+    assert check(nq=916, nt=916, refinements=1)["nq"] == 916
+    with pytest.raises(ConfigError, match="levels 0 to 1 hold 4200778 nodes"):
+        check(nq=917, nt=917, refinements=1)
     # 513^2 + 1025^2 nodes fit; the default of 2 refinements adds 2049^2
     assert check(nq=513, nt=513, refinements=1)["refinements"] == 1
     with pytest.raises(ConfigError, match="levels 0 to 2 hold 5512195 nodes"):
@@ -855,6 +875,17 @@ EMPTY_CORE = {"model": {"rho": {"kind": "piecewise", "edges": [-5, 5], "values":
                  "config error: config.experiment: at t = 100 the core [-6, 6] holds no "
                  "evolved gap",
                  id="stationarity-empty-core-expect-reject"),
+    # part two's scale epsilon^2 that overflows or underflows reached the
+    # sampler and ended the run with exit 4
+    pytest.param("verify-diffusive", None,
+                 {"epsilon": 1e308, "independence_offsets": [[1, -1]]},
+                 "config error: config.experiment: part two's scale epsilon^2 = inf must be",
+                 id="diffusive-epsilon-squared-overflow"),
+    pytest.param("verify-diffusive", None,
+                 {"model": dict(HOMOGENEOUS_MODEL, rho={"kind": "constant", "value": 1e-300}),
+                  "epsilon": 1e-170, "t": 1e-169, "independence_offsets": [[1, -1]]},
+                 "config error: config.experiment: part two's scale epsilon^2 = 0.0 must be",
+                 id="diffusive-epsilon-squared-underflow"),
 ])
 def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, value, message):
     fields = dict(value) if field is None else {field: value}
@@ -868,9 +899,13 @@ def test_bad_battery_field_is_config_error(tmp_path, capsys, command, field, val
 
 LLN_CONFIG = {"schema_version": 1, "model": HOMOGENEOUS_MODEL,
               "experiment": FIELD_EXPERIMENTS["verify-lln"]}
-OVERFLOW_MARK_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"],
-                       "velocity": HOMOGENEOUS_MODEL["kernel"]["velocity"],
-                       "mark": {"kind": "constant", "value": 1e308}}
+FLAT_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"],
+              "velocity": HOMOGENEOUS_MODEL["kernel"]["velocity"],
+              "mark": HOMOGENEOUS_MODEL["kernel"]["mark"]}
+OVERFLOW_MARK_MODEL = dict(FLAT_MODEL, mark={"kind": "constant", "value": 1e308})
+ATOMS_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"], "v_support": [-2, 2],
+               "kernel": {"kind": "atoms", "atoms": [{"v": -0.5, "r": 1.0, "weight": 0.5},
+                                                     {"v": 0.5, "r": 1.0, "weight": 0.5}]}}
 
 
 @pytest.mark.parametrize("cfg,argv,env,message", [
@@ -905,10 +940,29 @@ OVERFLOW_MARK_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"],
      "config error: HRFL_SEED: expected an integer >= 0, got -3"),
     (dict(LLN_CONFIG, schema_version=True), [], {},
      "config error: config.schema_version: expected 1, got True"),
+    # the model parts' own rejections
+    (dict(LLN_CONFIG, model=dict(FLAT_MODEL, rho={"kind": "constant", "value": -1})),
+     [], {}, "config error: model.rho: constant density must be finite and >= 0"),
+    (dict(LLN_CONFIG, model=dict(FLAT_MODEL, rho={
+        "kind": "piecewise", "edges": [-1, 1], "values": [-0.5]})), [], {},
+     "config error: model.rho: values must be finite and >= 0"),
+    (dict(LLN_CONFIG, model=dict(ATOMS_MODEL, kernel={"kind": "atoms", "atoms": [
+        {"v": -0.5, "r": 1.0, "weight": 0}, {"v": 0.5, "r": 1.0, "weight": 1.0}]})), [], {},
+     "config error: model.kernel: atom weights must be positive and finite"),
+    (dict(LLN_CONFIG, model=dict(ATOMS_MODEL, kernel={"kind": "atoms", "atoms": [
+        {"v": -0.5, "r": 1.0, "weight": -0.5}, {"v": 0.5, "r": 1.0, "weight": 1.5}]})), [], {},
+     "config error: model.kernel: atom weights must be positive and finite"),
+    (dict(LLN_CONFIG, model=dict(FLAT_MODEL, v_support=[2, 3])), [], {},
+     "config error: model: velocity support truncation leaves no mass"),
+    (dict(LLN_CONFIG, model=dict(FLAT_MODEL, mark={"kind": "constant", "value": math.inf})),
+     [], {},
+     "config error: model.mark: mark must be finite"),
 ], ids=["kernel-and-flat", "no-kernel", "atoms-outside-v_support", "schema_version",
         "negative-config-threads", "top-level-list", "override-without-value",
         "non-integer-seed-env", "unknown-flag", "constant-mark-1e308", "uniform-mark-1e308",
-        "negative-seed", "negative-seed-env", "boolean-schema_version"])
+        "negative-seed", "negative-seed-env", "boolean-schema_version", "negative-constant-rho",
+        "negative-piecewise-rho", "zero-atom-weight", "negative-atom-weight",
+        "v_support-outside-the-law", "infinite-mark"])
 def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv, env, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -918,6 +972,14 @@ def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv,
     assert main(["verify-lln", "--config", str(path), "--out", str(out), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
+
+
+def test_atoms_within_a_covering_v_support_report_their_hull(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(LLN_CONFIG, model=ATOMS_MODEL)))
+    out = tmp_path / "runs"
+    assert main(["verify-lln", "--config", str(path), "--out", str(out)]) in (0, 1)
+    assert report_of(out)["model"]["v_support"] == [-0.5, 0.5]
 
 
 def test_config_threads_leaves_the_report_unchanged(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 from hrfl.gaussian import covariance_matrix, distance
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint
-from hrfl.intensity import FrozenModel, QuadratureError
+from hrfl.hydro import phase_moment
+from hrfl.intensity import QuadratureError
 
 
 def pt(x, t):
@@ -80,16 +81,17 @@ def test_difference_covariance_identity(reference_model, rng):
 
 
 def test_frame_modes(reference_model):
-    # homogeneous base: the frozen frame, and the distances between
-    # translated points, coincide with the base
+    # homogeneous base: the distances between translated points, and the
+    # frozen frame's |a| times its m_2 phase moment, coincide with the base
     pts = (pt(0, 1), pt(1, 0))
     frame = pt(0.4, -0.3)
     base = covariance_matrix(reference_model, pts)
-    frozen = covariance_matrix(FrozenModel(reference_model, frame.x, frame.t), pts)
-    assert frozen == pytest.approx(base, abs=1e-8)
     for i, p in enumerate(pts):
         translated = distance(reference_model, frame, frame.translated(p.x, p.t))
         assert translated == pytest.approx(base[i, i], abs=1e-8)
+    for a in (1.0, -1.5):
+        frozen = abs(a) * phase_moment(reference_model, frame.x, frame.t, mark_power=2)
+        assert frozen == pytest.approx(distance(reference_model, ORIGIN, pt(a, 0)))
 
 
 def test_points_must_be_distinct(reference_model):

@@ -714,7 +714,10 @@ def test_phase_moment_is_exact_across_rho_edges():
 
     for x, t in np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2)):
         # the cell [a, b) of rho holds x - v t for v between (x - b) / t and (x - a) / t
-        want = 0.5 * sum(c * abs(cdf((x - a) / t) - cdf((x - b) / t))
-                         for a, b, c in zip(edges, edges[1:], values))
-        got = phase_moment(model, x, t)
-        assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)
+        cells = sum(c * abs(cdf((x - a) / t) - cdf((x - b) / t))
+                    for a, b, c in zip(edges, edges[1:], values))
+        # r = 0.5 weighs sigma by r and the frozen frame's hat rate by r**2
+        for mark_power, weight in ((1, 0.5), (2, 0.25)):
+            want = weight * cells
+            got = phase_moment(model, x, t, mark_power=mark_power)
+            assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)

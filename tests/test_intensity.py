@@ -9,7 +9,6 @@ from hrfl.intensity import (
     ConstantDensity,
     ConstantMark,
     DiscreteKernel,
-    FrozenModel,
     GaussianVelocity,
     IntensityModel,
     PiecewiseConstantDensity,
@@ -85,8 +84,7 @@ def _atom_cell_model():
 
 def test_sign_split_is_exact(reference_model, rng):
     piecewise = QUAD_MODELS["piecewise-rho"]()
-    models = [reference_model, QUAD_MODELS["gaussian"](), piecewise, _atom_cell_model(),
-              FrozenModel(piecewise, 0.4, 0.9)]
+    models = [reference_model, QUAD_MODELS["gaussian"](), piecewise, _atom_cell_model()]
     segs = [segment(*rng.uniform(-3, 3, size=4)) for _ in range(20)]
     segs += [segment(-0.5, 0.3, 1.0, 0.3), segment(1.0, -0.2, -0.5, -0.2)]  # dt = 0
     for model in models:
@@ -182,16 +180,6 @@ def test_distance_triangle_inequality(reference_model, rng):
         pts = [SpaceTimePoint(*rng.uniform(-2, 2, size=2)) for _ in range(3)]
         d = lambda p, q: reference_model.moment_on_crossing(2, Segment(p, q))
         assert d(pts[0], pts[2]) <= d(pts[0], pts[1]) + d(pts[1], pts[2]) + 1e-9
-
-
-def test_frozen_of_homogeneous_is_identity(reference_model, rng):
-    frozen = FrozenModel(reference_model, 1.3, -0.4)
-    for _ in range(10):
-        seg = segment(*rng.uniform(-2, 2, size=4))
-        if seg.is_degenerate:
-            continue
-        assert frozen.moment_on_crossing(2, seg) == pytest.approx(
-            reference_model.moment_on_crossing(2, seg), rel=1e-9, abs=1e-12)
 
 
 def test_translated_density_follows_pushforward():
@@ -619,14 +607,12 @@ def _piecewise_gauss_legendre(f, breaks, n=40):
 
 
 def test_crossing_moments_are_exact_across_rho_edges():
-    # the crossing interval's ends x - v t meet a rho edge e at v = (x - e) / t,
-    # and the frozen density rho(z - v s) jumps at v = (z - e) / s; the
-    # reference integrates between all of these kinks
+    # the crossing interval's ends x - v t meet a rho edge e at v = (x - e) / t;
+    # the reference integrates between all of these kinks
     model = _kinked_model()
     rng = np.random.default_rng(7)
     pairs = [(segment(*rng.uniform(-2, 2, 4)), segment(*rng.uniform(-2, 2, 4)))
              for _ in range(12)]
-    frozen = FrozenModel(model, 0.4, 0.9)
 
     def interval(v, seg):
         pa, pb = seg.a.x - v * seg.a.t, seg.b.x - v * seg.b.t
@@ -636,7 +622,6 @@ def test_crossing_moments_are_exact_across_rho_edges():
         ends = [seg1.a, seg1.b, seg2.a, seg2.b]
         breaks = [(p.x - q.x) / (p.t - q.t) for p in ends for q in ends if p.t != q.t]
         breaks += [(p.x - e) / p.t for p in ends if p.t for e in KINKED_EDGES]
-        breaks += [(0.4 - e) / 0.9 for e in KINKED_EDGES]
         if seg1.b.t != seg1.a.t:                     # seg1's orientation flips
             breaks.append((seg1.b.x - seg1.a.x) / (seg1.b.t - seg1.a.t))
 
@@ -649,17 +634,8 @@ def test_crossing_moments_are_exact_across_rho_edges():
             dx, dt = seg1.b.x - seg1.a.x, seg1.b.t - seg1.a.t
             return _kinked_pdf(v) * _kinked_rho_mass(lo, hi) * (dx - v * dt > 0.0)
 
-        def frozen_plus(v):
-            lo, hi = interval(v, seg1)
-            dx, dt = seg1.b.x - seg1.a.x, seg1.b.t - seg1.a.t
-            pos = 0.4 - 0.9 * v
-            rho = sum(c for a, b, c in zip(KINKED_EDGES, KINKED_EDGES[1:], KINKED_VALUES)
-                      if a <= pos < b)
-            return _kinked_pdf(v) * (hi - lo) * rho * (dx - v * dt > 0.0)
-
         for got, f in ((model.moment_intersection(0, seg1, seg2), both),
-                       (model.moment_on_crossing(0, seg1, "plus"), plus),
-                       (frozen.moment_on_crossing(0, seg1, "plus"), frozen_plus)):
+                       (model.moment_on_crossing(0, seg1, "plus"), plus)):
             want = _piecewise_gauss_legendre(f, breaks)
             assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)
 

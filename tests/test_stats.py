@@ -1,5 +1,9 @@
+import json
 import math
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +294,40 @@ def test_euler_battery_origin_auto_passes(reference_model):
                                  1e-1, 50, seed=1)
     assert rep.verdict
     assert rep.statistics[0].mean == 0.0 and rep.statistics[0].z == 0.0
+
+
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+from hrfl.geometry import SpaceTimePoint
+from hrfl.intensity import ConstantDensity, ConstantMark, IntensityModel, ProductKernel, \\
+    UniformVelocity
+from hrfl.stats import diffusive_test, euler_fluctuation_test
+
+t = tracer.Tracer()
+tracer.install(t)
+model = IntensityModel(ConstantDensity(1.0),
+                       ProductKernel(UniformVelocity(-1.0, 1.0), ConstantMark(1.0)))
+points = [SpaceTimePoint(*p) for p in ((0, 1), (0, 2), (1, 0), (2, 0))]
+euler_fluctuation_test(model, points, 0.05, 5, 1, quasiparticle=(0.5, 0.5, 1.0),
+                       mass_point=(1.0, 0.5))
+euler = (t.counts["field.calls"], t.counts["hydro.mass.calls"])
+diffusive_test(model, 0.05, 5, 1)
+print(json.dumps({"euler": euler, "diffusive": t.counts["field.calls"] - euler[0],
+                  "spot_check": tracer.spot_check(t)}))
+"""
+
+
+def test_benchmark_tracer_still_wraps_the_names_it_counts():
+    # batterybench/tracer.py replaces hrfl functions by name; a renamed or
+    # rerouted one would silently drop out of the benchmark's counts.  The
+    # child process keeps the monkeypatching out of this one.
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "src"),
+                          str(root / "batterybench")],
+                         check=True, capture_output=True, text=True)
+    got = json.loads(out.stdout)
+    # 5 replicas of 6 field points (4 points and the tagged rod's 2 ends), 5
+    # empirical masses and 1 limit mass; then 5 x (5 tagged rods + 8 frame fields)
+    assert got == {"euler": [30, 6], "diffusive": 65, "spot_check": [7, 0]}
