@@ -62,11 +62,8 @@ def limit_field(model, b: SpaceTimePoint) -> float:
 
 
 def limit_field_difference(model, a: SpaceTimePoint, b: SpaceTimePoint) -> float:
-    seg = Segment(a, b)
-    if seg.is_degenerate:
-        return 0.0
-    return (model.moment_on_crossing(1, seg, "plus")
-            - model.moment_on_crossing(1, seg, "minus"))
+    """mu_1(ab+) - mu_1(ab-), one signed velocity integral."""
+    return model.moment_on_crossing(1, Segment(a, b), "net")
 
 
 def frame_surface(config: SampledConfiguration, frame: SpaceTimePoint,

@@ -8,8 +8,8 @@ construction.
 The right half-plane of a line is closed: a point ``(px, pt)`` lies right
 of ``(x, v)`` iff ``x + pt*v <= px``.  A segment ``ab`` is crossed with
 orientation Plus when ``a`` is strictly left and ``b`` right, Minus in the
-reversed case; :mod:`hrfl.field` and :mod:`hrfl.sampler` apply this rule to
-whole arrays of sampled lines.  Points exactly on a line follow the
+reversed case; :mod:`hrfl.field` applies this rule to whole arrays of
+sampled lines.  Points exactly on a line follow the
 closed-right convention; such coincidences have measure zero under every
 continuous intensity and are accepted rather than resolved by exact
 arithmetic.

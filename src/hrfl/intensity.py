@@ -6,19 +6,20 @@ probability measure.  The k-th moment measure weights the base measure by
 ``r**k``.  The quantities that parametrize every limit theorem in this
 package are moment masses of crossing sets: for a segment ``ab``,
 
-    moment_on_crossing(k, ab, sign)     ~  mu_k(ab), mu_k(ab+), mu_k(ab-)
+    moment_on_crossing(k, ab, "both")   ~  mu_k(ab) = mu_k(ab+) + mu_k(ab-)
+    moment_on_crossing(k, ab, "net")    ~  mu_k(ab+) - mu_k(ab-)
     moment_intersection(k, ab, cd)      ~  mu_k(ab intersect cd)
 
-Both reduce to a one-dimensional velocity integral of ``rho``-masses over
-the crossing interval of :func:`hrfl.geometry.crossing_interval`.  A line
-of velocity v crosses ``ab`` Plus when ``dx - v*dt > 0`` and Minus when it
-is negative, so each orientation lives on one side of ``v* = dx/dt``.  A
-Plus or Minus mass integrates over its side of ``v*`` an integrand that is
-0 unless the sign matches, and ``both`` is their sum, so the sign split is
-exact by construction; an atom at ``v*`` itself crosses in neither
-direction.  The translated frame of the diffusive limits at a space-time
-point (z, s) is the base model on the segment translated by (z, s); the
-frozen frame enters only through the phase moment of :mod:`hrfl.hydro`.
+Each is one velocity integral of ``rho``-masses over the velocity support.
+A line of velocity v crosses ``ab`` when its intercept lies between the
+pivots ``a.x - v*a.t`` and ``b.x - v*b.t``: Plus when the pivot of b lies
+right of the pivot of a (``dx - v*dt > 0``), Minus when it lies left.
+``both`` integrates the mass between the pivots and ``net`` negates it where
+the pivot of b lies left; they swap at the break point ``v* = dx/dt``, where
+an atom crosses in neither direction.  The translated frame of the
+diffusive limits at (z, s) is the base model on the segment translated by
+(z, s); the frozen frame enters only through the phase moment of
+:mod:`hrfl.hydro`.
 
 Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
 rule, :func:`velocity_integral`.  The integrand maps an array of velocities
@@ -775,7 +776,7 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
 
 
 class _CrossingMoments:
-    """Shared Plus/Minus/Both and intersection machinery.
+    """Shared crossing and intersection machinery.
 
     Subclasses provide ``kernel``, ``v_support``, ``x_mass(v, k, lo, hi)``,
     the m_k mass at velocity v of the intercepts in [lo, hi], elementwise
@@ -784,39 +785,22 @@ class _CrossingMoments:
     """
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
-        """mu_k of the set of lines crossing seg with the given orientation."""
+        """mu_k(ab) of the lines crossing seg = ab ("both"), or mu_k(ab+) - mu_k(ab-) ("net")."""
         if k not in _MOMENT_ORDERS:
             raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
-        if sign not in ("plus", "minus", "both"):
-            raise ValueError("sign must be 'plus', 'minus' or 'both'")
+        if sign not in ("both", "net"):
+            raise ValueError("sign must be 'both' or 'net'")
         if seg.is_degenerate:
             return 0.0
-        if sign == "both":
-            return (self._oriented_moment(k, seg, "plus")
-                    + self._oriented_moment(k, seg, "minus"))
-        return self._oriented_moment(k, seg, sign)
-
-    def _oriented_moment(self, k: int, seg: Segment, sign: str) -> float:
-        # lines of velocity v cross seg Plus where dx - v*dt > 0 and Minus
-        # where it is negative: one side of v* = dx/dt, or all v when dt = 0
-        dx = seg.b.x - seg.a.x
-        dt = seg.b.t - seg.a.t
-        plus = sign == "plus"
-        lo, hi = self.v_support
-        if dt == 0.0:
-            if (dx > 0.0) != plus:
-                return 0.0
-        elif (dt > 0.0) == plus:
-            hi = min(dx / dt, hi)
-        else:
-            lo = max(dx / dt, lo)
+        # the pivots swap sides, and the mass kinks, at v* = dx/dt
+        dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
+        kinks = self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
 
         def f(v):
-            s = dx - v * dt
             mass = self.x_mass(v, k, *crossing_interval(v, seg))
-            return np.where(s > 0.0 if plus else s < 0.0, mass, 0.0)
+            return np.where(dx - v * dt < 0.0, -mass, mass) if sign == "net" else mass
 
-        return float(velocity_integral(self.kernel, f, lo, hi, self._kinks(seg)))
+        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
         """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""

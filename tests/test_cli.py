@@ -767,6 +767,20 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
         check(nq=513, nt=513, refinements=None)
 
 
+def test_ghd_node_cap_reads_the_refinements_default_off_the_runner(monkeypatch):
+    # the default lives in residual_refinement's signature; the cap counts
+    # the levels that the runner would compute, whatever that default is
+    from hrfl import hydro
+    from hrfl.config import validate_config
+
+    monkeypatch.setattr(hydro.residual_refinement, "__defaults__", (1,))
+    exp = {k: v for k, v in dict(GHD_EXPERIMENT, nq=513, nt=513).items()
+           if k != "refinements"}
+    fields = validate_config({"schema_version": 1, "model": BUMP_ATOMS_MODEL,
+                              "experiment": exp}, "ghd-residual")
+    assert "refinements" not in fields and fields["nq"] == fields["nt"] == 513
+
+
 SPEED_2_KERNEL = dict(HOMOGENEOUS_MODEL["kernel"],
                       velocity={"kind": "uniform", "lo": -2.0, "hi": 2.0})
 # rods on [-5, 5] that leave the core [-6, 6] by t = 100
@@ -1022,13 +1036,15 @@ def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, q_range=[-1e300, 1e300]),
                        model=BUMP_ATOMS_MODEL)
     out = tmp_path / "runs"
-    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    with pytest.warns(UserWarning, match="excluding"):
+        assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config.experiment.q_range: " in capsys.readouterr().err
     # with more nodes some columns stay, and the vanishing residual is a
     # complete strict-JSON report
     cfg = write_config(tmp_path, dict(GHD_EXPERIMENT, q_range=[-1e300, 1e300], nq=41),
                        model=BUMP_ATOMS_MODEL, name="wide.json")
-    code = main(["ghd-residual", "--config", str(cfg), "--out", str(out)])
+    with pytest.warns(UserWarning, match="excluding"):
+        code = main(["ghd-residual", "--config", str(cfg), "--out", str(out)])
     rep = _strict_json(next(out.glob("*/report.json")))
     assert code == (0 if rep["verdict"] == "pass" else 1)
 
@@ -1055,7 +1071,8 @@ def test_ghd_grid_without_a_kept_column_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "ghd-residual", "q_range": [-0.2, 0.2],
                                   "t_range": [0.05, 0.15], "nq": 5, "nt": 3}, model=model)
     out = tmp_path / "runs"
-    assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
+    with pytest.warns(UserWarning, match="excluding"):
+        assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config.experiment.q_range: " in capsys.readouterr().err
     assert not list(out.glob("*/report.json"))
 
@@ -1169,16 +1186,48 @@ def test_any_replaced_field_is_valid_or_a_config_error(name, data):
         assert re.match(r"(config|model)[.:]", str(exc)), str(exc)
 
 
+def readme_config_fields(text: str) -> set:
+    """The (kind, field) pairs of the table rows under a ``| kind | field | ...`` header.
+
+    Cells are split on unescaped pipes only, so ``\\|`` stays inside its cell;
+    the table ends at the first line that is not a table row.
+    """
+    fields, inside = set(), False
+    for line in text.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if cells[:2] == ["kind", "field"]:
+            inside = True
+        elif inside and not line.startswith("|"):
+            inside = False
+        elif inside and cells[0].startswith("`"):
+            fields |= {(cells[0].strip("`"), name.strip("`")) for name in cells[1].split(", ")}
+    return fields
+
+
+def test_readme_field_parser_reads_only_the_config_table_and_keeps_escaped_pipes():
+    # a module row with two escaped pipes splits into four cells on a bare
+    # pipe, as a config row does; a config row with one splits into five
+    text = "\n".join([
+        "| module | contents |",
+        "|--------|----------|",
+        "| `intensity` | `kappa(dv \\| x)` and `p(v \\| x)` |",
+        "",
+        "| kind | field | type / range | required or default |",
+        "|------|-------|--------------|---------------------|",
+        "| `rho: piecewise` | `values` | one per cell `[lo \\| hi)` | required |",
+        "| `mark: uniform` | `lo`, `hi` | finite numbers | required |",
+        "",
+        "| `after` | `the table` | a | b |",
+    ])
+    assert readme_config_fields(text) == {("rho: piecewise", "values"),
+                                          ("mark: uniform", "lo"), ("mark: uniform", "hi")}
+
+
 def test_readme_field_table_matches_the_schema():
     from hrfl.config import _MODEL, SCHEMA
 
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    documented = set()
-    for line in readme.read_text().splitlines():
-        cells = [c.strip() for c in line.split("|")[1:-1]]
-        if len(cells) == 4 and cells[0].startswith("`"):
-            for name in cells[1].split(", "):
-                documented.add((cells[0].strip("`"), name.strip("`")))
+    documented = readme_config_fields(readme.read_text())
     coded = {("model", name) for name in _MODEL}
     for table, kinds in SCHEMA.items():
         for kind, (_, fields) in kinds.items():

@@ -28,8 +28,8 @@ def mc_crossing_moment(model, k, seg, sign, rng, n=400_000):
     """Independent rejection-count oracle for crossing moments.
 
     Draws lines uniformly on the window able to reach the segment and
-    counts r^k over crossings with the requested orientation, rescaled by
-    the window mass.
+    counts r^k over its crossings, "both" orientations or Plus minus Minus
+    for "net", rescaled by the window mass.
     """
     tmax = max(abs(seg.a.t), abs(seg.b.t))
     lo = min(seg.a.x, seg.b.x) - model.max_speed * tmax - 0.1
@@ -41,7 +41,7 @@ def mc_crossing_moment(model, k, seg, sign, rng, n=400_000):
     pb = xs + seg.b.t * vs <= seg.b.x
     plus = ~pa & pb
     minus = pa & ~pb
-    take = {"plus": plus, "minus": minus, "both": plus | minus}[sign]
+    take = {"net": plus.astype(float) - minus, "both": plus | minus}[sign]
     vals = rs**k * take
     est = mass * float(np.mean(vals))
     se = mass * float(np.std(vals)) / math.sqrt(n)
@@ -55,7 +55,9 @@ def mc_crossing_moment(model, k, seg, sign, rng, n=400_000):
         (2, segment(0, 0, 0, 1), "both", 0.5),    # int |v t| / 2 dv = t/2
         (2, segment(0, 0, 0, 2), "both", 1.0),
         (2, segment(0, 0, 2, 0), "both", 2.0),    # int |x| / 2 dv = |x|
-        (1, segment(0, 0, 0, 1), "plus", 0.25),   # only v < 0: int |v|/2 = 1/4
+        # Plus for v < 1/2: int (1/2 - v) / 2 = 9/16; Minus for v > 1/2: 1/16
+        (1, segment(0, 0, 0.5, 1), "net", 0.5),
+        (1, segment(0, 0, 0.5, 1), "both", 0.625),
     ],
 )
 def test_reference_moments(reference_model, k, seg, sign, expected):
@@ -65,7 +67,7 @@ def test_reference_moments(reference_model, k, seg, sign, expected):
 
 def test_reference_moments_against_mc_oracle(reference_model, rng):
     for k, seg, sign in [(2, segment(0, 0, 0, 1), "both"),
-                         (1, segment(0, 0, 0, 1), "plus"),
+                         (1, segment(0, 0, 0.5, 1), "net"),
                          (2, segment(-0.3, 0.2, 0.9, -0.7), "both")]:
         quad = reference_model.moment_on_crossing(k, seg, sign)
         est, se = mc_crossing_moment(reference_model, k, seg, sign, rng)
@@ -76,6 +78,26 @@ def test_degenerate_segment_moment_is_zero(reference_model):
     assert reference_model.moment_on_crossing(2, segment(1, 1, 1, 1)) == 0.0
 
 
+def test_each_crossing_moment_is_one_velocity_integral(reference_model, monkeypatch):
+    calls = []
+    rule = intensity.velocity_integral
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(intensity, "velocity_integral", counted)
+    seg = segment(0, 0, 0.5, 1)
+    for sign in ("net", "both"):
+        reference_model.moment_on_crossing(1, seg, sign)
+    assert len(calls) == 2
+    # over the whole velocity support, with v* = dx/dt among the break points
+    assert all(args[2:4] == (-1.0, 1.0) and 0.5 in args[4] for args in calls)
+    for sign in ("plus", "minus", "Both", None):
+        with pytest.raises(ValueError, match="sign must be 'both' or 'net'"):
+            reference_model.moment_on_crossing(1, seg, sign)
+
+
 def _atom_cell_model():
     kern = PiecewiseKernel([(-3.0, 0.0, DiscreteKernel([(-0.5, 0.4, 0.3), (0.8, 1.2, 0.7)])),
                             (0.0, 3.0, DiscreteKernel([(0.8, 0.6, 1.0)]))])
@@ -83,31 +105,44 @@ def _atom_cell_model():
 
 
 def test_sign_split_is_exact(reference_model, rng):
+    # reversing ab swaps Plus and Minus: net flips and both stays, bit for
+    # bit; where every velocity crosses one way (dt = 0, or v* = dx/dt off
+    # the velocity support) net is +-both, and elsewhere Plus and Minus,
+    # (both +- net) / 2, are both >= 0
     piecewise = QUAD_MODELS["piecewise-rho"]()
     models = [reference_model, QUAD_MODELS["gaussian"](), piecewise, _atom_cell_model()]
     segs = [segment(*rng.uniform(-3, 3, size=4)) for _ in range(20)]
-    segs += [segment(-0.5, 0.3, 1.0, 0.3), segment(1.0, -0.2, -0.5, -0.2)]  # dt = 0
+    segs += [segment(-0.5, 0.3, 1.0, 0.3), segment(1.0, -0.2, -0.5, -0.2),  # dt = 0
+             segment(0.0, 0.0, 2.5, 0.5), segment(0.0, 0.0, 2.5, -0.5)]     # v* = +-5
     for model in models:
+        lo, hi = model.v_support
         for seg in segs:
             if seg.is_degenerate:
                 continue
+            dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
             for k in (0, 1, 2):
-                p = model.moment_on_crossing(k, seg, "plus")
-                m = model.moment_on_crossing(k, seg, "minus")
-                assert p + m == model.moment_on_crossing(k, seg, "both")
+                net = model.moment_on_crossing(k, seg, "net")
+                both = model.moment_on_crossing(k, seg, "both")
+                assert model.moment_on_crossing(k, Segment(seg.b, seg.a), "net") == -net
+                assert model.moment_on_crossing(k, Segment(seg.b, seg.a), "both") == both
+                if dt == 0.0 or not lo < dx / dt < hi:
+                    # the sign of dx - v dt anywhere inside the support
+                    assert net == math.copysign(both, dx - 0.5 * (lo + hi) * dt)
+                else:
+                    assert abs(net) <= both + 2 * QUAD_ABS_TOL
 
 
 def test_atom_at_the_orientation_velocity_crosses_neither_way():
     # v* = dx/dt = 0.5: a line of velocity 0.5 runs along the segment
     seg = segment(0.0, 0.0, 0.5, 1.0)
     along = IntensityModel(ConstantDensity(1.0), DiscreteKernel([(0.5, 1.0, 1.0)]))
-    for sign in ("plus", "minus", "both"):
+    for sign in ("net", "both"):
         assert along.moment_on_crossing(1, seg, sign) == 0.0
-    # beside it, the atom at -0.5 crosses Plus on the intercepts [0, 1]
+    # beside it, the atom at -0.5 crosses Plus on the intercepts [0, 1]: net
+    # equal to both means Plus 1 and Minus 0
     pair = IntensityModel(ConstantDensity(1.0),
                           DiscreteKernel([(0.5, 1.0, 0.5), (-0.5, 2.0, 0.5)]))
-    assert pair.moment_on_crossing(1, seg, "minus") == 0.0
-    assert pair.moment_on_crossing(1, seg, "plus") == 1.0
+    assert pair.moment_on_crossing(1, seg, "net") == 1.0
     assert pair.moment_on_crossing(1, seg, "both") == 1.0
 
 
@@ -117,11 +152,12 @@ def test_single_atom_kernel_counts_its_atom():
     model = IntensityModel(ConstantDensity(2.0), DiscreteKernel([(0.5, 1.5, 1.0)]))
     assert model.v_support == (0.5, 0.5)
     seg = segment(0.0, 0.0, 0.0, 1.0)
-    assert model.moment_on_crossing(2, seg, "minus") == pytest.approx(2.0 * 0.5 * 1.5**2)
-    assert model.moment_on_crossing(2, seg, "plus") == 0.0
-    assert model.moment_on_crossing(2, seg, "both") == model.moment_on_crossing(
-        2, seg, "minus")
-    assert model.moment_on_crossing(0, segment(1.0, 0.0, 0.0, 0.0), "minus") == 2.0
+    # all Minus: net is -both, so Plus is 0
+    assert model.moment_on_crossing(2, seg, "both") == pytest.approx(2.0 * 0.5 * 1.5**2)
+    assert model.moment_on_crossing(2, seg, "net") == -model.moment_on_crossing(
+        2, seg, "both")
+    assert model.moment_on_crossing(0, segment(1.0, 0.0, 0.0, 0.0), "net") == -2.0
+    assert model.moment_on_crossing(0, segment(1.0, 0.0, 0.0, 0.0), "both") == 2.0
 
 
 def test_intersection_examples(reference_model):
@@ -269,7 +305,7 @@ def test_two_continuous_cells_give_the_model_its_hull_signs_and_moments():
         # cell 2 once v > x0 and v - x0 in cell 1
         plus = w2 * a2 ** 2 / 2
         minus = w1 * (b1 - x0) ** 2 / 2 + w2 * (x0 ** 2 / 2 + x0 * (b2 - x0))
-        for sign, want in (("plus", plus), ("minus", minus), ("both", plus + minus)):
+        for sign, want in (("net", plus - minus), ("both", plus + minus)):
             got = m.moment_on_crossing(k, seg, sign)
             assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want), (k, sign)
 
@@ -461,7 +497,7 @@ def test_crossing_moments_agree_with_scipy_quad(name, rng, monkeypatch):
         out = []
         for s1, s2 in zip(segs, segs[1:]):
             out += [model.moment_on_crossing(k, s1, sign)
-                    for k, sign in ((0, "plus"), (1, "minus"), (2, "both"))]
+                    for k, sign in ((0, "net"), (1, "net"), (2, "both"))]
             out.append(model.moment_intersection(1, s1, s2))
         return np.array(out)
 
@@ -629,13 +665,14 @@ def test_crossing_moments_are_exact_across_rho_edges():
             (lo1, hi1), (lo2, hi2) = interval(v, seg1), interval(v, seg2)
             return _kinked_pdf(v) * _kinked_rho_mass(max(lo1, lo2), min(hi1, hi2))
 
-        def plus(v):
+        def net(v):
+            # Plus where dx - v dt > 0, Minus where it is < 0
             lo, hi = interval(v, seg1)
             dx, dt = seg1.b.x - seg1.a.x, seg1.b.t - seg1.a.t
-            return _kinked_pdf(v) * _kinked_rho_mass(lo, hi) * (dx - v * dt > 0.0)
+            return _kinked_pdf(v) * _kinked_rho_mass(lo, hi) * float(np.sign(dx - v * dt))
 
         for got, f in ((model.moment_intersection(0, seg1, seg2), both),
-                       (model.moment_on_crossing(0, seg1, "plus"), plus)):
+                       (model.moment_on_crossing(0, seg1, "net"), net)):
             want = _piecewise_gauss_legendre(f, breaks)
             assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)
 

@@ -312,7 +312,7 @@ model = IntensityModel(ConstantDensity(1.0),
 points = [SpaceTimePoint(*p) for p in ((0, 1), (0, 2), (1, 0), (2, 0))]
 euler_fluctuation_test(model, points, 0.05, 5, 1, quasiparticle=(0.5, 0.5, 1.0),
                        mass_point=(1.0, 0.5))
-euler = (t.counts["field.calls"], t.counts["hydro.mass.calls"])
+euler = (t.counts["field.calls"], t.counts["hydro.mass.calls"], t.counts["intensity.calls"])
 diffusive_test(model, 0.05, 5, 1)
 print(json.dumps({"euler": euler, "diffusive": t.counts["field.calls"] - euler[0],
                   "spot_check": tracer.spot_check(t)}))
@@ -329,5 +329,8 @@ def test_benchmark_tracer_still_wraps_the_names_it_counts():
                          check=True, capture_output=True, text=True)
     got = json.loads(out.stdout)
     # 5 replicas of 6 field points (4 points and the tagged rod's 2 ends), 5
-    # empirical masses and 1 limit mass; then 5 x (5 tagged rods + 8 frame fields)
-    assert got == {"euler": [30, 6], "diffusive": 65, "spot_check": [7, 0]}
+    # empirical masses and 1 limit mass; 21 crossing moments, one per limit
+    # value (the 6 field points and the limit mass's 2) and 13 distances (10
+    # for the 4-point covariance, 3 tagged-rod and mass variances); then
+    # 5 x (5 tagged rods + 8 frame fields)
+    assert got == {"euler": [30, 6, 21], "diffusive": 65, "spot_check": [7, 0]}
