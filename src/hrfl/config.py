@@ -16,7 +16,6 @@ so each default lives in the signature of the function that receives them.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import SpaceTimePoint
-from .hydro import GRID_NODE_CAP, residual_refinement
+from .hydro import GRID_NODE_CAP, RESIDUAL_REFINEMENTS
 from .intensity import (
     ConstantDensity,
     ConstantMark,
@@ -408,8 +407,8 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
     fields = _walk(body, path, dict, SCHEMA["experiment"][kind][1])
     # the cross-field checks: epsilon is one of the epsilons that run, times
     # and grid axes lie inside the region, and the sample-field grid and the
-    # residual grid levels (the refinements given, else residual_refinement's
-    # default) together hold at most GRID_NODE_CAP nodes
+    # residual grid levels (the refinements given, else RESIDUAL_REFINEMENTS)
+    # together hold at most GRID_NODE_CAP nodes
     epsilon, epsilons = fields.get("epsilon"), fields.get("epsilons")
     if epsilon is not None and epsilons is not None and epsilon not in epsilons:
         raise ConfigError(f"{path}.epsilon: expected one of epsilons {epsilons}, "
@@ -432,8 +431,8 @@ def validate_config(cfg: dict, expected_kind: str) -> dict:
         raise ConfigError(f"{path}.grid: the x and t axes hold {grid_nodes} nodes, over "
                           f"the cap of {GRID_NODE_CAP}; lower n")
     nodes = 0
-    default = inspect.signature(residual_refinement).parameters["refinements"].default
-    for k in range(fields.get("refinements", default) + 1) if kind == "ghd-residual" else ():
+    levels = fields.get("refinements", RESIDUAL_REFINEMENTS) + 1 if kind == "ghd-residual" else 0
+    for k in range(levels):
         nodes += ((fields["nq"] - 1) * 2 ** k + 1) * ((fields["nt"] - 1) * 2 ** k + 1)
         if nodes > GRID_NODE_CAP:
             raise ConfigError(f"{path}: grid levels 0 to {k} hold {nodes} nodes, over the "

@@ -57,6 +57,8 @@ MAX_INVERSE_STEPS = 100
 # most nodes of all residual_refinement levels together that a config may ask for
 BLOCK_NODES = 16_384
 GRID_NODE_CAP = 2 ** 22
+# residual_refinement's default, which the config node cap counts too
+RESIDUAL_REFINEMENTS = 2
 
 
 def _require_rod_model(model) -> None:
@@ -354,7 +356,8 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
 
 
 def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: int,
-                        refinements: int = 2) -> tuple[list[GhdResidual], list[float]]:
+                        refinements: int = RESIDUAL_REFINEMENTS,
+                        ) -> tuple[list[GhdResidual], list[float]]:
     """Residual grids over a fixed region, each halving the last one's spacing.
 
     Returns the residual of every level, base grid first, and the L2-norm

@@ -103,11 +103,12 @@ def _node_sum(weights, fv):
 
 
 def _gk21(f: Callable, a: float, b: float):
-    """The qk21 estimate of the integral of f over [a, b] and its error.
+    """The qk21 estimate of the integral of f over [a, b], its error and its rounding floor.
 
     f maps the 21 nodes, as one array, to an array with the node axis first.
     The error is QUADPACK's: the Kronrod-Gauss difference, rescaled by the
-    integrand's spread about its mean and floored at rounding level.
+    integrand's spread about its mean and floored at rounding level, 50 ulp
+    of the integral of |f|.
     """
     half = 0.5 * (b - a)
     fv = np.asarray(f(0.5 * (a + b) + half * _GK21_NODES), dtype=float)
@@ -117,7 +118,8 @@ def _gk21(f: Callable, a: float, b: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
     err = np.where((spread != 0.0) & (err != 0.0), scaled, err)
-    return kronrod * half, np.maximum(_EPS50 * _node_sum(_GK21_KRONROD, np.abs(fv)) * half, err)
+    floor = _EPS50 * _node_sum(_GK21_KRONROD, np.abs(fv)) * half
+    return kronrod * half, np.maximum(floor, err), floor
 
 
 def _fsum(parts):
@@ -133,8 +135,10 @@ def _quad(f: Callable, lo: float, hi: float, inner_points=()):
     returning (21,) gives a float and one returning (21, n) an (n,) array.
     The interval is first split at the inner points; then, as in QUADPACK's
     QAG, the subinterval with the largest qk21 error of any component is
-    bisected until the summed error of every component is at most
-    max(QUAD_ABS_TOL, QUAD_REL_TOL * |its integral|).  Needing more than
+    bisected until the summed error of every component, less its summed
+    rounding floor, is at most max(QUAD_ABS_TOL, QUAD_REL_TOL * |its
+    integral|): bisection cannot lower a floor, which for a signed integral
+    that cancels to near 0 may lie above that tolerance.  Needing more than
     QUAD_LIMIT subintervals, or a subinterval too short to bisect, is a
     QuadratureError that reports the largest error achieved.
     """
@@ -142,15 +146,14 @@ def _quad(f: Callable, lo: float, hi: float, inner_points=()):
         return 0.0
     inner = np.asarray(inner_points, dtype=float)
     edges = [lo, *sorted(set(inner[(lo < inner) & (inner < hi)].tolist())), hi]
-    panels = []               # a heap of (-largest error, a, b, estimate, error)
+    panels = []               # a heap of (-largest error, a, b, estimate, error, floor)
     new = list(zip(edges, edges[1:]))
     while True:
         for a, b in new:
-            value, err = _gk21(f, a, b)
-            heapq.heappush(panels, (-float(np.max(err, initial=0.0)), a, b, value, err))
-        value = _fsum([p[3] for p in panels])
-        err = _fsum([p[4] for p in panels])
-        if np.all(err <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(value))):
+            value, err, floor = _gk21(f, a, b)
+            heapq.heappush(panels, (-float(np.max(err, initial=0.0)), a, b, value, err, floor))
+        value, err, floor = (_fsum([p[i] for p in panels]) for i in (3, 4, 5))
+        if np.all(err - floor <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(value))):
             return value
         a, b = panels[0][1:3]
         mid = 0.5 * (a + b)

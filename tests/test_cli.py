@@ -748,7 +748,7 @@ def test_sample_field_node_cap_admits_its_bound():
 
 def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     from hrfl.config import ConfigError, validate_config
-    from hrfl.hydro import GRID_NODE_CAP
+    from hrfl.hydro import GRID_NODE_CAP, RESIDUAL_REFINEMENTS
 
     def check(**grid):
         exp = {k: v for k, v in dict(GHD_EXPERIMENT, **grid).items() if v is not None}
@@ -762,23 +762,10 @@ def test_ghd_node_cap_counts_every_level_and_admits_its_bound():
     with pytest.raises(ConfigError, match="levels 0 to 1 hold 4200778 nodes"):
         check(nq=917, nt=917, refinements=1)
     # 513^2 + 1025^2 nodes fit; the default of 2 refinements adds 2049^2
+    assert RESIDUAL_REFINEMENTS == 2
     assert check(nq=513, nt=513, refinements=1)["refinements"] == 1
     with pytest.raises(ConfigError, match="levels 0 to 2 hold 5512195 nodes"):
         check(nq=513, nt=513, refinements=None)
-
-
-def test_ghd_node_cap_reads_the_refinements_default_off_the_runner(monkeypatch):
-    # the default lives in residual_refinement's signature; the cap counts
-    # the levels that the runner would compute, whatever that default is
-    from hrfl import hydro
-    from hrfl.config import validate_config
-
-    monkeypatch.setattr(hydro.residual_refinement, "__defaults__", (1,))
-    exp = {k: v for k, v in dict(GHD_EXPERIMENT, nq=513, nt=513).items()
-           if k != "refinements"}
-    fields = validate_config({"schema_version": 1, "model": BUMP_ATOMS_MODEL,
-                              "experiment": exp}, "ghd-residual")
-    assert "refinements" not in fields and fields["nq"] == fields["nt"] == 513
 
 
 SPEED_2_KERNEL = dict(HOMOGENEOUS_MODEL["kernel"],

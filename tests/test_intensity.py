@@ -132,6 +132,27 @@ def test_sign_split_is_exact(reference_model, rng):
                     assert abs(net) <= both + 2 * QUAD_ABS_TOL
 
 
+def test_signed_integrals_converge_where_they_cancel():
+    # the rounding floor of a panel, 50 ulp of the integral of |f|, is
+    # 1.1e-10 here, over QUAD_ABS_TOL, and bisection cannot lower it
+    assert intensity._quad(lambda v: 1e4 * v, -1.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+    # on rho = 2e4, v ~ U[-1, 1], r = 1, Plus and Minus of (0, 0)-(dx, 1) are
+    # each about 5e3 and net is rho * dx; the signed m_1 mass of Z and pi
+    # cancel the same way at (0, 1)
+    from hrfl import hydro
+    from hrfl.field import limit_field
+
+    model = IntensityModel(ConstantDensity(2e4),
+                           ProductKernel(UniformVelocity(-1.0, 1.0), ConstantMark(1.0)))
+    for dx in (0.0, 1e-7):
+        seg = segment(0.0, 0.0, dx, 1.0)
+        assert model.moment_on_crossing(1, seg, "both") == pytest.approx(1e4, rel=1e-12)
+        assert model.moment_on_crossing(1, seg, "net") == pytest.approx(2e4 * dx, abs=1e-9)
+    assert limit_field(model, SpaceTimePoint(0.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
+    assert hydro.characteristic_map(model, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert hydro.phase_moment(model, 0.0, 1.0, v_power=1) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_atom_at_the_orientation_velocity_crosses_neither_way():
     # v* = dx/dt = 0.5: a line of velocity 0.5 runs along the segment
     seg = segment(0.0, 0.0, 0.5, 1.0)
