@@ -1,10 +1,11 @@
 """Marked Poisson line processes, multitime walk fields and hard-rod dynamics.
 
 The package simulates Poisson processes of ballistic lines in the space-time
-plane, evaluates the random surfaces they generate, runs hard-rod dynamics in
-two independent representations, and verifies the associated scaling limits
-(law of large numbers, Euler and diffusive fluctuations, hydrodynamic PDE
-residuals) by Monte Carlo statistics and finite differences.
+plane, evaluates the random surfaces they generate, runs hard-rod dynamics
+through three routes (surface, event and tagged frame), and verifies the
+associated scaling limits (law of large numbers, Euler and diffusive
+fluctuations, hydrodynamic PDE residuals) by Monte Carlo statistics and
+finite differences.
 """
 
 from . import field, gaussian, hardrod, hydro, stats

@@ -4,7 +4,7 @@ An ideal-gas configuration is a finite set of massless particles (x, v, r)
 moving ballistically.  The dilation with respect to a reference point z
 inserts each particle's mark as a rod length, mapping gas to a hard-rod
 configuration with no rod covering z; the contraction removes the lengths
-again.  The two evolution routes implemented here are
+again.  The three evolution routes implemented here are
 
 * the surface representation: the rod born from particle (x, v, r) sits at
   ``x + v t + m + j`` where m is the signed rod length between 0 and x and
@@ -17,12 +17,16 @@ again.  The two evolution routes implemented here are
   each adjacent pair (slot) has one scheduled contact time; each rod
   carries its own clock, the position and time of its last collision, so a
   collision touches only the colliding pair and reschedules only the two
-  neighbouring slots.
+  neighbouring slots, and
+
+* the tagged frame: the rods seen from a zero-length tracer started at the
+  origin are the dilation of the contracted gas after its free motion; the
+  tracer's displacement shifts them back.
 
 The mass is half-open, counting marks with ``z <= x < x_query``, and the
 flux takes the same rule: a particle at or past a line is on its right.
 So y = x + v t + m + j holds exactly, ties included, and points exactly at
-a boundary follow the formulas literally.  Both routes keep per-rod
+a boundary follow the formulas literally.  Every route keeps per-rod
 identity, so they can be compared rod by rod.
 """
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import limit_field, require_in_region, signed_mark_sum
+from .field import limit_field_difference, require_in_region, signed_mark_sum
 from .geometry import SpaceTimePoint
 from .intensity import IntensityModel, edge_velocities, velocity_integral
 from .sampler import SampledConfiguration
@@ -237,8 +237,7 @@ def effective_velocity(model: IntensityModel, q: float, v: float, t: float) -> f
 
 def limit_mass(model: IntensityModel, z: float, t: float) -> float:
     """Signed rod length between 0 and z under the time-t limit measure."""
-    return (limit_field(model, SpaceTimePoint(z, t))
-            - limit_field(model, SpaceTimePoint(0.0, t)))
+    return limit_field_difference(model, SpaceTimePoint(0.0, t), SpaceTimePoint(z, t))
 
 
 def empirical_mass(config: SampledConfiguration, z: float, t: float) -> float:
@@ -275,10 +274,11 @@ class GhdResidual:
 
     def to_csv(self, path) -> None:
         from .reporting import write_csv
-        ns, nt, nq = self.residual.shape
-        columns = (np.repeat(np.arange(ns), nt * nq), np.tile(np.repeat(self.t, nq), ns),
-                   np.tile(self.q, ns * nt), self.residual.ravel())
-        write_csv(path, ("species", "t", "q", "residual"), zip(*(c.tolist() for c in columns)))
+        q = self.q.tolist()
+        rows = ((s, tv, qv, r) for s in range(len(self.residual))
+                for j, tv in enumerate(self.t.tolist())
+                for qv, r in zip(q, self.residual[s, j].tolist()))
+        write_csv(path, ("species", "t", "q", "residual"), rows)
 
 
 def _excluded_q(model: IntensityModel, q, t, margin: float):

@@ -732,7 +732,7 @@ class PiecewiseKernel:
 
 
 # ---------------------------------------------------------------------------
-# the velocity rule and the crossing-moment machinery
+# the velocity rule and its break points
 # ---------------------------------------------------------------------------
 
 def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
@@ -778,55 +778,18 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
             for i, p in enumerate(ends) for q in ends[i + 1:] if p.t != q.t]
 
 
-class _CrossingMoments:
-    """Shared crossing and intersection machinery.
-
-    Subclasses provide ``kernel``, ``v_support``, ``x_mass(v, k, lo, hi)``,
-    the m_k mass at velocity v of the intercepts in [lo, hi], elementwise
-    over arrays, and ``_kinks(*segs)``, the velocities where the x-mass of
-    a crossing interval of segs kinks or jumps.
-    """
-
-    def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
-        """mu_k(ab) of the lines crossing seg = ab ("both"), or mu_k(ab+) - mu_k(ab-) ("net")."""
-        if k not in _MOMENT_ORDERS:
-            raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
-        if sign not in ("both", "net"):
-            raise ValueError("sign must be 'both' or 'net'")
-        if seg.is_degenerate:
-            return 0.0
-        # the pivots swap sides, and the mass kinks, at v* = dx/dt
-        dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
-        kinks = self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
-
-        def f(v):
-            mass = self.x_mass(v, k, *crossing_interval(v, seg))
-            return np.where(dx - v * dt < 0.0, -mass, mass) if sign == "net" else mass
-
-        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
-
-    def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
-        """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""
-        if k not in _MOMENT_ORDERS:
-            raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
-        if seg1.is_degenerate or seg2.is_degenerate:
-            return 0.0
-
-        def f(v):
-            lo1, hi1 = crossing_interval(v, seg1)
-            lo2, hi2 = crossing_interval(v, seg2)
-            return self.x_mass(v, k, np.maximum(lo1, lo2), np.minimum(hi1, hi2))
-
-        return float(velocity_integral(self.kernel, f, *self.v_support, np.concatenate(
-            [_pivot_crossing_velocities(seg1, seg2), self._kinks(seg1, seg2)])))
-
-
 # ---------------------------------------------------------------------------
 # the intensity model
 # ---------------------------------------------------------------------------
 
-class IntensityModel(_CrossingMoments):
-    """Measure rho(x) dx kappa(dv, dr | x) with finite velocity support."""
+class IntensityModel:
+    """Measure rho(x) dx kappa(dv, dr | x) with finite velocity support.
+
+    Its crossing moments are velocity integrals of ``x_mass(v, k, lo, hi)``,
+    the m_k mass at velocity v of the intercepts in [lo, hi], elementwise over
+    arrays, with ``_kinks(*segs)``, the velocities where a pivot of the
+    segments crosses an edge of rho or of the kernel's cells, as break points.
+    """
 
     def __init__(self, rho, kernel, v_support: tuple[float, float] | None = None):
         self.rho = rho
@@ -870,9 +833,47 @@ class IntensityModel(_CrossingMoments):
         ends = [p for seg in segs for p in (seg.a, seg.b)]
         return edge_velocities(self.edges, [p.x for p in ends], [p.t for p in ends])
 
+    def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
+        """mu_k(ab) of the lines crossing seg = ab ("both"), or mu_k(ab+) - mu_k(ab-) ("net")."""
+        if k not in _MOMENT_ORDERS:
+            raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
+        if sign not in ("both", "net"):
+            raise ValueError("sign must be 'both' or 'net'")
+        if seg.is_degenerate:
+            return 0.0
+        # the pivots swap sides, and the mass kinks, at v* = dx/dt
+        dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
+        kinks = self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
+
+        def f(v):
+            mass = self.x_mass(v, k, *crossing_interval(v, seg))
+            return np.where(dx - v * dt < 0.0, -mass, mass) if sign == "net" else mass
+
+        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
+
+    def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
+        """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""
+        if k not in _MOMENT_ORDERS:
+            raise ValueError(f"moment order must be one of {_MOMENT_ORDERS}")
+        if seg1.is_degenerate or seg2.is_degenerate:
+            return 0.0
+
+        def f(v):
+            lo1, hi1 = crossing_interval(v, seg1)
+            lo2, hi2 = crossing_interval(v, seg2)
+            return self.x_mass(v, k, np.maximum(lo1, lo2), np.minimum(hi1, hi2))
+
+        return float(velocity_integral(self.kernel, f, *self.v_support, np.concatenate(
+            [_pivot_crossing_velocities(seg1, seg2), self._kinks(seg1, seg2)])))
+
     def summary(self) -> dict:
         return {"rho": self.rho.summary(), "kernel": self.kernel.summary(),
                 "v_support": list(self.v_support),
                 "tail_mass_removed": max(cell.tail_mass_removed()
                                          for _, _, cell in self.kernel.cells),
                 "marks_nonnegative": self.marks_nonnegative}
+
+
+# batterybench/tracer.py wraps the crossing moments under this name; the alias
+# goes with the benchmark change of ROADMAP item 1
+_CrossingMoments = IntensityModel

@@ -296,8 +296,7 @@ def diffusive_test(model, epsilon: float, M: int, seed: int, t: float = 1.0,
     zo1_var_target = distance(model, ORIGIN, SpaceTimePoint(zv * t, t))
     # the limits of the four rods' places y + H and of the tracer's y + H - zv t/epsilon
     limits = [y + limit_field(model, b) for y, b in zip(ends[:4], eval_pts)]
-    limits.append(limit_field(model, eval_pts[4])
-                  - limit_field(model, SpaceTimePoint(zx, 0.0)))
+    limits.append(limit_field_difference(model, SpaceTimePoint(zx, 0.0), eval_pts[4]))
 
     def quasi(cfg):
         ys = [y + walk_field(cfg, b) for y, b in zip(ends, eval_pts)]

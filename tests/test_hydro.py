@@ -621,7 +621,7 @@ def test_ghd_residual_equals_a_per_row_reference_bitwise(model, monkeypatch):
 @pytest.mark.parametrize("model", [bump_two_velocity(), IntensityModel(
     INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"])], ids=["bump", "piecewise-rho"])
 def test_residual_csv_keeps_the_bytes_of_indexed_rows(model, tmp_path):
-    # to_csv writes tolist() columns; the file must equal rows that index
+    # to_csv writes tolist() values; the file must equal rows that index
     # the numpy arrays element by element, excluded q columns included
     from hrfl.reporting import write_csv
 
@@ -634,6 +634,33 @@ def test_residual_csv_keeps_the_bytes_of_indexed_rows(model, tmp_path):
     assert len(rows) >= 2 * 5 * 3
     write_csv(tmp_path / "indexed.csv", ("species", "t", "q", "residual"), rows)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "indexed.csv").read_bytes()
+
+
+def test_residual_csv_streams_its_rows(tmp_path):
+    # to_csv writes one (species, t) block at a time: the bytes of four whole
+    # tolist() columns, without holding them
+    import tracemalloc
+
+    from hrfl.hydro import GhdResidual
+    from hrfl.reporting import write_csv
+
+    rng = np.random.default_rng(11)
+    ns, nt, nq = 2, 100, 500
+    res = GhdResidual(q=np.linspace(-1.0, 1.0, nq), t=np.linspace(0.05, 0.45, nt),
+                      residual=rng.normal(size=(ns, nt, nq)) * 1e-3,
+                      max_norm=0.0, l2_norm=0.0, h_q=0.0, h_t=0.0)
+    columns = (np.repeat(np.arange(ns), nt * nq), np.tile(np.repeat(res.t, nq), ns),
+               np.tile(res.q, ns * nt), res.residual.ravel())
+    write_csv(tmp_path / "columns.csv", ("species", "t", "q", "residual"),
+              zip(*(c.tolist() for c in columns)))
+    tracemalloc.start()
+    try:
+        res.to_csv(tmp_path / "streamed.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+    assert peak < 2 * 2 ** 20
 
 
 def test_ghd_breakdown_names_the_grid_level_and_block(monkeypatch):
@@ -721,3 +748,32 @@ def test_phase_moment_is_exact_across_rho_edges():
             want = weight * cells
             got = phase_moment(model, x, t, mark_power=mark_power)
             assert abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * abs(want)
+
+
+def test_limit_mass_is_one_net_moment_of_the_two_moment_form(rng):
+    # the limit mass from 0 to z is one net crossing moment of (0, t)-(z, t);
+    # the reference keeps the form it replaced, two limit surfaces from the origin
+    from hrfl import intensity
+    from hrfl.field import limit_field
+    from hrfl.geometry import SpaceTimePoint
+
+    assert intensity._CrossingMoments is intensity.IntensityModel
+    models = {
+        "uniform-mark": IntensityModel(ConstantDensity(0.7), ProductKernel(
+            UniformVelocity(-1.0, 1.0), UniformMark(0.0, 2.0))),
+        "piecewise-gaussian": IntensityModel(
+            PiecewiseConstantDensity([-2.0, -0.5, 0.3, 1.5], [0.4, 1.2, 0.8]),
+            ProductKernel(GaussianVelocity(0.0, 0.8), ConstantMark(1.0)), v_support=(-2.0, 2.0)),
+        "bump-atoms": bump_two_velocity(),
+        "dense": IntensityModel(ConstantDensity(2e4), ProductKernel(
+            UniformVelocity(-1.0, 1.0), ConstantMark(1.0))),
+    }
+    points = [(float(z), float(t)) for z, t in rng.uniform(-3.0, 3.0, (40, 2))]
+    points += [(1.3, 0.0), (-0.8, 0.0), (-2.1, 0.6), (-0.4, -1.2)]
+    for name, model in models.items():
+        got = np.array([limit_mass(model, z, t) for z, t in points])
+        want = np.array([limit_field(model, SpaceTimePoint(z, t))
+                         - limit_field(model, SpaceTimePoint(0.0, t)) for z, t in points])
+        scale = np.abs(want).max()
+        assert scale > 0.0, name
+        assert np.abs(got - want).max() <= 1e-15 * scale, name

@@ -199,8 +199,7 @@ def test_diffusive_battery_columns_are_the_direct_field_values(reference_model):
                                 ends + [SpaceTimePoint(x, 0.0) for x, _ in starts])
     assert region.x_range[0] == zx          # the t = 0 starts widen part one's region
     lims = [y + limit_field(reference_model, b) for y, b in zip(ys, ends)]
-    j_lim = (limit_field(reference_model, ends[4])
-             - limit_field(reference_model, SpaceTimePoint(zx, 0.0)))
+    j_lim = limit_field_difference(reference_model, SpaceTimePoint(zx, 0.0), ends[4])
     quasi = []
     for i in range(M):
         cfg = sample(reference_model, eps, region, seed, stream_key=(0, i))
@@ -300,7 +299,10 @@ TRACED_RUN = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
 import tracer
+from workloads import BUMP_ATOMS_MODEL
+from hrfl.config import build_model
 from hrfl.geometry import SpaceTimePoint
+from hrfl.hydro import residual_refinement
 from hrfl.intensity import ConstantDensity, ConstantMark, IntensityModel, ProductKernel, \\
     UniformVelocity
 from hrfl.stats import diffusive_test, euler_fluctuation_test
@@ -312,9 +314,14 @@ model = IntensityModel(ConstantDensity(1.0),
 points = [SpaceTimePoint(*p) for p in ((0, 1), (0, 2), (1, 0), (2, 0))]
 euler_fluctuation_test(model, points, 0.05, 5, 1, quasiparticle=(0.5, 0.5, 1.0),
                        mass_point=(1.0, 0.5))
-euler = (t.counts["field.calls"], t.counts["hydro.mass.calls"], t.counts["intensity.calls"])
+count = lambda name: t.counts.get(name, 0)
+euler = (count("field.calls"), count("hydro.mass.calls"), count("intensity.calls"))
 diffusive_test(model, 0.05, 5, 1)
-print(json.dumps({"euler": euler, "diffusive": t.counts["field.calls"] - euler[0],
+diffusive = (count("field.calls") - euler[0], count("intensity.calls") - euler[2])
+residual_refinement(build_model(BUMP_ATOMS_MODEL), (-0.8, 0.8), (0.05, 0.45), 17, 9,
+                    refinements=2)
+ghd = (count("hydro.inverse.calls"), count("hydro.nodes"))
+print(json.dumps({"euler": euler, "diffusive": diffusive, "ghd": ghd,
                   "spot_check": tracer.spot_check(t)}))
 """
 
@@ -328,9 +335,14 @@ def test_benchmark_tracer_still_wraps_the_names_it_counts():
                           str(root / "batterybench")],
                          check=True, capture_output=True, text=True)
     got = json.loads(out.stdout)
-    # 5 replicas of 6 field points (4 points and the tagged rod's 2 ends), 5
-    # empirical masses and 1 limit mass; 21 crossing moments, one per limit
-    # value (the 6 field points and the limit mass's 2) and 13 distances (10
-    # for the 4-point covariance, 3 tagged-rod and mass variances); then
-    # 5 x (5 tagged rods + 8 frame fields)
-    assert got == {"euler": [30, 6, 21], "diffusive": 65, "spot_check": [7, 0]}
+    # Euler: 5 replicas of 6 field points (4 points and the tagged rod's 2
+    # ends), 5 empirical masses and 1 limit mass; 20 crossing moments, 7 for
+    # the limit values (the 6 field points and the limit mass) and 13 for
+    # the distances (10 for the 4-point covariance, 3 tagged-rod and mass
+    # variances).  Diffusive: 5 x (5 tagged rods + 8 frame fields) field
+    # values; 21 crossing moments, 5 for the rods' limits, 1 for the tracer's
+    # start mass, 8 for the frame limits, 1 same-velocity distance, 1
+    # intersection, 1 tracer variance and 4 tilde variances.  The ghd grid:
+    # one characteristic inverse per level, 153 + 561 + 2145 nodes.
+    assert got == {"euler": [30, 6, 20], "diffusive": [65, 21], "ghd": [3, 2859],
+                   "spot_check": [7, 0]}
