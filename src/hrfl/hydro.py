@@ -28,13 +28,17 @@ sigma, Z and Z^-1 accept a scalar or an array of positions; the rule's
 velocities, a qk21 panel's nodes or all the atom velocities at once, arrive
 as a column against the array, so one integrand call evaluates them at
 every position.  Z is x plus the signed m_1 mass between 0 and x - v t
-integrated over the velocity law.  Array and per-element calls return the
-same bits for atoms; for a continuous law the positions of one call share
-their panels, so they agree within the quadrature tolerance.  Since
-Z' = 1 + sigma >= 1, one evaluation s = Z(q) - q puts the root of Z(x) = q
-between q and q - s; Z^-1 runs a safeguarded Newton iteration on Z' from q
-inside that bracket, bisecting whenever a step would leave it.  t is one
-time or one per position, so the residual grid evaluates blocks of (t, q) nodes at once.
+integrated over the velocity law.  One pass of the rule may carry several
+integrands side by side: each Newton step of Z^-1 takes Z and sigma at its
+iterate from one pass, and ``_species_state`` takes sigma and pi from one.
+Array and per-element calls, and fused and separate integrands, return the
+same bits for atoms; for a continuous law the positions and integrands of
+one pass share their panels, so they agree within the quadrature tolerance.
+Since Z' = 1 + sigma >= 1, one evaluation s = Z(q) - q puts the root of
+Z(x) = q between q and q - s; Z^-1 runs a safeguarded Newton iteration on Z'
+from q inside that bracket, bisecting whenever a step would leave it.  t is
+one time or one per position, so the residual grid evaluates blocks of
+(t, q) nodes at once.
 """
 
 from __future__ import annotations
@@ -73,22 +77,43 @@ def _require_atoms(model, what: str) -> None:
             "are handled through integrated moments")
 
 
-def _over_positions(model: IntensityModel, integrand, x, t):
-    """The velocity rule of integrand(v, x - v t) at each position of x, a scalar or an array.
+def _over_positions(model: IntensityModel, x, t, *integrands):
+    """The velocity rule of each integrand(v, x - v t) at each position of x, in one pass.
 
-    t is one time or one time per position.  The velocities arrive as a
-    column against the flattened positions.
+    x is a scalar or an array, and t one time or one time per position.
+    The velocities arrive as a column against the flattened positions, and
+    the integrands' columns are laid side by side, so one call of the rule
+    serves them all.  Returns one result per integrand, shaped like x, or a
+    float for a scalar x.
     """
     y = np.asarray(x, dtype=float)
     flat = y.ravel()
     t = np.ravel(t) if np.ndim(t) else t
 
     def f(v):
-        return integrand(v[:, None], flat - v[:, None] * t)
+        v = v[:, None]
+        pos = flat - v * t
+        return np.concatenate([g(v, pos) for g in integrands], axis=1)
 
     out = velocity_integral(model.kernel, f, *model.v_support,
-                            edge_velocities(model.edges, flat, t))
-    return out.reshape(y.shape) if y.ndim else float(out[0])
+                            lambda: edge_velocities(model.edges, flat, t))
+    out = np.reshape(out, (len(integrands), *y.shape))
+    return tuple(out) if y.ndim else tuple(map(float, out))
+
+
+def _phase_density(model: IntensityModel, v_power: int, mark_power: int):
+    # r^k v^j against the phase density at velocity v and time-0 position pos
+    def f(v, pos):
+        return model.kernel.vk_density(v, mark_power, pos) * model.rho.value(pos) * v ** v_power
+    return f
+
+
+def _signed_m1_mass(model: IntensityModel):
+    # the m_1 x-mass at velocity v between 0 and y, negative where y < 0
+    def f(v, y):
+        mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
+        return np.where(y < 0.0, -mass, mass)
+    return f
 
 
 def phase_moment(model: IntensityModel, x, t, v_power: int = 0, mark_power: int = 1):
@@ -97,10 +122,7 @@ def phase_moment(model: IntensityModel, x, t, v_power: int = 0, mark_power: int 
     The time-t density at (x, v) is the time-0 density at x - v t.  k = 1 gives sigma
     and pi; k = 2 the frozen frame's hat variance at (x, t) per unit horizontal offset.
     """
-    def f(v, pos):
-        return model.kernel.vk_density(v, mark_power, pos) * model.rho.value(pos) * v ** v_power
-
-    return _over_positions(model, f, x, t)
+    return _over_positions(model, x, t, _phase_density(model, v_power, mark_power))[0]
 
 
 def sigma(model: IntensityModel, x, t):
@@ -112,13 +134,7 @@ def sigma(model: IntensityModel, x, t):
 def characteristic_map(model: IntensityModel, x, t):
     """Z(x, t) = x + H_limit(x, t), gas to rod position; x and t as in _over_positions."""
     _require_rod_model(model)
-
-    def signed_m1_mass(v, y):
-        # the m_1 x-mass at velocity v between 0 and y, negative where y < 0
-        mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
-        return np.where(y < 0.0, -mass, mass)
-
-    z = x + _over_positions(model, signed_m1_mass, x, t)
+    z = x + _over_positions(model, x, t, _signed_m1_mass(model))[0]
     return z if np.ndim(z) else float(z)
 
 
@@ -144,12 +160,15 @@ def inverse_characteristic(model: IntensityModel, q, t):
     returns the same bits as one call per element, and for a continuous
     law the two agree within the quadrature tolerance.
     """
+    _require_rod_model(model)
     q_in, t_in = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(t, dtype=float))
     if not (np.all(np.isfinite(q_in)) and np.all(np.isfinite(t_in))):
         raise ValueError("the characteristic inverse needs finite q and t")
     q, t = q_in.ravel(), t_in.ravel()
+    integrands = _signed_m1_mass(model), _phase_density(model, 0, 1)
     x = q.copy()
-    fx = characteristic_map(model, x, t) - q
+    mass, s = _over_positions(model, x, t, *integrands)
+    fx = x + mass - q
     bad = np.flatnonzero(~np.isfinite(fx))
     if len(bad):
         raise CharacteristicInverseError(
@@ -160,7 +179,7 @@ def inverse_characteristic(model: IntensityModel, q, t):
         xa = x[active]
         a = np.where(fx < 0.0, xa, lo[active])
         b = np.where(fx > 0.0, xa, hi[active])
-        newton = xa - fx / (1.0 + sigma(model, xa, t[active]))
+        newton = xa - fx / (1.0 + s)
         step_in = (a < newton) & (newton < b)
         x_new = np.where(step_in | (fx == 0.0), newton, 0.5 * (a + b))
         x[active], lo[active], hi[active] = x_new, a, b
@@ -168,7 +187,9 @@ def inverse_characteristic(model: IntensityModel, q, t):
         active = active[moving]
         if not len(active):
             return x.reshape(q_in.shape) if q_in.ndim else float(x[0])
-        fx = characteristic_map(model, x[active], t[active]) - q[active]
+        xa = x[active]
+        mass, s = _over_positions(model, xa, t[active], *integrands)
+        fx = xa + mass - q[active]
     raise CharacteristicInverseError(f"the characteristic inverse did not converge in "
                                      f"{MAX_INVERSE_STEPS} steps {_at_nodes(q, t, active)}")
 
@@ -216,7 +237,7 @@ def _species_state(model: IntensityModel, q, t) -> _SpeciesState:
     """Z^-1 once at the nodes (q, t), q a scalar or an array and t one time or one per q;
     sigma~ and pi~ for any velocity law, g~ at every atom velocity when there are atoms."""
     x = inverse_characteristic(model, q, t)
-    s, p = sigma(model, x, t), phase_moment(model, x, t, 1)
+    s, p = _over_positions(model, x, t, _phase_density(model, 0, 1), _phase_density(model, 1, 1))
     g, vs = None, model.kernel.atom_velocities()
     if vs is not None:
         v_col = np.array(vs)[:, None]

@@ -31,7 +31,8 @@ integrand over the atom velocities, all in one call and with no quadrature
 error, or integrates it by globally adaptive 21-point Gauss-Kronrod
 quadrature (QUADPACK's qk21 rule and error estimate, bisecting the worst
 subinterval as QAG does), in numpy, one call per panel of 21 nodes, with
-the kink locations passed as breakpoints.
+the kink locations passed as breakpoints; the kinks are built only for
+the quadrature, never for atoms.
 
 The continuous velocity laws are uniform and a Gaussian truncated to the
 velocity support.  Its constants come from ``math.erfc`` and its inverse CDF is
@@ -735,7 +736,7 @@ class PiecewiseKernel:
 # the velocity rule and its break points
 # ---------------------------------------------------------------------------
 
-def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
+def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks: Callable = tuple):
     """The velocity rule: f integrated over the velocities in [lo, hi].
 
     f maps an array of velocities to an array whose first axis runs over
@@ -744,15 +745,15 @@ def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks=()):
     in [lo, hi] in kernel order, and its rows are summed left to right from
     0.0, so a position's result has the same bits whether f evaluates it
     alone or among many; with no atom in [lo, hi] it is 0.0 and f is not
-    called.  For a
-    continuous law it is the quadrature of :func:`_quad`, one call of f per
-    panel, with the ends of each cell's velocity support and the given kinks
-    as break points; the atom rule ignores the kinks.
+    called.  For a continuous law it is the quadrature of :func:`_quad`,
+    one call of f per panel, with the ends of each cell's velocity support
+    and the velocities kinks() returns as break points.  kinks is called
+    only on that quadrature path, so a kernel of atoms builds none.
     """
     vs = kernel.atom_velocities()
     if vs is None:
         ends = [e for _, _, cell in kernel.cells for e in cell.v_support]
-        return _quad(f, lo, hi, np.concatenate([ends, kinks]))
+        return _quad(f, lo, hi, np.concatenate([ends, kinks()]))
     vs = np.array([v for v in vs if lo <= v <= hi])
     total = 0.0
     for row in (f(vs) if len(vs) else ()):
@@ -788,7 +789,8 @@ class IntensityModel:
     Its crossing moments are velocity integrals of ``x_mass(v, k, lo, hi)``,
     the m_k mass at velocity v of the intercepts in [lo, hi], elementwise over
     arrays, with ``_kinks(*segs)``, the velocities where a pivot of the
-    segments crosses an edge of rho or of the kernel's cells, as break points.
+    segments crosses an edge of rho or of the kernel's cells, as the
+    quadrature's break points for a continuous law.
     """
 
     def __init__(self, rho, kernel, v_support: tuple[float, float] | None = None):
@@ -843,11 +845,13 @@ class IntensityModel:
             return 0.0
         # the pivots swap sides, and the mass kinks, at v* = dx/dt
         dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
-        kinks = self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
 
         def f(v):
             mass = self.x_mass(v, k, *crossing_interval(v, seg))
             return np.where(dx - v * dt < 0.0, -mass, mass) if sign == "net" else mass
+
+        def kinks():
+            return self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
 
         return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
 
@@ -863,8 +867,11 @@ class IntensityModel:
             lo2, hi2 = crossing_interval(v, seg2)
             return self.x_mass(v, k, np.maximum(lo1, lo2), np.minimum(hi1, hi2))
 
-        return float(velocity_integral(self.kernel, f, *self.v_support, np.concatenate(
-            [_pivot_crossing_velocities(seg1, seg2), self._kinks(seg1, seg2)])))
+        def kinks():
+            return np.concatenate([_pivot_crossing_velocities(seg1, seg2),
+                                   self._kinks(seg1, seg2)])
+
+        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
 
     def summary(self) -> dict:
         return {"rho": self.rho.summary(), "kernel": self.kernel.summary(),

@@ -353,7 +353,8 @@ NEGATIVE_MARK_ATOMS = IntensityModel(ConstantDensity(1.0),
     (ghd_residual, (np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.5, 3))),
 ], ids=lambda v: getattr(v, "__name__", "args"))
 def test_every_public_entry_rejects_negative_marks(entry, args):
-    # sigma and characteristic_map check the marks; every other entry reaches one of them
+    # sigma, characteristic_map and inverse_characteristic check the marks;
+    # every other entry reaches one of them
     with pytest.raises(ValueError, match="r >= 0"):
         entry(NEGATIVE_MARK_ATOMS, *args)
 
@@ -777,3 +778,146 @@ def test_limit_mass_is_one_net_moment_of_the_two_moment_form(rng):
         scale = np.abs(want).max()
         assert scale > 0.0, name
         assert np.abs(got - want).max() <= 1e-15 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# one velocity-rule pass for several integrands
+# ---------------------------------------------------------------------------
+
+def _separate_pass_inverse(model, q, t):
+    # inverse_characteristic's safeguarded Newton loop on separate
+    # characteristic_map and sigma calls, one velocity-rule pass each
+    from hrfl import hydro
+
+    q, t = (a.ravel() for a in np.broadcast_arrays(np.asarray(q, float), np.asarray(t, float)))
+    x = q.copy()
+    fx = characteristic_map(model, x, t) - q
+    lo, hi = q - np.maximum(fx, 0.0) - 1.0, q - np.minimum(fx, 0.0) + 1.0
+    active = np.arange(len(q))
+    for _ in range(hydro.MAX_INVERSE_STEPS):
+        xa = x[active]
+        a = np.where(fx < 0.0, xa, lo[active])
+        b = np.where(fx > 0.0, xa, hi[active])
+        newton = xa - fx / (1.0 + sigma(model, xa, t[active]))
+        x_new = np.where(((a < newton) & (newton < b)) | (fx == 0.0), newton, 0.5 * (a + b))
+        x[active], lo[active], hi[active] = x_new, a, b
+        tol = hydro.INVERSE_XTOL + hydro.INVERSE_RTOL * np.abs(x_new)
+        active = active[np.abs(x_new - xa) > tol]
+        if not len(active):
+            return x
+        fx = characteristic_map(model, x[active], t[active]) - q[active]
+    raise AssertionError("the reference Newton loop did not converge")
+
+
+def _fused_and_separate(model, t):
+    # (fused, separate) pairs: Z^-1, and sigma~ and pi~ of the species state
+    qs = np.linspace(-1.5, 1.5, 13)
+    x = inverse_characteristic(model, qs, t)
+    st = _species_state(model, qs, t)
+    s = sigma(model, x, t)
+    return [(x, _separate_pass_inverse(model, qs, t)),
+            (st.sigma_tilde, s / (1.0 + s)),
+            (st.pi_tilde, phase_moment(model, x, t, 1) / (1.0 + s))]
+
+
+FUSED_TIMES = [0.0, 0.25, -0.4, np.resize([0.1, -0.3, 0.45, 0.0], 13)]
+
+
+@pytest.mark.parametrize("model", SPECIES_MODELS)
+def test_fused_passes_keep_the_bits_of_separate_calls(model):
+    for t in FUSED_TIMES:
+        for fused, separate in _fused_and_separate(model, t):
+            assert fused.tobytes() == separate.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_MODELS))
+def test_fused_passes_agree_with_separate_calls_for_continuous_laws(name):
+    # the integrands of one pass share its panels: equal within the tolerance
+    model = CONTINUOUS_MODELS[name]()
+    for t in FUSED_TIMES:
+        for fused, separate in _fused_and_separate(model, t):
+            np.testing.assert_allclose(fused, separate, rtol=0, atol=1e-14)
+
+
+def test_atom_kernels_build_no_kink_arrays(monkeypatch):
+    # the atom rule ignores the kinks, so no path may build them for atoms;
+    # hydro binds edge_velocities by name, so both bindings raise
+    from hrfl import hydro, intensity
+
+    class KinksBuilt(Exception):
+        pass
+
+    def build(*args):
+        raise KinksBuilt
+
+    monkeypatch.setattr(intensity, "edge_velocities", build)
+    monkeypatch.setattr(hydro, "edge_velocities", build)
+    seg1, seg2 = segment(-0.3, 0.1, 0.8, 0.9), segment(0.2, -0.4, -0.1, 0.6)
+    atoms = IntensityModel(INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ghd_residual(atoms, np.linspace(-1.2, 1.0, 12), np.linspace(0.1, 0.5, 5))
+    assert math.isfinite(limit_mass(atoms, 0.7, 0.3))
+    assert atoms.moment_intersection(1, seg1, seg2) > 0.0
+    # a continuous law still asks for its kinks, on every path
+    continuous = CONTINUOUS_MODELS["piecewise-gauss"]()
+    for call in (lambda: sigma(continuous, 0.3, 0.5),
+                 lambda: inverse_characteristic(continuous, 0.3, 0.5),
+                 lambda: limit_mass(continuous, 0.7, 0.3),
+                 lambda: continuous.moment_intersection(1, seg1, seg2)):
+        with pytest.raises(KinksBuilt):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the Galilean shear and the reflection of the rod-phase state
+# ---------------------------------------------------------------------------
+
+# the piecewise-rho three-atom model and the rod coordinates it is read at
+SYMMETRY_RHO, SYMMETRY_KERNEL = INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"]
+SYMMETRY_QS = np.linspace(-1.5, 1.5, 13)
+SYMMETRY_TIMES = (0.25, 0.5, -0.375)
+# measured within 2.2e-16 on these values of order 1
+SYMMETRY_TOL = 2e-15
+
+
+def _rod_state(model, q, t):
+    # Z^-1, sigma~, g~ and V_eff at every atom velocity, rows in kernel order
+    st = _species_state(model, q, t)
+    vs = np.array(model.kernel.atom_velocities())[:, None]
+    return inverse_characteristic(model, q, t), st.sigma_tilde, st.g, st.effective_velocity(vs)
+
+
+def _assert_close(got, want):
+    assert np.abs(np.asarray(got) - np.asarray(want)).max() <= SYMMETRY_TOL
+
+
+def test_galilean_shear_moves_the_rod_state_by_c():
+    # v -> v + c with (x, t) -> (x + c t, t) keeps every crossing: Z^-1
+    # gains c t, sigma~ and g~ stay and V_eff gains c
+    c = 0.375
+    model = IntensityModel(SYMMETRY_RHO, SYMMETRY_KERNEL)
+    sheared = IntensityModel(SYMMETRY_RHO, DiscreteKernel(
+        [(v + c, r, w) for v, r, w in SYMMETRY_KERNEL.atoms]))
+    for t in SYMMETRY_TIMES:
+        x, s, g, veff = _rod_state(model, SYMMETRY_QS, t)
+        x_c, s_c, g_c, veff_c = _rod_state(sheared, SYMMETRY_QS + c * t, t)
+        _assert_close(x_c, x + c * t)
+        _assert_close(s_c, s)
+        _assert_close(g_c, g)
+        _assert_close(veff_c, veff + c)
+
+
+def test_reflection_negates_positions_and_velocities_of_the_rod_state():
+    # (x, v) -> (-x, -v) negates Z^-1 and V_eff and keeps sigma~ and g~
+    model = IntensityModel(SYMMETRY_RHO, SYMMETRY_KERNEL)
+    mirrored = IntensityModel(
+        PiecewiseConstantDensity(-SYMMETRY_RHO.edges[::-1], SYMMETRY_RHO.values[::-1]),
+        DiscreteKernel([(-v, r, w) for v, r, w in SYMMETRY_KERNEL.atoms]))
+    for t in SYMMETRY_TIMES:
+        x, s, g, veff = _rod_state(model, SYMMETRY_QS, t)
+        x_m, s_m, g_m, veff_m = _rod_state(mirrored, -SYMMETRY_QS, t)
+        _assert_close(x_m, -x)
+        _assert_close(s_m, s)
+        _assert_close(g_m, g)
+        _assert_close(veff_m, -veff)

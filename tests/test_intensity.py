@@ -92,7 +92,7 @@ def test_each_crossing_moment_is_one_velocity_integral(reference_model, monkeypa
         reference_model.moment_on_crossing(1, seg, sign)
     assert len(calls) == 2
     # over the whole velocity support, with v* = dx/dt among the break points
-    assert all(args[2:4] == (-1.0, 1.0) and 0.5 in args[4] for args in calls)
+    assert all(args[2:4] == (-1.0, 1.0) and 0.5 in args[4]() for args in calls)
     for sign in ("plus", "minus", "Both", None):
         with pytest.raises(ValueError, match="sign must be 'both' or 'net'"):
             reference_model.moment_on_crossing(1, seg, sign)
