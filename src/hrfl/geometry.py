@@ -66,18 +66,19 @@ def segment(ax: float, at: float, bx: float, bt: float) -> Segment:
     return Segment(SpaceTimePoint(ax, at), SpaceTimePoint(bx, bt))
 
 
+def pivots(v, seg: Segment):
+    """The pivots ``a.x - v*a.t`` and ``b.x - v*b.t``, in segment order, elementwise over v."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"v must be finite, got {v!r}")
+    return seg.a.x - v * seg.a.t, seg.b.x - v * seg.b.t
+
+
 def crossing_interval(v, seg: Segment):
     """Space intercepts x for which the line (x, v) crosses seg.
 
-    For fixed velocity v the line (x, v) meets seg iff x lies between the
-    two pivots ``a.x - v*a.t`` and ``b.x - v*b.t``.  Returns the closed
-    interval (lo, hi), elementwise for an array of velocities; it is empty
-    (zero length) iff the pivots coincide.  The interval is closed while
-    the Plus/Minus orientation is half-open at the pivots; the mismatch is
-    measure zero.
+    The line (x, v) meets seg iff x lies in the closed interval (lo, hi)
+    between the two pivots, elementwise over v, empty iff they coincide.  The
+    Plus/Minus orientation is half-open at the pivots; the mismatch is measure zero.
     """
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"v must be finite, got {v!r}")
-    pa = seg.a.x - v * seg.a.t
-    pb = seg.b.x - v * seg.b.t
+    pa, pb = pivots(v, seg)
     return np.minimum(pa, pb), np.maximum(pa, pb)

@@ -27,10 +27,10 @@ atoms only and raise NotImplementedError otherwise.
 sigma, Z and Z^-1 accept a scalar or an array of positions; the rule's
 velocities, a qk21 panel's nodes or all the atom velocities at once, arrive
 as a column against the array, so one integrand call evaluates them at
-every position.  Z is x plus the signed m_1 mass between 0 and x - v t
-integrated over the velocity law.  One pass of the rule may carry several
-integrands side by side: each Newton step of Z^-1 takes Z and sigma at its
-iterate from one pass, and ``_species_state`` takes sigma and pi from one.
+every position.  Z is x plus the velocity integral of ``x_mass(v, 1, 0.0,
+x - v t)``, the signed m_1 mass from 0 to x - v t.  One pass of the rule may
+carry several integrands side by side: each Newton step of Z^-1 takes Z and
+sigma at its iterate from one pass, and ``_species_state`` sigma and pi.
 Array and per-element calls, and fused and separate integrands, return the
 same bits for atoms; for a continuous law the positions and integrands of
 one pass share their panels, so they agree within the quadrature tolerance.
@@ -108,12 +108,9 @@ def _phase_density(model: IntensityModel, v_power: int, mark_power: int):
     return f
 
 
-def _signed_m1_mass(model: IntensityModel):
-    # the m_1 x-mass at velocity v between 0 and y, negative where y < 0
-    def f(v, y):
-        mass = model.x_mass(v, 1, np.minimum(y, 0.0), np.maximum(y, 0.0))
-        return np.where(y < 0.0, -mass, mass)
-    return f
+def _m1_mass_from_0(model: IntensityModel):
+    # the signed m_1 x-mass at velocity v from 0 to y, Z's integrand
+    return lambda v, y: model.x_mass(v, 1, 0.0, y)
 
 
 def phase_moment(model: IntensityModel, x, t, v_power: int = 0, mark_power: int = 1):
@@ -134,7 +131,7 @@ def sigma(model: IntensityModel, x, t):
 def characteristic_map(model: IntensityModel, x, t):
     """Z(x, t) = x + H_limit(x, t), gas to rod position; x and t as in _over_positions."""
     _require_rod_model(model)
-    z = x + _over_positions(model, x, t, _signed_m1_mass(model))[0]
+    z = x + _over_positions(model, x, t, _m1_mass_from_0(model))[0]
     return z if np.ndim(z) else float(z)
 
 
@@ -165,7 +162,7 @@ def inverse_characteristic(model: IntensityModel, q, t):
     if not (np.all(np.isfinite(q_in)) and np.all(np.isfinite(t_in))):
         raise ValueError("the characteristic inverse needs finite q and t")
     q, t = q_in.ravel(), t_in.ravel()
-    integrands = _signed_m1_mass(model), _phase_density(model, 0, 1)
+    integrands = _m1_mass_from_0(model), _phase_density(model, 0, 1)
     x = q.copy()
     mass, s = _over_positions(model, x, t, *integrands)
     fx = x + mass - q

@@ -13,10 +13,10 @@ package are moment masses of crossing sets: for a segment ``ab``,
 Each is one velocity integral of ``rho``-masses over the velocity support.
 A line of velocity v crosses ``ab`` when its intercept lies between the
 pivots ``a.x - v*a.t`` and ``b.x - v*b.t``: Plus when the pivot of b lies
-right of the pivot of a (``dx - v*dt > 0``), Minus when it lies left.
-``both`` integrates the mass between the pivots and ``net`` negates it where
-the pivot of b lies left; they swap at the break point ``v* = dx/dt``, where
-an atom crosses in neither direction.  The translated frame of the
+right of the pivot of a, Minus when it lies left.  ``both`` integrates the
+mass between the pivots and ``net`` the signed mass from the pivot of a to
+that of b; the pivots swap sides at the break point ``v* = dx/dt``, where an
+atom crosses in neither direction.  The translated frame of the
 diffusive limits at (z, s) is the base model on the segment translated by
 (z, s); the frozen frame enters only through the phase moment of
 :mod:`hrfl.hydro`.
@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Segment, crossing_interval
+from .geometry import Segment, crossing_interval, pivots
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -183,8 +183,8 @@ class ConstantDensity:
     def value(self, x):
         return np.broadcast_to(self.c, np.shape(x)).copy() if np.ndim(x) else self.c
 
-    def integral(self, lo, hi):
-        out = np.where(np.greater(hi, lo), self.c * np.subtract(hi, lo), 0.0)
+    def integral(self, a, b):
+        out = self.c * np.subtract(b, a)
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
@@ -220,8 +220,8 @@ class PiecewiseConstantDensity:
     def _cdf(self, x):
         return np.interp(np.clip(x, self.edges[0], self.edges[-1]), self.edges, self._cum)
 
-    def integral(self, lo, hi):
-        out = np.where(np.greater(hi, lo), self._cdf(hi) - self._cdf(lo), 0.0)
+    def integral(self, a, b):
+        out = self._cdf(b) - self._cdf(a)
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
@@ -243,10 +243,10 @@ class SmoothDensity:
     panels: 8-point Gauss-Legendre masses give F at the panel edges, and on
     each panel F is the cubic Hermite interpolant with F' = fn at both edges,
     stored in the power basis of the offset from the left edge.  Its error
-    is O(h**4).  An interval mass costs two Horner evaluations, and an
-    array call returns the same bits as one call per element.  Sampling is
-    by rejection against a constant bound, the density's maximum on the
-    quadrature nodes raised by a relative 1e-6; a sample that is not
+    is O(h**4).  A signed mass F(b) - F(a) costs one Horner evaluation per
+    end, and an array call returns the same bits as one call per element.
+    Sampling is by rejection against a constant bound, the density's maximum
+    on the quadrature nodes raised by a relative 1e-6; a sample that is not
     complete after MAX_REJECTION_ROUNDS rounds is a ValueError.
     """
 
@@ -287,14 +287,15 @@ class SmoothDensity:
         out = np.where(inside, self.fn(np.clip(x, *self.support)), 0.0)
         return out if out.ndim else float(out)
 
-    def integral(self, lo, hi):
-        ends = np.clip(np.broadcast_arrays(lo, hi), *self.support)
-        i = np.minimum(((ends - self.support[0]) / self._h).astype(np.intp),
-                       len(self._edges) - 2)
-        s = ends - self._edges[i]
+    def _antiderivative(self, x):
+        x = np.clip(x, *self.support)
+        i = np.minimum(((x - self.support[0]) / self._h).astype(np.intp), len(self._edges) - 2)
+        s = x - self._edges[i]
         c0, c1, c2, c3 = (c[i] for c in self._coef)
-        at_lo, at_hi = ((c3 * s + c2) * s + c1) * s + c0      # both ends at once
-        out = np.where(np.greater(hi, lo), at_hi - at_lo, 0.0)
+        return ((c3 * s + c2) * s + c1) * s + c0
+
+    def integral(self, a, b):
+        out = self._antiderivative(b) - self._antiderivative(a)
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, n: int, lo: float, hi: float):
@@ -786,11 +787,11 @@ def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
 class IntensityModel:
     """Measure rho(x) dx kappa(dv, dr | x) with finite velocity support.
 
-    Its crossing moments are velocity integrals of ``x_mass(v, k, lo, hi)``,
-    the m_k mass at velocity v of the intercepts in [lo, hi], elementwise over
-    arrays, with ``_kinks(*segs)``, the velocities where a pivot of the
-    segments crosses an edge of rho or of the kernel's cells, as the
-    quadrature's break points for a continuous law.
+    Its crossing moments are velocity integrals of ``x_mass(v, k, a, b)``,
+    the signed m_k mass at velocity v of the intercepts from a to b (as
+    ``rho.integral(a, b)`` is F(b) - F(a)), elementwise over arrays, with
+    ``_kinks(*segs)``, the velocities where a pivot of the segments crosses an
+    edge of rho or of the kernel's cells, as the quadrature's break points.
     """
 
     def __init__(self, rho, kernel, v_support: tuple[float, float] | None = None):
@@ -821,13 +822,12 @@ class IntensityModel:
     def marks_nonnegative(self) -> bool:
         return all(cell.min_mark >= 0.0 for _, _, cell in self.kernel.cells)
 
-    def x_mass(self, v, k, lo, hi):
-        # lo and hi may be arrays; each cell of the kernel weighs the rho-mass
-        # of its part of [lo, hi]
+    def x_mass(self, v, k, a, b):
+        # each cell of the kernel weighs the signed rho-mass from a to b clipped into it
         total = 0.0
-        for a, b, cell in self.kernel.cells:
-            total += cell.vk_density(v, k, a) * self.rho.integral(np.maximum(lo, a),
-                                                                  np.minimum(hi, b))
+        for lo, hi, cell in self.kernel.cells:
+            total += cell.vk_density(v, k, lo) * self.rho.integral(np.clip(a, lo, hi),
+                                                                   np.clip(b, lo, hi))
         return total
 
     def _kinks(self, *segs):
@@ -847,8 +847,8 @@ class IntensityModel:
         dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
 
         def f(v):
-            mass = self.x_mass(v, k, *crossing_interval(v, seg))
-            return np.where(dx - v * dt < 0.0, -mass, mass) if sign == "net" else mass
+            ends = pivots(v, seg) if sign == "net" else crossing_interval(v, seg)
+            return self.x_mass(v, k, *ends)
 
         def kinks():
             return self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
@@ -865,7 +865,8 @@ class IntensityModel:
         def f(v):
             lo1, hi1 = crossing_interval(v, seg1)
             lo2, hi2 = crossing_interval(v, seg2)
-            return self.x_mass(v, k, np.maximum(lo1, lo2), np.minimum(hi1, hi2))
+            lo = np.maximum(lo1, lo2)     # disjoint intervals meet in [lo, lo]
+            return self.x_mass(v, k, lo, np.maximum(lo, np.minimum(hi1, hi2)))
 
         def kinks():
             return np.concatenate([_pivot_crossing_velocities(seg1, seg2),

@@ -450,7 +450,8 @@ def test_characteristic_map_array_matches_limit_field(model):
     zs = characteristic_map(model, xs, 0.35)
     for x, z in zip(xs, zs):
         want = x + limit_field(model, SpaceTimePoint(float(x), 0.35))
-        assert z == pytest.approx(want, abs=1e-14)
+        # Z and the net moment of limit_field share one integrand
+        assert z == want
     # numpy's array and scalar power may round a smooth rho an ulp apart
     np.testing.assert_allclose(sigma(model, xs, 0.35),
                                [sigma(model, float(x), 0.35) for x in xs],

@@ -104,6 +104,28 @@ def _atom_cell_model():
     return IntensityModel(PiecewiseConstantDensity([-3.0, -1.0, 3.0], [0.7, 1.3]), kern)
 
 
+def test_x_mass_is_signed_and_sums_over_the_cells(rng):
+    # the signed m_k mass from a to b: each cell weighs the rho-mass of
+    # [a, b] clipped into it, so reversed ends negate it, an interval outside
+    # every cell is empty, and one across both cells is the sum of its pieces
+    model = _atom_cell_model()
+    a, b = rng.uniform(-4.0, 4.0, (2, 300))
+    left, right = rng.uniform(-3.5, 0.0, 300), rng.uniform(0.0, 3.5, 300)
+    for v in (-0.5, 0.8, 0.3):
+        for k in (0, 1, 2):
+            got = model.x_mass(v, k, a, b)
+            assert np.array_equal(model.x_mass(v, k, b, a), -got)
+            assert model.x_mass(v, k, -0.3, 1.7) == -model.x_mass(v, k, 1.7, -0.3)
+            for outside in ((-5.0, -3.0), (3.0, 4.5), (4.5, 3.5)):
+                assert model.x_mass(v, k, *outside) == 0.0
+            pieces = model.x_mass(v, k, left, 0.0) + model.x_mass(v, k, 0.0, right)
+            assert model.x_mass(v, k, left, right).tobytes() == pieces.tobytes()
+    # by hand: the atom (0.8, 1.2, 0.7) left of 0 and (0.8, 0.6, 1.0) right of it
+    want = 0.7 * 1.2 * (0.7 * 1.0 + 1.3 * 1.0) + 1.0 * 0.6 * 1.3 * 1.5
+    assert model.x_mass(0.8, 1, -2.0, 1.5) == pytest.approx(want, rel=1e-15)
+    assert model.x_mass(0.8, 1, 1.5, -2.0) == pytest.approx(-want, rel=1e-15)
+
+
 def test_sign_split_is_exact(reference_model, rng):
     # reversing ab swaps Plus and Minus: net flips and both stays, bit for
     # bit; where every velocity crosses one way (dt = 0, or v* = dx/dt off
@@ -451,13 +473,16 @@ def test_ndtri_matches_scipy_across_the_as241_regions():
 ], ids=["constant", "piecewise", "smooth"])
 def test_density_integral_over_arrays_matches_scalar_calls(rho, rng):
     lo = rng.uniform(-3.0, 3.0, 200)
-    hi = lo + rng.uniform(-1.0, 3.0, 200)       # a quarter of them empty
+    hi = lo + rng.uniform(-1.0, 3.0, 200)       # a quarter of them reversed
     got = rho.integral(lo, hi)
     assert got.shape == (200,)
     want = [rho.integral(float(a), float(b)) for a, b in zip(lo, hi)]
     assert got.tobytes() == np.array(want).tobytes()
     assert isinstance(rho.integral(-0.3, 0.4), float)
-    assert rho.integral(0.4, -0.3) == 0.0
+    # the mass is signed, F(b) - F(a): reversed ends negate it exactly; an
+    # empty mass is +0.0 either way, so the two compare as numbers
+    assert np.array_equal(rho.integral(hi, lo), -got)
+    assert rho.integral(0.4, -0.3) == -rho.integral(-0.3, 0.4) < 0.0
 
 
 def test_piecewise_kernel_density_over_arrays():
@@ -623,8 +648,7 @@ def test_smooth_density_matches_the_bump_antiderivative(rng):
     lo = rng.uniform(-2.5, 3.0, 5000)
     hi = rng.uniform(-2.5, 3.0, 5000)
     got = rho.integral(lo, hi)
-    np.testing.assert_allclose(got, np.where(hi > lo, exact(hi) - exact(lo), 0.0),
-                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got, exact(hi) - exact(lo), rtol=0, atol=1e-13)
     scalar = [rho.integral(float(a), float(b)) for a, b in zip(lo[:500], hi[:500])]
     assert np.array(scalar).tobytes() == got[:500].tobytes()
     edges = np.linspace(center - width, center + width, 9)
@@ -717,3 +741,53 @@ def test_edge_velocities_solve_x_minus_v_t_on_each_edge(x, t):
     assert got.tolist() == want
     if np.ndim(t) == 0 and t:
         assert got.tolist() == (np.subtract.outer(x, edges) / t).ravel().tolist()
+
+
+# ---------------------------------------------------------------------------
+# the Galilean shear and the reflection of the crossing moments
+# ---------------------------------------------------------------------------
+
+SYMMETRY_EDGES, SYMMETRY_VALUES = np.array([-2.0, -0.5, 1.0, 3.0]), np.array([0.7, 1.3, 0.4])
+SYMMETRY_ATOMS = [(-1.0, 0.4, 0.3), (0.5, 0.2, 0.3), (1.0, 0.6, 0.4)]
+
+
+def _symmetry_models(c=0.0, mirror=False):
+    # the piecewise-rho Gaussian and three-atom models, sheared by v -> v + c
+    # and, if mirror, reflected by (x, v) -> (-x, -v)
+    s = -1.0 if mirror else 1.0
+    edges, values = (-SYMMETRY_EDGES[::-1], SYMMETRY_VALUES[::-1]) if mirror else (
+        SYMMETRY_EDGES, SYMMETRY_VALUES)
+    gauss = ProductKernel(GaussianVelocity(s * 0.2 + c, 1.0), UniformMark(0.5, 1.5))
+    atoms = DiscreteKernel([(s * v + c, r, w) for v, r, w in SYMMETRY_ATOMS])
+    return [IntensityModel(PiecewiseConstantDensity(edges, values), gauss,
+                           v_support=(-3.0 + c, 3.0 + c)),
+            IntensityModel(PiecewiseConstantDensity(edges, values), atoms)]
+
+
+def _crossing_moments(model, seg1, seg2):
+    return [(model.moment_on_crossing(k, seg1, "both"), model.moment_on_crossing(k, seg1, "net"),
+             model.moment_intersection(k, seg1, seg2)) for k in (0, 1, 2)]
+
+
+def _image(seg, c=0.0, mirror=False):
+    s = -1.0 if mirror else 1.0
+    return segment(s * seg.a.x + c * seg.a.t, seg.a.t, s * seg.b.x + c * seg.b.t, seg.b.t)
+
+
+def test_shear_and_reflection_map_the_crossing_moments(rng):
+    # v -> v + c with (x, t) -> (x + c t, t) keeps every crossing, so both, net
+    # and the intersection stay; (x, v) -> (-x, -v) swaps Plus and Minus, so
+    # net is negated and both and the intersection stay
+    c = 0.375
+    pairs = [(segment(*rng.uniform(-2.0, 2.0, 4)), segment(*rng.uniform(-2.0, 2.0, 4)))
+             for _ in range(20)]
+    for model, sheared, mirrored in zip(_symmetry_models(), _symmetry_models(c),
+                                        _symmetry_models(mirror=True)):
+        for seg1, seg2 in pairs:
+            base = np.array(_crossing_moments(model, seg1, seg2))
+            shear = np.array(_crossing_moments(sheared, _image(seg1, c), _image(seg2, c)))
+            mirror = np.array(_crossing_moments(mirrored, _image(seg1, mirror=True),
+                                                _image(seg2, mirror=True)))
+            tol = QUAD_ABS_TOL + QUAD_REL_TOL * np.abs(base)
+            assert np.all(np.abs(shear - base) <= tol)
+            assert np.all(np.abs(mirror * [1.0, -1.0, 1.0] - base) <= tol)
