@@ -193,6 +193,7 @@ def main(argv=None) -> int:
         rundir.mkdir(parents=True, exist_ok=True)
         write_json(rundir / "resolved-config.json", cfg)
         report = _run(args.command, model, seed, rundir, fields)
+        write_json(rundir / "report.json", report.to_dict())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -204,7 +205,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    write_json(rundir / "report.json", report.to_dict())
     print(f"{args.command}: {'pass' if report.verdict else 'FAIL'} "
           f"({rundir / 'report.json'})")
     return EXIT_PASS if report.verdict else EXIT_STAT_FAIL

@@ -51,7 +51,7 @@ import numpy as np
 
 from .field import limit_field_difference, require_in_region, signed_mark_sum
 from .geometry import SpaceTimePoint
-from .intensity import IntensityModel, edge_velocities, velocity_integral
+from .intensity import IntensityModel, velocity_integral
 from .sampler import SampledConfiguration
 
 INVERSE_XTOL = 1e-13
@@ -95,8 +95,7 @@ def _over_positions(model: IntensityModel, x, t, *integrands):
         pos = flat - v * t
         return np.concatenate([g(v, pos) for g in integrands], axis=1)
 
-    out = velocity_integral(model.kernel, f, *model.v_support,
-                            lambda: edge_velocities(model.edges, flat, t))
+    out = velocity_integral(model, f, flat, t)
     out = np.reshape(out, (len(integrands), *y.shape))
     return tuple(out) if y.ndim else tuple(map(float, out))
 

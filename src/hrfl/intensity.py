@@ -22,17 +22,17 @@ diffusive limits at (z, s) is the base model on the segment translated by
 :mod:`hrfl.hydro`.
 
 Every velocity integral, here and in :mod:`hrfl.hydro`, goes through one
-rule, :func:`velocity_integral`.  The integrand maps an array of velocities
-to an array with the velocity axis first, and may return a column per
-position.  It carries the law's weight through ``kernel.vk_density(v, k,
-x)``, elementwise over v: a density in v for a continuous law, the mass
-``sum w * r**k`` of the atoms at v for a kernel of atoms.  The rule sums the
-integrand over the atom velocities, all in one call and with no quadrature
-error, or integrates it by globally adaptive 21-point Gauss-Kronrod
-quadrature (QUADPACK's qk21 rule and error estimate, bisecting the worst
-subinterval as QAG does), in numpy, one call per panel of 21 nodes, with
-the kink locations passed as breakpoints; the kinks are built only for
-the quadrature, never for atoms.
+rule, :func:`velocity_integral`, over the model's velocity support.  The
+integrand maps an array of velocities to an array with the velocity axis
+first, and may return a column per position.  It carries the law's weight
+through ``kernel.vk_density(v, k, x)``, elementwise over v: a density in v
+for a continuous law, the mass ``sum w * r**k`` of the atoms at v for a
+kernel of atoms.  The rule sums the integrand over the atom velocities, all
+in one call and with no quadrature error, or integrates it by globally
+adaptive 21-point Gauss-Kronrod quadrature (QUADPACK's qk21 rule and error
+estimate, bisecting the worst subinterval as QAG does), in numpy, one call
+per panel of 21 nodes, breaking it where the positions x - v*t that the
+integrand reads meet an edge of the model and where two of them cross.
 
 The continuous velocity laws are uniform and a Gaussian truncated to the
 velocity support.  Its constants come from ``math.erfc`` and its inverse CDF is
@@ -143,8 +143,6 @@ def _quad(f: Callable, lo: float, hi: float, inner_points=()):
     QUAD_LIMIT subintervals, or a subinterval too short to bisect, is a
     QuadratureError that reports the largest error achieved.
     """
-    if hi <= lo:
-        return 0.0
     inner = np.asarray(inner_points, dtype=float)
     edges = [lo, *sorted(set(inner[(lo < inner) & (inner < hi)].tolist())), hi]
     panels = []               # a heap of (-largest error, a, b, estimate, error, floor)
@@ -737,27 +735,26 @@ class PiecewiseKernel:
 # the velocity rule and its break points
 # ---------------------------------------------------------------------------
 
-def velocity_integral(kernel, f: Callable, lo: float, hi: float, kinks: Callable = tuple):
-    """The velocity rule: f integrated over the velocities in [lo, hi].
+def velocity_integral(model, f: Callable, x, t, crossings=()):
+    """The velocity rule: f integrated over the model's velocity support.
 
     f maps an array of velocities to an array whose first axis runs over
-    them, and carries the law's weight itself, through ``kernel.vk_density``.
-    For a kernel of atoms f is called once, on the distinct atom velocities
-    in [lo, hi] in kernel order, and its rows are summed left to right from
-    0.0, so a position's result has the same bits whether f evaluates it
-    alone or among many; with no atom in [lo, hi] it is 0.0 and f is not
-    called.  For a continuous law it is the quadrature of :func:`_quad`,
-    one call of f per panel, with the ends of each cell's velocity support
-    and the velocities kinks() returns as break points.  kinks is called
-    only on that quadrature path, so a kernel of atoms builds none.
+    them, carries the law's weight through ``kernel.vk_density``, and reads
+    rho or the kernel's cells at x - v*t for the points (x, t), t one time or
+    one per x.  For atoms f is called once, on all the distinct atom
+    velocities in kernel order, and its rows are summed left to right from
+    0.0, so a position's result has the same bits alone or among many.  For
+    a continuous law it is :func:`_quad`, one call of f per panel, broken at
+    the ends of each cell's velocity support, where an x - v*t meets an edge
+    of the model, and at the crossings; only that path builds them.
     """
-    vs = kernel.atom_velocities()
+    vs = model.kernel.atom_velocities()
     if vs is None:
-        ends = [e for _, _, cell in kernel.cells for e in cell.v_support]
-        return _quad(f, lo, hi, np.concatenate([ends, kinks()]))
-    vs = np.array([v for v in vs if lo <= v <= hi])
+        ends = [e for _, _, cell in model.kernel.cells for e in cell.v_support]
+        return _quad(f, *model.v_support,
+                     np.concatenate([ends, edge_velocities(model.edges, x, t), crossings]))
     total = 0.0
-    for row in (f(vs) if len(vs) else ()):
+    for row in f(np.array(vs)):
         total = total + row
     return total
 
@@ -773,13 +770,6 @@ def edge_velocities(edges: Sequence[float], x, t):
     return (np.subtract.outer(x[moving], edges) / t[moving][:, None]).ravel()
 
 
-def _pivot_crossing_velocities(seg1: Segment, seg2: Segment):
-    """Velocities where any two pivot lines of the two segments meet."""
-    ends = [seg1.a, seg1.b, seg2.a, seg2.b]
-    return [(p.x - q.x) / (p.t - q.t)
-            for i, p in enumerate(ends) for q in ends[i + 1:] if p.t != q.t]
-
-
 # ---------------------------------------------------------------------------
 # the intensity model
 # ---------------------------------------------------------------------------
@@ -789,9 +779,9 @@ class IntensityModel:
 
     Its crossing moments are velocity integrals of ``x_mass(v, k, a, b)``,
     the signed m_k mass at velocity v of the intercepts from a to b (as
-    ``rho.integral(a, b)`` is F(b) - F(a)), elementwise over arrays, with
-    ``_kinks(*segs)``, the velocities where a pivot of the segments crosses an
-    edge of rho or of the kernel's cells, as the quadrature's break points.
+    ``rho.integral(a, b)`` is F(b) - F(a)), elementwise over arrays, read at
+    the pivots of the segments' ends; the rule breaks where a pivot meets an
+    edge of rho or of the kernel's cells and where two pivots cross.
     """
 
     def __init__(self, rho, kernel, v_support: tuple[float, float] | None = None):
@@ -830,10 +820,14 @@ class IntensityModel:
                                                                    np.clip(b, lo, hi))
         return total
 
-    def _kinks(self, *segs):
-        # a pivot x - v*t of a segment end crosses an edge
+    def _over_pivots(self, f: Callable, *segs) -> float:
+        # f reads the pivots x - v*t of the segments' ends, which swap sides,
+        # and so kink the mass, where two of them cross
         ends = [p for seg in segs for p in (seg.a, seg.b)]
-        return edge_velocities(self.edges, [p.x for p in ends], [p.t for p in ends])
+        crossings = [(p.x - q.x) / (p.t - q.t)
+                     for i, p in enumerate(ends) for q in ends[i + 1:] if p.t != q.t]
+        return float(velocity_integral(self, f, [p.x for p in ends], [p.t for p in ends],
+                                       crossings))
 
     def moment_on_crossing(self, k: int, seg: Segment, sign: str = "both") -> float:
         """mu_k(ab) of the lines crossing seg = ab ("both"), or mu_k(ab+) - mu_k(ab-) ("net")."""
@@ -843,17 +837,12 @@ class IntensityModel:
             raise ValueError("sign must be 'both' or 'net'")
         if seg.is_degenerate:
             return 0.0
-        # the pivots swap sides, and the mass kinks, at v* = dx/dt
-        dx, dt = seg.b.x - seg.a.x, seg.b.t - seg.a.t
 
         def f(v):
             ends = pivots(v, seg) if sign == "net" else crossing_interval(v, seg)
             return self.x_mass(v, k, *ends)
 
-        def kinks():
-            return self._kinks(seg) if dt == 0.0 else np.append(self._kinks(seg), dx / dt)
-
-        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
+        return self._over_pivots(f, seg)
 
     def moment_intersection(self, k: int, seg1: Segment, seg2: Segment) -> float:
         """mu_k of {lines crossing seg1} intersect {lines crossing seg2}."""
@@ -868,11 +857,7 @@ class IntensityModel:
             lo = np.maximum(lo1, lo2)     # disjoint intervals meet in [lo, lo]
             return self.x_mass(v, k, lo, np.maximum(lo, np.minimum(hi1, hi2)))
 
-        def kinks():
-            return np.concatenate([_pivot_crossing_velocities(seg1, seg2),
-                                   self._kinks(seg1, seg2)])
-
-        return float(velocity_integral(self.kernel, f, *self.v_support, kinks))
+        return self._over_pivots(f, seg1, seg2)
 
     def summary(self) -> dict:
         return {"rho": self.rho.summary(), "kernel": self.kernel.summary(),

@@ -381,7 +381,10 @@ def stationarity_smoke_test(model, t_values, M: int, seed: int,
     For each t, gap lengths and rod lengths collected in a core window are
     compared between evolved and freshly dilated ensembles by two-sample
     Kolmogorov-Smirnov.  Homogeneous inputs should pass; an inhomogeneous
-    model is the intended negative control and should be rejected.
+    model is the intended negative control and should be rejected.  The
+    evolved ensemble, ``tagged_frame_evolve(dilate(gas), t)``, is the dilation
+    of the freely flowed sample, so the test checks free flow; the collision
+    dynamics are checked by the event oracle against the surface route.
     """
     from scipy.stats import ks_2samp
 

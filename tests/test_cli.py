@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hrfl
 from hrfl.cli import main
-from hrfl.config import build_model
+from hrfl.config import build_model, config_hash
 from hrfl.field import walk_field
 from hrfl.geometry import SpaceTimePoint
 from hrfl.sampler import ObservationRegion, sample
@@ -927,6 +927,11 @@ ATOMS_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"], "v_support": [-2, 2],
     (LLN_CONFIG, ["--override", "foo"], {},
      "config error: override 'foo' must look like key.path=value"),
     (LLN_CONFIG, [], {"HRFL_SEED": "abc"}, "config error: HRFL_SEED='abc' is not an integer"),
+    # an override value that is no JSON is kept as a string, and a missing
+    # record on the key path is created
+    (LLN_CONFIG, ["--override", "experiment.kind=lln"], {},
+     "config error: config.experiment.kind: unknown experiment kind 'lln'"),
+    (LLN_CONFIG, ["--override", "extra.key=1"], {}, "config error: config.extra: unknown key"),
     (LLN_CONFIG, ["--bogus"], {}, "unrecognized arguments: --bogus"),
     # mark laws whose moments overflow, which ended the run with exit 4
     (dict(LLN_CONFIG, model=OVERFLOW_MARK_MODEL), [], {},
@@ -960,10 +965,10 @@ ATOMS_MODEL = {"rho": HOMOGENEOUS_MODEL["rho"], "v_support": [-2, 2],
      "config error: model.mark: mark must be finite"),
 ], ids=["kernel-and-flat", "no-kernel", "atoms-outside-v_support", "schema_version",
         "negative-config-threads", "top-level-list", "override-without-value",
-        "non-integer-seed-env", "unknown-flag", "constant-mark-1e308", "uniform-mark-1e308",
-        "negative-seed", "negative-seed-env", "boolean-schema_version", "negative-constant-rho",
-        "negative-piecewise-rho", "zero-atom-weight", "negative-atom-weight",
-        "v_support-outside-the-law", "infinite-mark"])
+        "non-integer-seed-env", "override-raw-string", "override-new-record", "unknown-flag",
+        "constant-mark-1e308", "uniform-mark-1e308", "negative-seed", "negative-seed-env",
+        "boolean-schema_version", "negative-constant-rho", "negative-piecewise-rho",
+        "zero-atom-weight", "negative-atom-weight", "v_support-outside-the-law", "infinite-mark"])
 def test_bad_run_input_is_config_error(tmp_path, capsys, monkeypatch, cfg, argv, env, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -1091,6 +1096,18 @@ def test_unexpected_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["verify-lln", "--config", str(cfg), "--out", str(out)]) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
     assert not list(out.glob("*/report.json"))
+
+
+def test_a_failed_report_write_exits_4_with_one_line(tmp_path, capsys):
+    # report.json was written after the run's try, so a failed write ended in
+    # a traceback and exit 1, the code of a statistical FAIL
+    cfg = write_config(tmp_path, FIELD_EXPERIMENTS["verify-lln"])
+    out = tmp_path / "runs"
+    (out / f"{config_hash(json.loads(cfg.read_text()))}-s0" / "report.json").mkdir(parents=True)
+    assert main(["verify-lln", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"internal error: IsADirectoryError: [^\n]*report\.json'\n", captured.err)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("experiment,model,env,code,stderr", [

@@ -221,6 +221,22 @@ def test_events_match_surface_route(rng):
         assert np.abs(surface.y - events.y).max() < 1e-9
 
 
+def test_events_commute_with_shear_and_reflection(rng):
+    # v -> v + c moves every rod by c t and keeps every contact; reflecting
+    # (y, v, r) -> (-y - r, -v, r) mirrors the dynamics, so a rod lands at -(y + r)
+    c = 0.375
+    for i in range(60):
+        rods = dilate(random_gas(np.random.default_rng(i), n=80, halfwidth=25.0), 0.0)
+        t = float(rng.uniform(-2.5, 2.5))
+        events = evolve_events(rods, t)
+        for image, want in (
+                (RodConfiguration(rods.y, rods.v + c, rods.r), events.y + c * t),
+                (RodConfiguration(-rods.y - rods.r, -rods.v, rods.r), -(events.y + events.r))):
+            got = evolve_events(image, t)
+            assert got.collisions == events.collisions
+            assert np.all(np.abs(got.y - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
 def test_collisions_count_the_crossed_gas_pairs(rng):
     # each collision swaps one adjacent pair, and free gas lines cross once
     for i in range(20):

@@ -841,9 +841,8 @@ def test_fused_passes_agree_with_separate_calls_for_continuous_laws(name):
 
 
 def test_atom_kernels_build_no_kink_arrays(monkeypatch):
-    # the atom rule ignores the kinks, so no path may build them for atoms;
-    # hydro binds edge_velocities by name, so both bindings raise
-    from hrfl import hydro, intensity
+    # the atom rule ignores the kinks, so no path may build them for atoms
+    from hrfl import intensity
 
     class KinksBuilt(Exception):
         pass
@@ -852,7 +851,6 @@ def test_atom_kernels_build_no_kink_arrays(monkeypatch):
         raise KinksBuilt
 
     monkeypatch.setattr(intensity, "edge_velocities", build)
-    monkeypatch.setattr(hydro, "edge_velocities", build)
     seg1, seg2 = segment(-0.3, 0.1, 0.8, 0.9), segment(0.2, -0.4, -0.1, 0.6)
     atoms = IntensityModel(INVERSE_RHOS["piecewise"], INVERSE_KERNELS["atoms"])
     with warnings.catch_warnings():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hrfl import intensity
+from hrfl.gaussian import covariance_matrix
 from hrfl.geometry import ORIGIN, Segment, SpaceTimePoint, segment
+from hrfl.hydro import characteristic_map, phase_moment
 from hrfl.intensity import (
     ConstantDensity,
     ConstantMark,
@@ -91,8 +93,9 @@ def test_each_crossing_moment_is_one_velocity_integral(reference_model, monkeypa
     for sign in ("net", "both"):
         reference_model.moment_on_crossing(1, seg, sign)
     assert len(calls) == 2
-    # over the whole velocity support, with v* = dx/dt among the break points
-    assert all(args[2:4] == (-1.0, 1.0) and 0.5 in args[4]() for args in calls)
+    # read at the segment's ends, with v* = dx/dt where its pivots cross
+    assert all(args[0] is reference_model and args[2:] == ([0.0, 0.5], [0.0, 1.0], [0.5])
+               for args in calls)
     for sign in ("plus", "minus", "Both", None):
         with pytest.raises(ValueError, match="sign must be 'both' or 'net'"):
             reference_model.moment_on_crossing(1, seg, sign)
@@ -598,13 +601,10 @@ def test_atom_rule_calls_the_integrand_once_in_kernel_order():
         calls.append(v)
         return np.stack([v, v * v], axis=-1)     # a column per position
 
-    got = intensity.velocity_integral(kern, f, -1.0, 1.0)
+    got = intensity.velocity_integral(IntensityModel(ConstantDensity(1.0), kern), f, 0.0, 1.0)
     assert len(calls) == 1
-    assert calls[0].tolist() == [0.5, -1.0]      # distinct, in range, kernel order
-    assert got.tolist() == [0.0 + 0.5 + -1.0, 0.0 + 0.25 + 1.0]
-    calls.clear()
-    assert intensity.velocity_integral(kern, f, 0.6, 1.5) == 0.0
-    assert calls == []
+    assert calls[0].tolist() == [0.5, -1.0, 2.0]      # distinct, in kernel order
+    assert got.tolist() == [0.0 + 0.5 + -1.0 + 2.0, 0.0 + 0.25 + 1.0 + 4.0]
 
 
 def test_atom_density_over_arrays_matches_scalar_calls():
@@ -791,3 +791,42 @@ def test_shear_and_reflection_map_the_crossing_moments(rng):
             tol = QUAD_ABS_TOL + QUAD_REL_TOL * np.abs(base)
             assert np.all(np.abs(shear - base) <= tol)
             assert np.all(np.abs(mirror * [1.0, -1.0, 1.0] - base) <= tol)
+
+
+def _phase_moments(model, x, t):
+    # phase_moment at mark powers 0, 1 and 2, each at v-powers 0 and 1
+    return np.array([phase_moment(model, x, t, j, k) for k in (0, 1, 2) for j in (0, 1)])
+
+
+def test_shear_and_reflection_map_the_phase_moments_and_z(rng):
+    # the sheared model's time-t phase density at (x + c t, v + c) is the
+    # model's at (x, v): v-power 0 stays, v-power 1 gains c times v-power 0
+    # and Z gains c t; (x, v) -> (-x, -v) negates v-power 1 and Z
+    c = 0.375
+    x = rng.uniform(-2.5, 2.5, 40)
+    for model, sheared, mirrored in zip(_symmetry_models(), _symmetry_models(c),
+                                        _symmetry_models(mirror=True)):
+        for t in (0.0, 0.5, -0.75, rng.uniform(-1.0, 1.0, 40)):
+            base, z = _phase_moments(model, x, t), characteristic_map(model, x, t)
+            shear_want = base.copy()
+            shear_want[1::2] += c * base[::2]
+            mirror_want = base * np.array([1.0, -1.0] * 3)[:, None]
+            for got, want in ((_phase_moments(sheared, x + c * t, t), shear_want),
+                              (_phase_moments(mirrored, -x, t), mirror_want),
+                              (characteristic_map(sheared, x + c * t, t), z + c * t),
+                              (characteristic_map(mirrored, -x, t), -z)):
+                assert np.all(np.abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * np.abs(want))
+
+
+def test_shear_and_reflection_keep_the_covariance_matrix(rng):
+    # the limit field's distances are crossing moments, which both maps keep
+    c = 0.375
+    points = [SpaceTimePoint(*rng.uniform(-2.0, 2.0, 2)) for _ in range(5)]
+    for model, sheared, mirrored in zip(_symmetry_models(), _symmetry_models(c),
+                                        _symmetry_models(mirror=True)):
+        want = covariance_matrix(model, points)
+        for image, image_points in (
+                (sheared, [SpaceTimePoint(p.x + c * p.t, p.t) for p in points]),
+                (mirrored, [SpaceTimePoint(-p.x, p.t) for p in points])):
+            got = covariance_matrix(image, image_points)
+            assert np.all(np.abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * np.abs(want))
