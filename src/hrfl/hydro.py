@@ -38,11 +38,14 @@ Since Z' = 1 + sigma >= 1, one evaluation s = Z(q) - q puts the root of
 Z(x) = q between q and q - s; Z^-1 runs a safeguarded Newton iteration on Z'
 from q inside that bracket, bisecting whenever a step would leave it.  t is
 one time or one per position, so the residual grid evaluates blocks of
-(t, q) nodes at once.
+(t, q) nodes at once.  The levels of a residual refinement are nested
+dyadic grids: the finest level's nodes are evaluated once, and each level's
+stencil reads them at its stride.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,7 +61,8 @@ INVERSE_XTOL = 1e-13
 INVERSE_RTOL = 4.0 * float(np.finfo(float).eps)
 MAX_INVERSE_STEPS = 100
 # the most (t, q) nodes of a residual grid evaluated in one call, and the
-# most nodes of all residual_refinement levels together that a config may ask for
+# most nodes of all residual_refinement levels together that a config may ask
+# for, which counts every level though only the finest level's nodes are evaluated
 BLOCK_NODES = 16_384
 GRID_NODE_CAP = 2 ** 22
 # residual_refinement's default, which the config node cap counts too
@@ -312,28 +316,12 @@ def _excluded_q(model: IntensityModel, q, t, margin: float):
     return np.concatenate([[-np.inf], images + margin])[starts_below] >= q
 
 
-def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
-    """Central-difference residual of the hard-rod conservation law.
+def _node_fields(model: IntensityModel, q_nodes, t_nodes):
+    """G = g~ and F = V_eff g~ at every (t, q) node of a grid, each (atom velocity, t, q).
 
-    The rod density and flux are evaluated analytically at every node and
-    differentiated with second-order central stencils, so the residual of a
-    smooth exact solution shrinks like h^2.  Boundary rows and columns are
-    excluded; where rho or the kernel's cells jump, a margin around the
-    image of each jump is excluded too (with a warning).  A division by
-    zero, overflow or invalid operation while evaluating the nodes raises
+    A division by zero, overflow or invalid operation raises
     FloatingPointError naming the failing block's t rows and the grid size.
     """
-    q_nodes = np.asarray(q_nodes, dtype=float)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    if len(q_nodes) < 3 or len(t_nodes) < 3:
-        raise ValueError("need at least 3 nodes per axis for central differences")
-    h_q = float(q_nodes[1] - q_nodes[0])
-    h_t = float(t_nodes[1] - t_nodes[0])
-    for axis, nodes, h in (("q", q_nodes, h_q), ("t", t_nodes, h_t)):
-        if np.abs(np.diff(nodes) - h).max() > 1e-9 * abs(h):
-            raise GridSpacingError(axis)
-
-    _require_atoms(model, "the residual grid")
     v_col = np.array(model.kernel.atom_velocities())[:, None]
     G = np.empty((len(v_col), len(t_nodes), len(q_nodes)))
     F = np.empty_like(G)
@@ -353,6 +341,34 @@ def ghd_residual(model: IntensityModel, q_nodes, t_nodes) -> GhdResidual:
             raise FloatingPointError(
                 f"{exc} in t rows {i}..{i + len(ts) - 1} (t = {ts[0]:g}..{ts[-1]:g}) "
                 f"of the {len(q_nodes)} x {len(t_nodes)} (q x t) grid") from None
+    return G, F
+
+
+def ghd_residual(model: IntensityModel, q_nodes, t_nodes, fields=None) -> GhdResidual:
+    """Central-difference residual of the hard-rod conservation law.
+
+    The rod density G and flux F are evaluated analytically at every node
+    (by ``_node_fields``, or by ``fields()``, called once the grid is checked,
+    when a caller already holds them) and differentiated with second-order
+    central stencils, so the residual of a smooth exact solution shrinks like
+    h^2.  Boundary rows and columns are excluded; where rho or the kernel's
+    cells jump, a margin around the image of each jump is excluded too (with
+    a warning).  A division by zero, overflow or invalid operation while
+    evaluating the nodes raises FloatingPointError naming the failing
+    block's t rows and the grid size.
+    """
+    q_nodes = np.asarray(q_nodes, dtype=float)
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    if len(q_nodes) < 3 or len(t_nodes) < 3:
+        raise ValueError("need at least 3 nodes per axis for central differences")
+    h_q = float(q_nodes[1] - q_nodes[0])
+    h_t = float(t_nodes[1] - t_nodes[0])
+    for axis, nodes, h in (("q", q_nodes, h_q), ("t", t_nodes, h_t)):
+        if np.abs(np.diff(nodes) - h).max() > 1e-9 * abs(h):
+            raise GridSpacingError(axis)
+
+    _require_atoms(model, "the residual grid")
+    G, F = fields() if fields else _node_fields(model, q_nodes, t_nodes)
 
     dG_dt = (G[:, 2:, 1:-1] - G[:, :-2, 1:-1]) / (2.0 * h_t)
     dF_dq = (F[:, 1:-1, 2:] - F[:, 1:-1, :-2]) / (2.0 * h_q)
@@ -377,17 +393,25 @@ def residual_refinement(model: IntensityModel, q_range, t_range, nq: int, nt: in
                         ) -> tuple[list[GhdResidual], list[float]]:
     """Residual grids over a fixed region, each halving the last one's spacing.
 
-    Returns the residual of every level, base grid first, and the L2-norm
-    ratios between successive levels.  A ratio whose finer level has a zero
-    L2 norm is undefined and returned as NaN.
+    Level k's nodes are np.linspace's (n - 1) 2^k + 1 on each axis, bit for
+    bit the finest level R's at stride 2^(R - k), since every step ratio is
+    a power of two.  So only level R's nodes are evaluated, inside its own
+    ghd_residual call, which runs first; every level's ghd_residual reads
+    its strided view of them, and each node keeps the bits it has on a grid
+    of its own.  A breakdown therefore names level R.  Returns the
+    residual of every level, base grid first, and the L2-norm ratios between
+    successive levels.  A ratio whose finer level has a zero L2 norm is
+    undefined and returned as NaN.
     """
+    qs = np.linspace(q_range[0], q_range[1], (nq - 1) * 2 ** refinements + 1)
+    ts = np.linspace(t_range[0], t_range[1], (nt - 1) * 2 ** refinements + 1)
+    finest = functools.cache(lambda: _node_fields(model, qs, ts))
     levels = []
-    for level in range(refinements + 1):
-        f = 2 ** level
-        qs = np.linspace(q_range[0], q_range[1], (nq - 1) * f + 1)
-        ts = np.linspace(t_range[0], t_range[1], (nt - 1) * f + 1)
+    for level in range(refinements, -1, -1):
+        s = 2 ** (refinements - level)
         try:
-            levels.append(ghd_residual(model, qs, ts))
+            levels.insert(0, ghd_residual(model, qs[::s], ts[::s],
+                                          lambda s=s: [a[:, ::s, ::s] for a in finest()]))
         except FloatingPointError as exc:
             raise FloatingPointError(f"grid level {level}: {exc}") from None
     ratios = [coarse.l2_norm / fine.l2_norm if fine.l2_norm else math.nan

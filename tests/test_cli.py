@@ -1043,14 +1043,15 @@ def test_ghd_on_a_huge_range_writes_a_strict_report(tmp_path, capsys):
 
 def test_ghd_breakdown_is_a_numerical_error(tmp_path, capsys):
     # at rho = 1e17 sigma~ rounds to 1 and V_eff divides by zero: exit 3,
-    # not a FAIL built on NaN norms
+    # not a FAIL built on NaN norms; only the finest level (1, 9 x 5 nodes)
+    # is evaluated, so the breakdown surfaces there
     model = dict(BUMP_ATOMS_MODEL, rho={"kind": "constant", "value": 1e17})
     cfg = write_config(tmp_path, GHD_EXPERIMENT, model=model)
     out = tmp_path / "runs"
     assert main(["ghd-residual", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
-        "numerical error: grid level 0: divide by zero encountered in divide "
-        "in t rows 0..2 (t = 0.05..0.45) of the 5 x 3 (q x t) grid")
+        "numerical error: grid level 1: divide by zero encountered in divide "
+        "in t rows 0..4 (t = 0.05..0.45) of the 9 x 5 (q x t) grid")
     assert not list(out.glob("*/report.json"))
 
 
@@ -1115,7 +1116,7 @@ def test_a_failed_report_write_exits_4_with_one_line(tmp_path, capsys):
     (NO_LINE_EULER, None, {"HRFL_SEED": "-1"}, 2,
      re.escape("config error: HRFL_SEED: expected an integer >= 0, got -1\n")),
     (GHD_EXPERIMENT, dict(BUMP_ATOMS_MODEL, rho={"kind": "constant", "value": 1e17}), {}, 3,
-     "numerical error: grid level 0: [^\n]*\n"),
+     r"numerical error: grid level 1: [^\n]* of the 9 x 5 \(q x t\) grid\n"),
 ], ids=["euler-empty-fail", "negative-seed-env", "ghd-breakdown"])
 def test_module_entry_point_exit_codes(tmp_path, experiment, model, env, code, stderr):
     # python -m hrfl.cli turns main()'s return value into the exit status, with

@@ -34,6 +34,7 @@ from hrfl.intensity import (
     UniformMark,
     UniformVelocity,
 )
+from hrfl.config import build_model
 from hrfl.geometry import segment
 from hrfl.sampler import ObservationRegion, sample
 
@@ -725,6 +726,70 @@ def test_ghd_refinement_of_a_zero_residual_has_undefined_ratios(homogeneous_atom
                                          5, 3, refinements=2)
     assert [lv.max_norm for lv in levels] == [0.0, 0.0, 0.0]
     assert len(ratios) == 2 and all(math.isnan(r) for r in ratios)
+
+
+# the ghd-grid benchmark model, built from its config
+GHD_GRID_MODEL = {"rho": {"kind": "bump", "center": 0.0, "width": 2.0, "height": 0.5, "power": 4},
+                  "kernel": {"kind": "atoms", "atoms": [{"v": -1.0, "r": 0.4, "weight": 0.5},
+                                                        {"v": 1.0, "r": 0.6, "weight": 0.5}]}}
+GHD_GRID = ((-0.8, 0.8), (0.05, 0.45), 17, 9, 2)
+REFINEMENT_CASES = [
+    pytest.param(build_model(GHD_GRID_MODEL), *GHD_GRID, id="ghd-grid"),
+    # the jump images' margins take every interior column of level 0
+    pytest.param(IntensityModel(INVERSE_RHOS["piecewise"],
+                                DiscreteKernel([(-1.0, 0.4, 0.5), (1.0, 0.6, 0.5)])),
+                 (-1.5, 1.5), (0.05, 0.45), 21, 7, 2, id="piecewise-rho"),
+    pytest.param(build_model(GHD_GRID_MODEL), (-0.8, 0.8), (0.05, 0.45), 6, 4, 3,
+                 id="odd-size"),
+]
+
+
+@pytest.mark.parametrize("model,q_range,t_range,nq,nt,refinements", REFINEMENT_CASES)
+def test_every_refinement_level_equals_its_own_grid_bitwise(model, q_range, t_range, nq, nt,
+                                                            refinements):
+    # each level must be ghd_residual on its own linspace grid, whose nodes
+    # are the finest level's at stride 2^(R - k): every step ratio is a power of two
+    n_fine = (nq - 1) * 2 ** refinements + 1, (nt - 1) * 2 ** refinements + 1
+    q_fine, t_fine = np.linspace(*q_range, n_fine[0]), np.linspace(*t_range, n_fine[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        levels, ratios = residual_refinement(model, q_range, t_range, nq, nt, refinements)
+        own = []
+        for k in range(refinements + 1):
+            qs = np.linspace(*q_range, (nq - 1) * 2 ** k + 1)
+            ts = np.linspace(*t_range, (nt - 1) * 2 ** k + 1)
+            s = 2 ** (refinements - k)
+            assert qs.tobytes() == q_fine[::s].tobytes() and ts.tobytes() == t_fine[::s].tobytes()
+            own.append(ghd_residual(model, qs, ts))
+    assert len(levels) == refinements + 1
+    for got, want in zip(levels, own):
+        assert got.residual.shape == want.residual.shape
+        assert got.residual.tobytes() == want.residual.tobytes()
+        assert got.q.tobytes() == want.q.tobytes() and got.t.tobytes() == want.t.tobytes()
+        assert (got.max_norm, got.l2_norm, got.h_q, got.h_t) == (
+            want.max_norm, want.l2_norm, want.h_q, want.h_t)
+    want_ratios = [c.l2_norm / f.l2_norm if f.l2_norm else math.nan
+                   for c, f in zip(own, own[1:])]
+    assert np.array(ratios).tobytes() == np.array(want_ratios).tobytes()
+    if nq == 21:                        # the piecewise-rho case
+        assert len(levels[0].q) == 0 < len(levels[-1].q)
+
+
+def test_refinement_evaluates_only_the_finest_level(monkeypatch):
+    # levels 0..R-1 read the finest level's nodes: one _species_state call
+    # per block of whole t rows of the finest grid (65 x 33 nodes), none for the others
+    from hrfl import hydro
+
+    species_state, calls = hydro._species_state, []
+    monkeypatch.setattr(hydro, "_species_state",
+                        lambda model, q, t: calls.append(len(q)) or species_state(model, q, t))
+    model = build_model(GHD_GRID_MODEL)
+    residual_refinement(model, *GHD_GRID)
+    assert calls == [65 * 33]
+    calls.clear()
+    monkeypatch.setattr(hydro, "BLOCK_NODES", 65 * 20)
+    residual_refinement(model, *GHD_GRID)
+    assert calls == [65 * 20, 65 * 13]
 
 
 def test_phase_moment_is_exact_across_rho_edges():

@@ -343,6 +343,7 @@ def test_benchmark_tracer_still_wraps_the_names_it_counts():
     # values; 21 crossing moments, 5 for the rods' limits, 1 for the tracer's
     # start mass, 8 for the frame limits, 1 same-velocity distance, 1
     # intersection, 1 tracer variance and 4 tilde variances.  The ghd grid:
-    # one characteristic inverse per level, 153 + 561 + 2145 nodes.
-    assert got == {"euler": [30, 6, 20], "diffusive": [65, 21], "ghd": [3, 2859],
+    # one characteristic inverse, on the finest level only, whose strided
+    # nodes serve the others; 153 + 561 + 2145 nodes over the three levels.
+    assert got == {"euler": [30, 6, 20], "diffusive": [65, 21], "ghd": [1, 2859],
                    "spot_check": [7, 0]}
